@@ -21,6 +21,7 @@ import numpy as np
 from ._linalg import maxabs
 from .bivector import (
     Bivector,
+    MuPair,
     det_bivector,
     is_simple,
     mu_roots,
@@ -31,6 +32,7 @@ from .clifford import Representation, representation, spin_rep
 from .errors import MalformedInputError, SpinLiftError
 from .expmap import exp_spin, exp_spin_factored, exp_spin_polynomial, exp_spin_simple
 from .group_lift import (
+    FactorPair,
     LorentzTransformation,
     factor_transform,
     is_simple_transform,
@@ -179,24 +181,34 @@ def _load_request(args) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command bodies
+# command bodies: one function per property returns its raw defects by name;
+# the commands report them, and the selftest checks divide them by a scale.
 
 
-def _cmd_decompose(matrix, g: Metric, rep: Representation, tol: float):
-    L = Bivector(matrix, g)
-    l_plus, l_minus = orthogonal_decompose(L, tol)
-    mu = mu_roots(L)
-    result = {
-        "l_plus": _matrix_payload(l_plus.matrix),
-        "l_minus": _matrix_payload(l_minus.matrix),
-    }
-    invariants = {
+def _bivector_invariants(L: Bivector, mu: MuPair) -> dict:
+    return {
         "tr2_l": tr2(L),
         "det_l": det_bivector(L),
         "mu_plus": mu.mu_plus,
         "mu_minus": mu.mu_minus,
     }
-    diagnostics = {
+
+
+def _transform_traces(lam: LorentzTransformation) -> dict:
+    return {"tr_lambda": float(np.trace(lam.matrix)), "tr2_lambda": tr2_transform(lam)}
+
+
+def _simplicity_defect(lam: LorentzTransformation) -> float:
+    """|tr2 Lam - 2 (tr Lam - 1)|, which vanishes for a simple transformation."""
+    t, t2 = _transform_traces(lam).values()
+    return abs(t2 - 2.0 * (t - 1.0))
+
+
+def _decomposition_defects(
+    L: Bivector, l_plus: Bivector, l_minus: Bivector, mu: MuPair
+) -> dict:
+    """Defects of L = L+ + L-, L+ L- = L- L+ = 0, det L+- = 0, tr2 L+- = -mu+-."""
+    return {
         "reconstruction_defect": maxabs(l_plus.matrix + l_minus.matrix - L.matrix),
         "annihilation_defect": max(
             maxabs(l_plus.matrix @ l_minus.matrix),
@@ -207,46 +219,78 @@ def _cmd_decompose(matrix, g: Metric, rep: Representation, tol: float):
         "tr2_defect_plus": abs(tr2(l_plus) + mu.mu_plus),
         "tr2_defect_minus": abs(tr2(l_minus) + mu.mu_minus),
     }
-    return "nonsimple", result, invariants, diagnostics
+
+
+def _recovery_defects(L: Bivector, rep: Representation, cross_trace: bool = True):
+    """(tr2 L, det L) recovered from sigma(L), and their defects."""
+    recovered = recover_invariants(spin_rep(rep, L), rep)
+    defects = {
+        "tr2_recovery_defect": abs(recovered[0] - tr2(L)),
+        "det_recovery_defect": abs(recovered[1] - det_bivector(L)),
+    }
+    if cross_trace:
+        defects["cross_trace_defect"] = cross_trace_check(rep, L)
+    return recovered, defects
+
+
+def _roundtrip_defect(L: Bivector, lam: LorentzTransformation) -> float:
+    """Defect of exp(L) = Lam for a logarithm L of Lam."""
+    return maxabs(exp_series(L.matrix) - lam.matrix)
+
+
+def _factor_defects(lam: LorentzTransformation, pair: FactorPair) -> dict:
+    """Defects of Lam = Lam+ Lam- = Lam- Lam+, simple Lam+-, and the c+- identities."""
+    mp, mm = pair.lambda_plus.matrix, pair.lambda_minus.matrix
+    t, t2 = _transform_traces(lam).values()
+    return {
+        "reconstruction_defect": maxabs(mp @ mm - lam.matrix),
+        "commutation_defect": maxabs(mp @ mm - mm @ mp),
+        "simplicity_defect_plus": _simplicity_defect(pair.lambda_plus),
+        "simplicity_defect_minus": _simplicity_defect(pair.lambda_minus),
+        "trace_identity_defect": abs(t - 2.0 * (pair.c_plus + pair.c_minus)),
+        "tr2_identity_defect": abs(t2 - (4.0 * pair.c_plus * pair.c_minus + 2.0)),
+    }
+
+
+def _cmd_decompose(matrix, g: Metric, rep: Representation, tol: float):
+    L = Bivector(matrix, g)
+    l_plus, l_minus = orthogonal_decompose(L, tol)
+    mu = mu_roots(L)
+    result = {
+        "l_plus": _matrix_payload(l_plus.matrix),
+        "l_minus": _matrix_payload(l_minus.matrix),
+    }
+    diagnostics = _decomposition_defects(L, l_plus, l_minus, mu)
+    return "nonsimple", result, _bivector_invariants(L, mu), diagnostics
 
 
 def _cmd_exp_spin(matrix, g: Metric, rep: Representation, tol: float):
     L = Bivector(matrix, g)
     out, branch = exp_spin(L, rep, tol, return_branch=True)
-    mu = mu_roots(L)
     series = exp_series(spin_rep(rep, L))
     lam = LorentzTransformation(exp_series(L.matrix), g)
     result = {"exp_spin": _matrix_payload(out)}
-    invariants = {
-        "tr2_l": tr2(L),
-        "det_l": det_bivector(L),
-        "mu_plus": mu.mu_plus,
-        "mu_minus": mu.mu_minus,
-    }
     diagnostics = {
         "series_defect": maxabs(out - series),
         "intertwining_defect": intertwining_defect(out, lam, rep),
     }
-    return branch, result, invariants, diagnostics
+    return branch, result, _bivector_invariants(L, mu_roots(L)), diagnostics
 
 
 def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
     lam = LorentzTransformation(matrix, g)
     L = log_simple(lam, tol)
     k, mu_inv, kind = simple_log_coefficients(lam)
-    t = float(np.trace(lam.matrix))
-    t2 = tr2_transform(lam)
     result = {"log": _matrix_payload(L.matrix)}
     invariants = {
-        "tr_lambda": t,
-        "tr2_lambda": t2,
+        **_transform_traces(lam),
         "k_factor": k,
         "mu": mu_inv,
         "tr2_log": tr2(L),
     }
     diagnostics = {
-        "roundtrip_defect": maxabs(exp_series(L.matrix) - lam.matrix),
-        "simplicity_defect": abs(t2 - 2.0 * (t - 1.0)),
+        "roundtrip_defect": _roundtrip_defect(L, lam),
+        "simplicity_defect": _simplicity_defect(lam),
     }
     return f"simple/{kind}", result, invariants, diagnostics
 
@@ -255,36 +299,19 @@ def _cmd_factor(matrix, g: Metric, rep: Representation, tol: float):
     lam = LorentzTransformation(matrix, g)
     pair = factor_transform(lam, tol)
     mp, mm = pair.lambda_plus.matrix, pair.lambda_minus.matrix
-    t = float(np.trace(lam.matrix))
-    t2 = tr2_transform(lam)
-
-    def simplicity(m):
-        tt = float(np.trace(m))
-        tt2 = 0.5 * (tt * tt - float(np.trace(m @ m)))
-        return abs(tt2 - 2.0 * (tt - 1.0))
-
     result = {
         "lambda_plus": _matrix_payload(mp),
         "lambda_minus": _matrix_payload(mm),
     }
     invariants = {
-        "tr_lambda": t,
-        "tr2_lambda": t2,
+        **_transform_traces(lam),
         "delta": pair.delta,
         "c_plus": pair.c_plus,
         "c_minus": pair.c_minus,
         "tr_plus": float(np.trace(mp)),
         "tr_minus": float(np.trace(mm)),
     }
-    diagnostics = {
-        "reconstruction_defect": maxabs(mp @ mm - lam.matrix),
-        "commutation_defect": maxabs(mp @ mm - mm @ mp),
-        "simplicity_defect_plus": simplicity(mp),
-        "simplicity_defect_minus": simplicity(mm),
-        "trace_identity_defect": abs(t - 2.0 * (pair.c_plus + pair.c_minus)),
-        "tr2_identity_defect": abs(t2 - (4.0 * pair.c_plus * pair.c_minus + 2.0)),
-    }
-    return "nonsimple", result, invariants, diagnostics
+    return "nonsimple", result, invariants, _factor_defects(lam, pair)
 
 
 def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
@@ -293,13 +320,11 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
     if branch == "simple" and maxabs(lam.matrix - np.eye(4)) <= 1e-12:
         branch = "simple/identity"
     sigma = sign_normalize(sigma)
-    t = float(np.trace(lam.matrix))
-    t2 = tr2_transform(lam)
+    traces = _transform_traces(lam)
     result = {"sigma": _matrix_payload(sigma)}
     invariants = {
-        "tr_lambda": t,
-        "tr2_lambda": t2,
-        "denominator": 2.0 + 2.0 * t + t2,
+        **traces,
+        "denominator": 2.0 + 2.0 * traces["tr_lambda"] + traces["tr2_lambda"],
         "simple": is_simple_transform(lam, tol),
     }
     diagnostics = {"intertwining_defect": intertwining_defect(sigma, lam, rep)}
@@ -308,25 +333,10 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
 
 def _cmd_invariants(matrix, g: Metric, rep: Representation, tol: float):
     L = Bivector(matrix, g)
-    s = spin_rep(rep, L)
-    recovered_tr2, recovered_det = recover_invariants(s, rep)
-    direct_tr2 = tr2(L)
-    direct_det = det_bivector(L)
-    mu = mu_roots(L)
     simple = is_simple(L, tol)
-    result = {"recovered_tr2": recovered_tr2, "recovered_det": recovered_det}
-    invariants = {
-        "tr2_l": direct_tr2,
-        "det_l": direct_det,
-        "mu_plus": mu.mu_plus,
-        "mu_minus": mu.mu_minus,
-    }
-    diagnostics = {
-        "tr2_recovery_defect": abs(recovered_tr2 - direct_tr2),
-        "det_recovery_defect": abs(recovered_det - direct_det),
-    }
-    if not simple:
-        diagnostics["cross_trace_defect"] = cross_trace_check(rep, L)
+    recovered, diagnostics = _recovery_defects(L, rep, cross_trace=not simple)
+    result = {"recovered_tr2": recovered[0], "recovered_det": recovered[1]}
+    invariants = _bivector_invariants(L, mu_roots(L))
     return ("simple" if simple else "nonsimple"), result, invariants, diagnostics
 
 
@@ -341,61 +351,42 @@ _COMMAND_BODIES = {
 
 
 # ---------------------------------------------------------------------------
-# selftest battery
+# selftest battery: each check yields one relative defect per case.
 
 
 def _check_decomposition(g, reps, seed, trials):
-    worst = 0.0
     for i in range(trials):
         L = random_nonsimple_bivector(g, seed + i)
         l_plus, l_minus = orthogonal_decompose(L)
-        mu = mu_roots(L)
+        defects = _decomposition_defects(L, l_plus, l_minus, mu_roots(L))
         scale = max(1.0, maxabs(L.matrix))
-        worst = max(
-            worst,
-            maxabs(l_plus.matrix + l_minus.matrix - L.matrix) / scale,
-            maxabs(l_plus.matrix @ l_minus.matrix) / scale**2,
-            maxabs(l_minus.matrix @ l_plus.matrix) / scale**2,
-            abs(det_bivector(l_plus)) / scale**4,
-            abs(det_bivector(l_minus)) / scale**4,
-            abs(tr2(l_plus) + mu.mu_plus) / scale**2,
-            abs(tr2(l_minus) + mu.mu_minus) / scale**2,
-        )
-    return worst
+        # each defect over scale to its degree in L, in the order of the keys
+        yield max(d / scale**k for d, k in zip(defects.values(), (1, 2, 4, 4, 2, 2)))
 
 
 def _check_spin_square(g, reps, seed, trials):
-    worst = 0.0
     for rep in reps:
         for i in range(trials):
             W = random_wedge(g, seed + i, kind="any")
             s = spin_rep(rep, W)
-            worst = max(
-                worst,
-                maxabs(s @ s + 0.25 * tr2(W) * rep.identity)
-                / max(1.0, maxabs(W.matrix) ** 2),
-            )
-    return worst
+            scale = max(1.0, maxabs(W.matrix) ** 2)
+            yield maxabs(s @ s + 0.25 * tr2(W) * rep.identity) / scale
 
 
 def _check_spin_decompose(g, reps, seed, trials):
-    worst = 0.0
     for rep in reps:
         for i in range(trials):
             L = random_nonsimple_bivector(g, seed + i)
             l_plus, l_minus = orthogonal_decompose(L)
             s_plus, s_minus = spin_decompose(spin_rep(rep, L), mu_roots(L))
             scale = max(1.0, maxabs(L.matrix) ** 2)
-            worst = max(
-                worst,
+            yield max(
                 maxabs(s_plus - spin_rep(rep, l_plus)) / scale,
                 maxabs(s_minus - spin_rep(rep, l_minus)) / scale,
             )
-    return worst
 
 
 def _check_cross_product(g, reps, seed, trials):
-    worst = 0.0
     for rep in reps:
         for i in range(trials):
             L = random_nonsimple_bivector(g, seed + i)
@@ -404,39 +395,27 @@ def _check_cross_product(g, reps, seed, trials):
             sm = spin_rep(rep, l_minus)
             predicted = spin_cross_product(spin_rep(rep, L), tr2(L), rep)
             scale = max(1.0, maxabs(L.matrix) ** 2)
-            worst = max(
-                worst,
-                maxabs(predicted - sp @ sm) / scale,
-                maxabs(sp @ sm - sm @ sp) / scale,
+            yield max(
+                maxabs(predicted - sp @ sm) / scale, maxabs(sp @ sm - sm @ sp) / scale
             )
-    return worst
 
 
 def _check_recovery(g, reps, seed, trials):
-    worst = 0.0
     for rep in reps:
         for i in range(trials):
             L = random_nonsimple_bivector(g, seed + i)
-            rec_tr2, rec_det = recover_invariants(spin_rep(rep, L), rep)
+            _, defects = _recovery_defects(L, rep)
             scale = max(1.0, maxabs(L.matrix) ** 2)
-            worst = max(
-                worst,
-                abs(rec_tr2 - tr2(L)) / scale,
-                abs(rec_det - det_bivector(L)) / scale**2,
-                cross_trace_check(rep, L) / scale,
-            )
-    return worst
+            yield max(d / scale**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
 def _check_exp_agreement(g, reps, seed, trials):
-    worst = 0.0
     for rep in reps:
         for i in range(trials):
             L = random_nonsimple_bivector(g, seed + i)
             series = exp_series(spin_rep(rep, L))
             scale = max(1.0, maxabs(series))
-            worst = max(
-                worst,
+            yield max(
                 maxabs(exp_spin_factored(L, rep) - series) / scale,
                 maxabs(exp_spin_polynomial(L, rep) - series) / scale,
             )
@@ -444,86 +423,59 @@ def _check_exp_agreement(g, reps, seed, trials):
             W = random_wedge(g, seed + 500 + j, kind=kind)
             s = spin_rep(rep, W)
             series = exp_series(s)
-            worst = max(
-                worst,
-                maxabs(exp_spin_simple(s, tr2(W)) - series) / max(1.0, maxabs(series)),
-            )
-    return worst
+            yield maxabs(exp_spin_simple(s, tr2(W)) - series) / max(1.0, maxabs(series))
 
 
 def _check_log_roundtrip(g, reps, seed, trials):
-    worst = 0.0
     kinds = ("rotation", "boost", "null")
     for i in range(trials):
         W = random_wedge(g, seed + i, kind=kinds[i % 3])
         lam = LorentzTransformation(exp_series(W.matrix), g)
-        L = log_simple(lam)
-        worst = max(
-            worst,
-            maxabs(exp_series(L.matrix) - lam.matrix) / max(1.0, maxabs(lam.matrix)),
-        )
-    return worst
+        yield _roundtrip_defect(log_simple(lam), lam) / max(1.0, maxabs(lam.matrix))
 
 
 def _check_factor(g, reps, seed, trials):
-    worst = 0.0
     for i in range(trials):
         lam = random_nonsimple_transformation(g, seed + i)
-        pair = factor_transform(lam)
-        mp, mm = pair.lambda_plus.matrix, pair.lambda_minus.matrix
-        t = float(np.trace(lam.matrix))
-        t2 = tr2_transform(lam)
+        defects = _factor_defects(lam, factor_transform(lam))
         scale = max(1.0, maxabs(lam.matrix))
-        worst = max(
-            worst,
-            maxabs(mp @ mm - lam.matrix) / scale,
-            maxabs(mp @ mm - mm @ mp) / scale,
-            abs(t - 2.0 * (pair.c_plus + pair.c_minus)) / scale,
-            abs(t2 - (4.0 * pair.c_plus * pair.c_minus + 2.0)) / scale**2,
+        yield max(
+            defects["reconstruction_defect"] / scale,
+            defects["commutation_defect"] / scale,
+            defects["trace_identity_defect"] / scale,
+            defects["tr2_identity_defect"] / scale**2,
         )
-    return worst
 
 
 def _check_lift(g, reps, seed, trials):
-    worst = 0.0
     for rep in reps:
-        for i in range(trials):
-            lam = random_nonsimple_transformation(g, seed + i)
-            worst = max(worst, intertwining_defect(lift(lam, rep), lam, rep))
+        lams = [random_nonsimple_transformation(g, seed + i) for i in range(trials)]
         for j, kind in enumerate(("rotation", "boost")):
             W = random_wedge(g, seed + 600 + j, kind=kind)
-            lam = LorentzTransformation(exp_series(W.matrix), g)
-            worst = max(worst, intertwining_defect(lift(lam, rep), lam, rep))
-        lam = traceless_simple_transformation(g, seed + 700)
-        worst = max(worst, intertwining_defect(lift(lam, rep), lam, rep))
-        lam = degenerate_denominator_transformation(g, seed + 800)
-        worst = max(worst, intertwining_defect(lift(lam, rep), lam, rep))
-    return worst
+            lams.append(LorentzTransformation(exp_series(W.matrix), g))
+        lams.append(traceless_simple_transformation(g, seed + 700))
+        lams.append(degenerate_denominator_transformation(g, seed + 800))
+        for lam in lams:
+            yield intertwining_defect(lift(lam, rep), lam, rep)
 
 
 def _check_homomorphism(g, reps, seed, trials):
-    worst = 0.0
     for rep in reps:
         for i in range(trials):
             lam1 = random_nonsimple_transformation(g, seed + 2 * i)
             lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1)
-            product = lam1 @ lam2
             sigma = lift(lam1, rep) @ lift(lam2, rep)
-            worst = max(worst, intertwining_defect(sigma, product, rep))
-    return worst
+            yield intertwining_defect(sigma, lam1 @ lam2, rep)
 
 
 def _check_double_cover(g, reps, seed, trials):
-    worst = 0.0
     for rep in reps:
         for i in range(trials):
             W = random_wedge(g, seed + i, kind="rotation")
             angle = math.sqrt(tr2(W))
             W2 = W * ((angle + 2.0 * math.pi) / angle)
-            flipped = exp_spin(W2, rep)
             base = exp_spin(W, rep)
-            worst = max(worst, maxabs(flipped + base) / max(1.0, maxabs(base)))
-    return worst
+            yield maxabs(exp_spin(W2, rep) + base) / max(1.0, maxabs(base))
 
 
 _SELFTEST_CHECKS = (
@@ -547,8 +499,8 @@ def run_selftest(metric_tag: str, seed: int, trials: int = _SELFTEST_TRIALS) -> 
     reps = (representation("gamma", g), representation("regular", g))
     checks = []
     all_passed = True
-    for index, (name, fn, tol) in enumerate(_SELFTEST_CHECKS):
-        defect = fn(g, reps, seed + 1000 * index, trials)
+    for index, (name, check, tol) in enumerate(_SELFTEST_CHECKS):
+        defect = max((0.0, *check(g, reps, seed + 1000 * index, trials)))
         passed = bool(defect <= tol)
         all_passed = all_passed and passed
         checks.append(
@@ -569,34 +521,17 @@ def run_selftest(metric_tag: str, seed: int, trials: int = _SELFTEST_TRIALS) -> 
 
 def run_request(request: dict) -> dict:
     """Execute a parsed request and assemble the response document."""
-    command = request["command"]
-    if command == "selftest":
+    doc = {key: request[key] for key in ("command", "metric", "rep", "tol")}
+    if request["command"] == "selftest":
         report = run_selftest(request["metric"], request["seed"])
-        return {
-            "command": command,
-            "metric": request["metric"],
-            "rep": request["rep"],
-            "tol": request["tol"],
-            "seed": request["seed"],
-            "trials": _SELFTEST_TRIALS,
-            "result": report,
-        }
+        return dict(doc, seed=request["seed"], trials=_SELFTEST_TRIALS, result=report)
     g = make_metric(request["metric"])
     rep = representation(request["rep"], g)
-    branch, result, invariants, diagnostics = _COMMAND_BODIES[command](
-        request["matrix"], g, rep, request["tol"]
-    )
-    return {
-        "command": command,
-        "metric": request["metric"],
-        "rep": request["rep"],
-        "tol": request["tol"],
-        "input": {"matrix": _matrix_payload(request["matrix"])},
-        "branch": branch,
-        "result": result,
-        "invariants": invariants,
-        "diagnostics": diagnostics,
-    }
+    body = _COMMAND_BODIES[request["command"]]
+    outcome = body(request["matrix"], g, rep, request["tol"])
+    doc["input"] = {"matrix": _matrix_payload(request["matrix"])}
+    doc.update(zip(("branch", "result", "invariants", "diagnostics"), outcome))
+    return doc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -628,31 +563,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         request = _load_request(args)
-    except MalformedInputError as exc:
-        _emit(
-            render_document({"error": {"code": exc.code, "message": str(exc)}}),
-            args.outfile,
-        )
-        return 2
-    try:
         doc = run_request(request)
-    except MalformedInputError as exc:
-        _emit(
-            render_document({"error": {"code": exc.code, "message": str(exc)}}),
-            args.outfile,
-        )
-        return 2
     except SpinLiftError as exc:
         _emit(
             render_document({"error": {"code": exc.code, "message": str(exc)}}),
             args.outfile,
         )
-        return 1
+        return 2 if isinstance(exc, MalformedInputError) else 1
     _emit(render_document(doc), args.outfile)
     if request["command"] == "selftest" and not doc["result"]["all_passed"]:
         return 1
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

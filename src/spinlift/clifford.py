@@ -202,9 +202,6 @@ class Representation:
         return np.tensordot(np.asarray(u, dtype=float), self.vectors, axes=1)
 
 
-_REP_CACHE: dict = {}
-
-
 def _regular_blades(g: Metric) -> np.ndarray:
     diag = _metric_diagonal(g)
     blades = np.zeros((BLADE_COUNT, BLADE_COUNT, BLADE_COUNT))
@@ -235,39 +232,18 @@ def _gamma_blades(g: Metric) -> np.ndarray:
     return blades
 
 
-def regular_representation(g: Metric) -> Representation:
-    """Left-multiplication representation of Cl(g) on itself (16x16 real)."""
-    key = ("regular", tuple(_metric_diagonal(g)))
-    if key not in _REP_CACHE:
-        _REP_CACHE[key] = Representation("regular", g, _regular_blades(g))
-    return _REP_CACHE[key]
-
-
-def gamma_representation(g: Metric) -> Representation:
-    """Dirac-matrix representation of Cl(g) (4x4 complex)."""
-    key = ("gamma", tuple(_metric_diagonal(g)))
-    if key not in _REP_CACHE:
-        _REP_CACHE[key] = Representation("gamma", g, _gamma_blades(g))
-    return _REP_CACHE[key]
+_BLADE_BUILDERS = {"gamma": _gamma_blades, "regular": _regular_blades}
+_REP_CACHE: dict = {}
 
 
 def representation(kind: str, g: Metric) -> Representation:
-    """Look up a representation by kind ("gamma" or "regular")."""
-    if kind == "gamma":
-        return gamma_representation(g)
-    if kind == "regular":
-        return regular_representation(g)
-    raise ValueError(f"unknown representation kind {kind!r}")
-
-
-def regular_rep(g: Metric, x: CliffordElement) -> np.ndarray:
-    """16x16 matrix of left multiplication by x on the blade basis."""
-    return regular_representation(g).of(x)
-
-
-def gamma_rep(g: Metric, u) -> np.ndarray:
-    """Gamma-matrix image u^a gamma_a of a 4-vector."""
-    return gamma_representation(g).vector(u)
+    """The "gamma" (4x4 complex) or "regular" (16x16 real) representation of Cl(g)."""
+    if kind not in _BLADE_BUILDERS:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    key = (kind, tuple(_metric_diagonal(g)))
+    if key not in _REP_CACHE:
+        _REP_CACHE[key] = Representation(kind, g, _BLADE_BUILDERS[kind](g))
+    return _REP_CACHE[key]
 
 
 def spin_rep(rep: Representation, L: Bivector) -> np.ndarray:

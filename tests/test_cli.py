@@ -62,10 +62,17 @@ def test_golden_matrix_commands(command, tmp_path):
     assert outfile.read_bytes() == golden_file.read_bytes()
 
 
-def test_golden_selftest(tmp_path):
-    _, golden_file = golden_paths("selftest")
+@pytest.mark.parametrize(
+    "name, metric, seed",
+    [("selftest", "pmmm", 7), ("selftest-mppp", "mppp", 11)],
+    ids=["pmmm", "mppp"],
+)
+def test_golden_selftest(name, metric, seed, tmp_path):
+    _, golden_file = golden_paths(name)
     outfile = tmp_path / "out.json"
-    code = main(["selftest", "--seed", "7", "--out", str(outfile)])
+    code = main(
+        ["selftest", "--metric", metric, "--seed", str(seed), "--out", str(outfile)]
+    )
     assert code == 0
     if REGEN:
         golden_file.parent.mkdir(exist_ok=True)

@@ -8,11 +8,9 @@ from spinlift import (
     blade_mask,
     blade_name,
     clifford_mul,
-    gamma_rep,
     lie_bracket_check,
     make_metric,
     random_bivector,
-    regular_rep,
     representation,
     spin_rep,
     wedge,
@@ -57,12 +55,14 @@ def test_clifford_mul_associative(tag):
 
 
 def test_regular_rep_scalar_is_identity(g):
-    assert np.array_equal(regular_rep(g, CliffordElement.scalar(1.0)), np.eye(16))
+    reg = representation("regular", g)
+    assert np.array_equal(reg.of(CliffordElement.scalar(1.0)), np.eye(16))
 
 
 def test_regular_rep_vector_squares(g):
-    r0 = regular_rep(g, CliffordElement.basis_vector(0))
-    r1 = regular_rep(g, CliffordElement.basis_vector(1))
+    reg = representation("regular", g)
+    r0 = reg.of(CliffordElement.basis_vector(0))
+    r1 = reg.of(CliffordElement.basis_vector(1))
     assert mabs(r0 @ r0 - np.eye(16)) == 0.0
     assert mabs(r1 @ r1 + np.eye(16)) == 0.0
     # signed permutation: one entry of modulus 1 per column
@@ -71,22 +71,26 @@ def test_regular_rep_vector_squares(g):
 
 
 def test_regular_rep_multiplicative(g):
+    reg = representation("regular", g)
     rng = np.random.default_rng(22)
     for _ in range(15):
         x = CliffordElement(rng.uniform(-1.0, 1.0, 16))
         y = CliffordElement(rng.uniform(-1.0, 1.0, 16))
-        lhs = regular_rep(g, clifford_mul(x, y, g))
-        rhs = regular_rep(g, x) @ regular_rep(g, y)
+        lhs = reg.of(clifford_mul(x, y, g))
+        rhs = reg.of(x) @ reg.of(y)
         assert mabs(lhs - rhs) < 1e-12
 
 
 def test_gamma_time_matrix(g):
-    assert np.array_equal(gamma_rep(g, E[0]), np.diag([1.0, 1.0, -1.0, -1.0]))
+    gamma = representation("gamma", g)
+    assert np.array_equal(gamma.vector(E[0]), np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
 def test_gamma_squares(g):
-    assert mabs(gamma_rep(g, E[1]) @ gamma_rep(g, E[1]) + np.eye(4)) == 0.0
-    g0g1 = gamma_rep(g, E[0]) @ gamma_rep(g, E[1]) + gamma_rep(g, E[1]) @ gamma_rep(g, E[0])
+    gamma = representation("gamma", g)
+    g0, g1 = gamma.vector(E[0]), gamma.vector(E[1])
+    assert mabs(g1 @ g1 + np.eye(4)) == 0.0
+    g0g1 = g0 @ g1 + g1 @ g0
     assert mabs(g0g1) == 0.0
 
 
@@ -122,7 +126,7 @@ def test_spin_rep_wedge_is_quarter_commutator(g, rep):
 def test_spin_rep_frozen_gamma(g):
     rep = representation("gamma", g)
     s = spin_rep(rep, wedge(g, E[0], E[1]))
-    half_g0g1 = 0.5 * gamma_rep(g, E[0]) @ gamma_rep(g, E[1])
+    half_g0g1 = 0.5 * rep.vector(E[0]) @ rep.vector(E[1])
     assert mabs(s - half_g0g1) == 0.0
     assert mabs(s @ s - 0.25 * np.eye(4)) == 0.0  # tr2 = -1, so square is +1/4
 

@@ -15,7 +15,6 @@ from spinlift import (
     exp_series,
     exp_spin,
     factor_transform,
-    gamma_rep,
     intertwining_defect,
     is_simple_transform,
     lift,
@@ -195,7 +194,7 @@ def test_lift_simple_boost_frozen(g):
     lam = LorentzTransformation(exp_series(wedge(g, E[0], E[1]).matrix), g)
     sigma = sign_normalize(lift_simple(lam, rep))
     expected = math.cosh(0.5) * np.eye(4) + math.sinh(0.5) * (
-        gamma_rep(g, E[0]) @ gamma_rep(g, E[1])
+        rep.vector(E[0]) @ rep.vector(E[1])
     )
     assert mabs(sigma - expected) < 1e-12
 
@@ -266,7 +265,7 @@ def test_lift_special_half_turn(g):
     assert mabs(p @ p - p) < 1e-10
     assert np.trace(p) == pytest.approx(2.0, abs=1e-10)
     sigma = sign_normalize(lift_special(lam, rep))
-    g2g3 = sign_normalize(gamma_rep(g, E[2]) @ gamma_rep(g, E[3]))
+    g2g3 = sign_normalize(rep.vector(E[2]) @ rep.vector(E[3]))
     assert mabs(sigma - g2g3) < 1e-12
     assert intertwining_defect(sigma, lam, rep) < 1e-10
 
