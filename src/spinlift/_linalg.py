@@ -1,4 +1,5 @@
-"""Small shared linear-algebra helpers."""
+"""Shared linear-algebra helpers, the trace quantities that transformation gates
+compare, and the one table of every gate threshold, whose users import them."""
 
 from __future__ import annotations
 
@@ -9,6 +10,73 @@ def maxabs(m) -> float:
     """Largest entry magnitude of an array (0.0 for empty input)."""
     m = np.asarray(m)
     return float(np.abs(m).max()) if m.size else 0.0
+
+
+def scale(m, k) -> float:
+    """max(1, maxabs(m))^k: the norm floor of relative gates and selftest defects."""
+    return max(1.0, maxabs(m)) ** k
+
+
+def transform_traces(m) -> tuple[float, float]:
+    """(tr Lam, tr2 Lam) of a transformation, tr2 Lam = ((tr Lam)^2 - tr(Lam^2)) / 2."""
+    t = float(np.trace(m))
+    return t, 0.5 * (t * t - float(np.trace(m @ m)))
+
+
+def simplicity_defect(t: float, t2: float) -> float:
+    """|tr2 Lam - 2 (tr Lam - 1)|, which vanishes for a simple transformation."""
+    return abs(t2 - 2.0 * (t - 1.0))
+
+
+def lift_denominator(t: float, t2: float) -> float:
+    """2 + 2 tr Lam + tr2 Lam: the non-simple lift divides by twice its root."""
+    return 2.0 + 2.0 * t + t2
+
+
+def factor_delta(t: float, t2: float) -> float:
+    """Delta = (tr Lam)^2 - 4 tr2 Lam + 8, whose root separates the factor traces."""
+    return t * t - 4.0 * t2 + 8.0
+
+
+# The gate table: each threshold, the quantity it bounds, where, and its units:
+# "abs" absolute; "rel X^k" relative to scale(X, k); "pivot" relative to the
+# largest pivot of pivot_columns.  Inconsistent units are recorded as they are.
+_DET_TOL = 1e-12  # |det g + 1| of a metric matrix; abs
+SKEW_TOL = 1e-10  # ||L^T g + g L|| in the Bivector validator; rel L^1
+TRACE_TOL = 1e-12  # |tr L| in the Bivector validator; rel L^1
+# |det L| in is_simple; rel L^4.  Also the default tol of exp_spin and of the
+# CLI, whose one --tol reaches both is_simple and is_simple_transform.
+SIMPLE_DET_TOL = 1e-9
+DECOMPOSE_GAP_TOL = 1e-8  # mu_plus - mu_minus in orthogonal_decompose; rel L^2
+PLANE_TOL = 1e-9  # |tr2 L| in plane_projection; rel L^2
+# -(tr2^2 - 4 det L) in mu_roots; relative to max(1, tr2^2), a floor at tr2, not L
+NEGATIVE_DISC_TOL = 1e-9
+FACTOR_PIVOT_TOL = 1e-7  # rank of L g^{-1} in wedge_factors; pivot
+SPIN_REP_SKEW_TOL = 1e-9  # ||F + F^T|| for F = L g^{-1} in spin_rep; rel F^1
+# mu_plus - mu_minus in spin_decompose; abs, while DECOMPOSE_GAP_TOL is rel L^2
+SPIN_GAP_TOL = 1e-8
+SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio and sinh_ratio; abs
+# mu_plus - mu_minus in exp_spin, at or below it the series oracle; rel L^2.
+# The default min_gap of random_nonsimple_bivector, so samples reach the polynomial.
+SERIES_GAP_TOL = 1e-3
+_NULL_TOL = 1e-12  # |tr2 L| of a "simple/null" exp_spin branch; rel L^2
+# ||Lam^T g Lam - g|| and |det Lam - 1| in the LorentzTransformation validator;
+# rel Lam^2, degree 2 for det Lam too.  Also abs on 1 - Lam^0_0 and on -tr Lam.
+ORTHO_TOL = 1e-9
+# simplicity_defect in is_simple_transform; relative to max(1, tr2 Lam, tr Lam)
+SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
+TRACE_GATE = 1e-6  # tr Lam: lift_simple above, lift_special at or below; abs
+LOG_TRACE_GATE = 1e-9  # tr Lam in log_simple; abs
+PARABOLIC_TOL = 1e-12  # |tr Lam / 2 - 2| for the parabolic simple log; abs
+FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs
+DENOMINATOR_GATE = 1e-6  # lift_denominator: lift_nonsimple above it; abs
+PIVOT_TOL = 1e-7  # rank of (I - Lam)/2 in lift_special; pivot
+IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
+SIGN_TOL = 1e-12  # |Re z| of the largest entry in sign_normalize; relative to |z|
+TINY = 1e-300  # floor on the largest pivot, and on the wedge_factors ratio; abs
+SERIES_TERM_TOL = 1e-16  # largest term entry in exp_series; relative to the sum's
+_COND_LIMIT = 1e12  # condition number of a lift in intertwining_defect; abs
+NULL_WEDGE_MIN = 1e-6  # maxabs(L) of a null wedge in random_wedge; abs
 
 
 def pivot_columns(m):

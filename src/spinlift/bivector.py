@@ -15,7 +15,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import maxabs, pivot_columns
+from ._linalg import (
+    DECOMPOSE_GAP_TOL, FACTOR_PIVOT_TOL, NEGATIVE_DISC_TOL, PLANE_TOL, SIMPLE_DET_TOL,
+    SKEW_TOL, TINY, TRACE_TOL, maxabs, pivot_columns, scale,
+)
 from .errors import (
     DegeneratePlaneError,
     InvalidBivectorError,
@@ -24,21 +27,6 @@ from .errors import (
     SimpleInputError,
 )
 from .metric import Metric
-
-#: Relative tolerance on ||L^T g + g L|| when validating a bivector.
-SKEW_TOL = 1e-10
-#: Tolerance on |tr L| when validating a bivector.
-TRACE_TOL = 1e-12
-#: |det L| <= SIMPLE_DET_TOL * max(1, ||L||^4) classifies L as simple.
-SIMPLE_DET_TOL = 1e-9
-#: Minimum relative eigenvalue gap mu_plus - mu_minus for a decomposition.
-DECOMPOSE_GAP_TOL = 1e-8
-#: Relative floor on |tr2 L| below which the plane projection is undefined.
-PLANE_TOL = 1e-9
-#: Discriminants below -NEGATIVE_DISC_TOL * max(1, tr2^2) are rejected.
-NEGATIVE_DISC_TOL = 1e-9
-#: Pivot threshold for extracting wedge factors from a simple bivector.
-FACTOR_PIVOT_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +43,10 @@ class Bivector:
         if not np.isfinite(m).all():
             raise InvalidBivectorError("bivector entries must be finite")
         g = self.metric.matrix
-        scale = max(1.0, maxabs(m))
-        if maxabs(m.T @ g + g @ m) > SKEW_TOL * scale:
+        norm = scale(m, 1)
+        if maxabs(m.T @ g + g @ m) > SKEW_TOL * norm:
             raise InvalidBivectorError("matrix is not skew with respect to the metric")
-        if abs(float(np.trace(m))) > TRACE_TOL * scale:
+        if abs(float(np.trace(m))) > TRACE_TOL * norm:
             raise InvalidBivectorError("matrix is not traceless")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -79,9 +67,6 @@ class Bivector:
         return Bivector(self.matrix * float(scalar), self.metric)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "Bivector":
-        return Bivector(-self.matrix, self.metric)
 
 
 class MuPair(NamedTuple):
@@ -132,7 +117,7 @@ def mu_roots(L: Bivector) -> MuPair:
 
 def is_simple(L: Bivector, tol: float = SIMPLE_DET_TOL) -> bool:
     """Whether L is a single wedge u ^ v, detected via det L = 0."""
-    return abs(det_bivector(L)) <= tol * max(1.0, maxabs(L.matrix) ** 4)
+    return abs(det_bivector(L)) <= tol * scale(L.matrix, 4)
 
 
 def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
@@ -147,7 +132,7 @@ def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
         raise SimpleInputError("simple bivector has no orthogonal decomposition")
     mu = mu_roots(L)
     gap = mu.mu_plus - mu.mu_minus
-    if gap <= DECOMPOSE_GAP_TOL * max(1.0, maxabs(L.matrix) ** 2):
+    if gap <= DECOMPOSE_GAP_TOL * scale(L.matrix, 2):
         raise SimpleInputError(
             f"eigenvalue gap {gap} too small to decompose the bivector"
         )
@@ -158,34 +143,34 @@ def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
     return Bivector(plus, L.metric), Bivector(minus, L.metric)
 
 
-def plane_projection(L: Bivector, tol: float = PLANE_TOL) -> np.ndarray:
+def plane_projection(L: Bivector) -> np.ndarray:
     """Projection -L^2 / tr2(L) onto the plane of a simple, non-null L."""
     t = tr2(L)
-    if abs(t) <= tol * max(1.0, maxabs(L.matrix) ** 2):
+    if abs(t) <= PLANE_TOL * scale(L.matrix, 2):
         raise DegeneratePlaneError("null plane: tr2 vanishes, no projection exists")
     m = L.matrix
     return -(m @ m) / t
 
 
-def wedge_factors(L: Bivector, pivot_tol: float = FACTOR_PIVOT_TOL):
+def wedge_factors(L: Bivector):
     """Vectors (u, v) with wedge(u, v) equal to the simple input L.
 
     The columns of L g^{-1} span the plane of a simple bivector; two
     independent ones are selected by column-pivoted elimination and rescaled
     so the wedge reproduces L itself.
     """
-    f = L.matrix @ np.linalg.inv(L.metric.matrix)
+    f = L.matrix @ L.metric._inverse
     order, pivots = pivot_columns(f)
-    scale = max(pivots[0], 1e-300)
-    if pivots[1] <= pivot_tol * scale:
+    top = max(pivots[0], TINY)
+    if pivots[1] <= FACTOR_PIVOT_TOL * top:
         raise NotSimpleError("bivector has rank < 2; no wedge factors exist")
-    if pivots[2] > pivot_tol * scale:
+    if pivots[2] > FACTOR_PIVOT_TOL * top:
         raise NotSimpleError("bivector has rank > 2 and is not simple")
     u = f[:, order[0]].copy()
     v = f[:, order[1]].copy()
     w = wedge(L.metric, u, v).matrix
     k = int(np.argmax(np.abs(L.matrix)))
     ratio = w.flat[k] / L.matrix.flat[k]
-    if abs(ratio) <= 1e-300:
+    if abs(ratio) <= TINY:
         raise NotSimpleError("degenerate wedge factors")
     return u / ratio, v

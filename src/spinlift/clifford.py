@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import SPIN_REP_SKEW_TOL, maxabs, scale
 from .bivector import Bivector
 from .errors import InvalidBivectorError, NonDiagonalMetricError
 from .metric import Metric
@@ -104,10 +105,6 @@ class CliffordElement:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def zero(cls) -> "CliffordElement":
-        return cls(np.zeros(BLADE_COUNT))
-
-    @classmethod
     def scalar(cls, value: float) -> "CliffordElement":
         c = np.zeros(BLADE_COUNT)
         c[0] = value
@@ -122,27 +119,6 @@ class CliffordElement:
     @classmethod
     def basis_vector(cls, i: int) -> "CliffordElement":
         return cls.blade(1 << i)
-
-    @classmethod
-    def from_vector(cls, u) -> "CliffordElement":
-        u = np.asarray(u, dtype=float)
-        c = np.zeros(BLADE_COUNT)
-        c[list(VECTOR_MASKS)] = u
-        return cls(c)
-
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return CliffordElement(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "CliffordElement":
-        return CliffordElement(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(-self.coeffs)
 
 
 def clifford_mul(a: CliffordElement, b: CliffordElement, g: Metric) -> CliffordElement:
@@ -248,8 +224,8 @@ def representation(kind: str, g: Metric) -> Representation:
 
 def spin_rep(rep: Representation, L: Bivector) -> np.ndarray:
     """Spin-representation image sigma(L) of a bivector (simple or not)."""
-    f = L.matrix @ np.linalg.inv(rep.metric.matrix)
-    if np.abs(f + f.T).max() > 1e-9 * max(1.0, np.abs(f).max()):
+    f = L.matrix @ rep.metric._inverse
+    if maxabs(f + f.T) > SPIN_REP_SKEW_TOL * scale(f, 1):
         raise InvalidBivectorError("coefficient matrix L g^{-1} is not antisymmetric")
     coeffs = np.array([f[a, b] for a, b in PAIR_INDICES])
     return np.tensordot(coeffs, rep.pair_generators, axes=1)

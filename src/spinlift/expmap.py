@@ -15,19 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import maxabs
+from ._linalg import (
+    SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _NULL_TOL, scale,
+)
 from .bivector import Bivector, MuPair, is_simple, mu_roots, orthogonal_decompose, tr2
 from .clifford import Representation, spin_rep
 from .errors import SimpleInputError
 from .oracle import exp_series
-
-#: Below this angle the sbar ratios switch to their Taylor polynomials.
-SBAR_TAYLOR_CUTOFF = 1e-4
-#: Non-simple inputs with a relative eigenvalue gap at or below this are
-#: evaluated by the series oracle instead of the polynomial closed form.
-SERIES_GAP_TOL = 1e-3
-#: |tr2| below this (relative) labels a simple exponential branch as null.
-_NULL_TOL = 1e-12
 
 
 def sin_ratio(theta: float) -> float:
@@ -143,7 +137,7 @@ def exp_spin_polynomial(L: Bivector, rep: Representation) -> np.ndarray:
 def exp_spin(
     L: Bivector,
     rep: Representation,
-    tol: float = 1e-9,
+    tol: float = SIMPLE_DET_TOL,
     return_branch: bool = False,
 ):
     """exp(sigma(L)) for any bivector, routed by regime.
@@ -156,17 +150,17 @@ def exp_spin(
     """
     mu = mu_roots(L)
     gap = mu.mu_plus - mu.mu_minus
-    scale = max(1.0, maxabs(L.matrix) ** 2)
+    norm2 = scale(L.matrix, 2)
     if is_simple(L, tol):
         t2 = tr2(L)
         out = exp_spin_simple(spin_rep(rep, L), t2)
-        if abs(t2) <= _NULL_TOL * scale:
+        if abs(t2) <= _NULL_TOL * norm2:
             branch = "simple/null"
         elif t2 > 0.0:
             branch = "simple/trig"
         else:
             branch = "simple/hyperbolic"
-    elif gap > SERIES_GAP_TOL * scale:
+    elif gap > SERIES_GAP_TOL * norm2:
         out, branch = exp_spin_polynomial(L, rep), "nonsimple/polynomial"
     else:
         out, branch = exp_series(spin_rep(rep, L)), "near-degenerate/series"

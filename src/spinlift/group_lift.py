@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import maxabs, pivot_columns
+from ._linalg import (
+    DENOMINATOR_GATE, FACTOR_GAP_TOL, LOG_TRACE_GATE, ORTHO_TOL, PARABOLIC_TOL,
+    PIVOT_TOL, SIGN_TOL, SIMPLE_CRITERION_TOL, TINY, TRACE_GATE, factor_delta,
+    lift_denominator, maxabs, pivot_columns, scale, simplicity_defect, transform_traces,
+)
 from .bivector import Bivector, tr2, wedge
 from .clifford import Representation, spin_rep
 from .errors import (
@@ -31,23 +35,6 @@ from .errors import (
     TracelessSimpleError,
 )
 from .metric import Metric
-
-#: Relative tolerance for the defining invariants of a Lorentz transformation.
-ORTHO_TOL = 1e-9
-#: Default tolerance in the simple-transformation trace criterion.
-SIMPLE_CRITERION_TOL = 1e-9
-#: tr Lam at or below this routes simple transformations to the special lift.
-TRACE_GATE = 1e-6
-#: tr Lam at or below this is rejected by the simple logarithm.
-LOG_TRACE_GATE = 1e-9
-#: |tr Lam / 2 - 2| within this selects the parabolic logarithm branch (k = 1).
-PARABOLIC_TOL = 1e-12
-#: Minimum separation c_plus - c_minus accepted by the factorization.
-FACTOR_GAP_TOL = 1e-8
-#: Non-simple lifts switch to the special-case product below this denominator.
-DENOMINATOR_GATE = 1e-6
-#: Pivot threshold for the rank-2 test in the traceless special lift.
-PIVOT_TOL = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +58,10 @@ class LorentzTransformation:
         if not np.isfinite(m).all():
             raise InvalidTransformationError("transformation entries must be finite")
         g = self.metric.matrix
-        scale = max(1.0, maxabs(m) ** 2)
-        if maxabs(m.T @ g @ m - g) > ORTHO_TOL * scale:
+        norm2 = scale(m, 2)
+        if maxabs(m.T @ g @ m - g) > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
-        if abs(float(np.linalg.det(m)) - 1.0) > ORTHO_TOL * scale:
+        if abs(float(np.linalg.det(m)) - 1.0) > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix is not proper (det != 1)")
         if m[0, 0] < 1.0 - ORTHO_TOL:
             raise InvalidTransformationError("matrix is not orthochronous")
@@ -87,8 +74,7 @@ class LorentzTransformation:
 
     def inverse(self) -> np.ndarray:
         """Inverse matrix g^{-1} Lam^T g (exact for metric-preserving Lam)."""
-        g = self.metric.matrix
-        return np.linalg.inv(g) @ self.matrix.T @ g
+        return self.metric._inverse @ self.matrix.T @ self.metric.matrix
 
     def __matmul__(self, other: "LorentzTransformation") -> "LorentzTransformation":
         if not np.array_equal(self.metric.matrix, other.metric.matrix):
@@ -115,9 +101,7 @@ class FactorPair:
 
 def tr2_transform(lam: LorentzTransformation) -> float:
     """Second trace invariant ((tr Lam)^2 - tr(Lam^2)) / 2."""
-    m = lam.matrix
-    t = float(np.trace(m))
-    return 0.5 * (t * t - float(np.trace(m @ m)))
+    return transform_traces(lam.matrix)[1]
 
 
 def is_simple_transform(
@@ -127,9 +111,8 @@ def is_simple_transform(
 
     Simple transformations are exactly those with tr2 Lam = 2 (tr Lam - 1).
     """
-    t = float(np.trace(lam.matrix))
-    t2 = tr2_transform(lam)
-    return abs(t2 - 2.0 * (t - 1.0)) <= tol * max(1.0, t2, t)
+    t, t2 = transform_traces(lam.matrix)
+    return simplicity_defect(t, t2) <= tol * max(1.0, t2, t)
 
 
 def simple_log_coefficients(lam: LorentzTransformation):
@@ -192,9 +175,8 @@ def factor_transform(
     if is_simple_transform(lam, tol):
         raise SimpleTransformError("simple transformation does not factor further")
     m = lam.matrix
-    t = float(np.trace(m))
-    t2 = tr2_transform(lam)
-    delta = t * t - 4.0 * t2 + 8.0
+    t, t2 = transform_traces(lam.matrix)
+    delta = factor_delta(t, t2)
     root = math.sqrt(max(delta, 0.0))
     c_plus = 0.25 * (t + root)
     c_minus = 0.25 * (t - root)
@@ -249,9 +231,8 @@ def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarra
     if is_simple_transform(lam):
         raise NotNonsimpleError("lift_nonsimple requires a non-simple transformation")
     m = lam.matrix
-    t = float(np.trace(m))
-    t2 = tr2_transform(lam)
-    den = 2.0 + 2.0 * t + t2
+    t, t2 = transform_traces(lam.matrix)
+    den = lift_denominator(t, t2)
     if den <= DENOMINATOR_GATE:
         raise DegenerateDenominatorError(
             f"lift denominator {den} vanishes; use the special-case product lift"
@@ -278,8 +259,8 @@ def lift_special(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
         raise NotTracelessError("lift_special requires a traceless transformation")
     p = 0.5 * (np.eye(4) - lam.matrix)
     order, pivots = pivot_columns(p)
-    scale = max(pivots[0], 1e-300)
-    if pivots[1] <= PIVOT_TOL * scale or pivots[2] > PIVOT_TOL * scale:
+    top = max(pivots[0], TINY)
+    if pivots[1] <= PIVOT_TOL * top or pivots[2] > PIVOT_TOL * top:
         raise RankDeficiencyError(
             "plane projector does not have numerical rank 2"
         )
@@ -314,7 +295,7 @@ def lift(
 
     Dispatches on the trace criterion and the two degenerate gates:
 
-    * simple with tr Lam > 1e-6      -> ``lift_simple``        ("simple")
+    * simple, tr Lam > TRACE_GATE    -> ``lift_simple``        ("simple")
     * simple with tr Lam near 0      -> ``lift_special``       ("special/traceless")
     * non-simple, generic            -> ``lift_nonsimple``     ("nonsimple")
     * non-simple, denominator near 0 -> ``lift_nonsimple_special``
@@ -328,8 +309,7 @@ def lift(
         else:
             out, branch = lift_special(lam, rep), "special/traceless"
     else:
-        den = 2.0 + 2.0 * float(np.trace(lam.matrix)) + tr2_transform(lam)
-        if den > DENOMINATOR_GATE:
+        if lift_denominator(*transform_traces(lam.matrix)) > DENOMINATOR_GATE:
             out, branch = lift_nonsimple(lam, rep), "nonsimple"
         else:
             out, branch = lift_nonsimple_special(lam, rep), "nonsimple/special"
@@ -350,7 +330,7 @@ def sign_normalize(m) -> np.ndarray:
     z = complex(flat[idx])
     if abs(z) == 0.0:
         return m
-    if abs(z.real) > 1e-12 * abs(z):
+    if abs(z.real) > SIGN_TOL * abs(z):
         flip = z.real < 0.0
     else:
         flip = z.imag < 0.0

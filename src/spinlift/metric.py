@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._linalg import _DET_TOL
 from .errors import InvalidMetricError
 
 #: Diagonal entries of the two supported orthonormal signatures.  The time
@@ -16,8 +18,6 @@ SIGNATURES = {
 }
 
 DEFAULT_SIGNATURE = "pmmm"
-
-_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,9 +32,9 @@ class Metric:
     matrix: np.ndarray
     signature: str
 
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diagonal(self.matrix)
+    @cached_property  # computed once; callers read it and never write to it
+    def _inverse(self) -> np.ndarray:
+        return np.linalg.inv(self.matrix)
 
 
 def make_metric(signature: str = DEFAULT_SIGNATURE) -> Metric:

@@ -11,23 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._linalg import SERIES_TERM_TOL, _COND_LIMIT
 from .bivector import Bivector
 from .clifford import Representation
 from .errors import SingularSigmaError
 from .group_lift import LorentzTransformation
 from .metric import Metric
 
-#: Condition-number ceiling beyond which a lift is treated as singular.
-_COND_LIMIT = 1e12
 
-
-def exp_series(m, tol: float = 1e-16) -> np.ndarray:
+def exp_series(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring a Taylor series.
 
     The argument is halved until its 1-norm is at most 0.5, the series is
-    summed until a term falls below ``tol`` relative to the running sum, and
-    the result is squared back up.  Conditioning stays good for boost
-    generators with entries up to about 5.
+    summed until a term falls below ``SERIES_TERM_TOL`` relative to the
+    running sum, and the result is squared back up.  Conditioning stays good
+    for boost generators with entries up to about 5.
     """
     m = np.asarray(m)
     norm1 = float(np.linalg.norm(m, 1))
@@ -38,7 +36,7 @@ def exp_series(m, tol: float = 1e-16) -> np.ndarray:
     for k in range(1, 128):
         term = term @ a / k
         total = total + term
-        if np.abs(term).max() <= tol * np.abs(total).max():
+        if np.abs(term).max() <= SERIES_TERM_TOL * np.abs(total).max():
             break
     else:
         raise RuntimeError("matrix exponential series failed to converge")

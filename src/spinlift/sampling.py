@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from . import _linalg
 from .bivector import Bivector, is_simple, mu_roots, orthogonal_decompose, tr2, wedge
 from .group_lift import LorentzTransformation, is_simple_transform
 from .metric import Metric, inner
@@ -22,7 +23,7 @@ _MAX_DRAWS = 500
 
 
 def random_nonsimple_bivector(
-    g: Metric, seed: int, scale: float = 1.0, min_gap: float = 1e-3
+    g: Metric, seed: int, scale: float = 1.0, min_gap: float = _linalg.SERIES_GAP_TOL
 ) -> Bivector:
     """Random non-simple bivector whose eigenvalue gap exceeds ``min_gap``."""
     rng = np.random.default_rng(seed)
@@ -31,7 +32,7 @@ def random_nonsimple_bivector(
         if is_simple(L):
             continue
         mu = mu_roots(L)
-        if mu.mu_plus - mu.mu_minus > min_gap * max(1.0, np.abs(L.matrix).max() ** 2):
+        if mu.mu_plus - mu.mu_minus > min_gap * _linalg.scale(L.matrix, 2):
             return L
     raise RuntimeError(f"no non-simple bivector found for seed {seed}")
 
@@ -55,7 +56,7 @@ def random_wedge(g: Metric, seed: int, kind: str = "any", scale: float = 1.0) ->
             z = np.eye(4)[0]
             v = w - (inner(g, u, w) / inner(g, u, z)) * z
             L = wedge(g, u, v)
-            if np.abs(L.matrix).max() > 1e-6:
+            if np.abs(L.matrix).max() > _linalg.NULL_WEDGE_MIN:
                 return L
             continue
         u = rng.uniform(-scale, scale, 4)
@@ -82,9 +83,7 @@ def random_nonsimple_transformation(
         lam = LorentzTransformation(exp_series(L.matrix), g)
         if is_simple_transform(lam):
             continue
-        t = float(np.trace(lam.matrix))
-        t2 = 0.5 * (t * t - float(np.trace(lam.matrix @ lam.matrix)))
-        delta = t * t - 4.0 * t2 + 8.0
+        delta = _linalg.factor_delta(*_linalg.transform_traces(lam.matrix))
         if delta > 0 and 0.5 * math.sqrt(delta) > min_c_gap:
             return lam
     raise RuntimeError(f"no non-simple transformation found for seed {seed}")

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._linalg import SPIN_GAP_TOL
 from .bivector import Bivector, MuPair, orthogonal_decompose
 from .clifford import Representation, spin_rep
 from .errors import SimpleInputError
 from .metric import inner
-
-#: Minimum eigenvalue gap accepted by the matrix-level spin decomposition.
-SPIN_GAP_TOL = 1e-8
 
 
 def spin_decompose(s, mu: MuPair):

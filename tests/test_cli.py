@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinlift import exp_series, make_metric, wedge
+from spinlift import cli, exp_series, make_metric, wedge
 from spinlift.cli import main, run_selftest
 
 E = np.eye(4)
@@ -112,6 +113,16 @@ def test_domain_error_exit_code(tmp_path):
     assert doc["error"]["code"] == "SimpleInput"
 
 
+def test_rank_deficiency_exit_code(tmp_path):
+    # rotation by pi times a boost of rapidity 1e-5: see
+    # test_group_lift.py::test_lift_rank_deficiency
+    g = make_metric()
+    L = 1e-5 * wedge(g, E[0], E[1]) + math.pi * wedge(g, E[2], E[3])
+    code, out = run_cli(["lift"], tmp_path, {"matrix": exp_series(L.matrix).tolist()})
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "RankDeficiency"
+
+
 def test_invalid_bivector_exit_code(tmp_path):
     code, out = run_cli(["decompose"], tmp_path, {"matrix": np.eye(4).tolist()})
     assert code == 1
@@ -195,6 +206,24 @@ def test_selftest_report_structure():
     for check in report["checks"]:
         assert check["max_defect"] <= check["tol"]
         assert check["cases"] == 3
+
+
+@pytest.mark.parametrize(
+    "defects",
+    [(math.nan,), (1e-12, math.nan), (math.nan, 1e-12)],
+    ids=["nan", "finite-then-nan", "nan-then-finite"],
+)
+def test_selftest_nan_defect_fails(defects, monkeypatch, capsys):
+    # max() alone would drop the NaN and report the check as passed
+    def check(g, reps, seed, trials):
+        yield from defects
+
+    monkeypatch.setattr(cli, "_SELFTEST_CHECKS", (("nan-check", check, 1e-9),))
+    assert main(["selftest"]) == 1
+    report = json.loads(capsys.readouterr().out)["result"]
+    assert report["all_passed"] is False
+    assert report["checks"][0]["max_defect"] is None
+    assert report["checks"][0]["passed"] is False
 
 
 def load_pyproject():

@@ -10,6 +10,7 @@ from spinlift import (
     NotNonsimpleError,
     NotSimpleError,
     NotTracelessError,
+    RankDeficiencyError,
     SimpleTransformError,
     TracelessSimpleError,
     exp_series,
@@ -309,6 +310,22 @@ def test_lift_dispatch_branches(g, rep):
     assert branch == "nonsimple"
     _, branch = lift(degenerate_denominator_transformation(g, 3), rep, return_branch=True)
     assert branch == "nonsimple/special"
+
+
+def test_lift_rank_deficiency(g, rep):
+    # A rotation by pi times a boost of rapidity 1e-5: the plane projector of
+    # the rotation factor falls short of numerical rank 2, and the lift raises
+    # a typed error.  At rapidity 1e-4 the same branch lifts accurately.
+    def boosted_half_turn(rapidity):
+        L = rapidity * wedge(g, E[0], E[1]) + math.pi * wedge(g, E[2], E[3])
+        return LorentzTransformation(exp_series(L.matrix), g)
+
+    with pytest.raises(RankDeficiencyError):
+        lift(boosted_half_turn(1e-5), rep)
+    lam = boosted_half_turn(1e-4)
+    sigma, branch = lift(lam, rep, return_branch=True)
+    assert branch == "nonsimple/special"
+    assert intertwining_defect(sigma, lam, rep) < 1e-12
 
 
 def test_lift_homomorphism_pairs(g, rep):
