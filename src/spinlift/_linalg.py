@@ -9,7 +9,8 @@ import numpy as np
 def maxabs(m) -> float:
     """Largest entry magnitude of an array (0.0 for empty input)."""
     m = np.asarray(m)
-    return float(np.abs(m).max()) if m.size else 0.0
+    # the reduction ndarray.max makes, without its Python-level wrapper
+    return float(np.maximum.reduce(np.abs(m), axis=None)) if m.size else 0.0
 
 
 def scale(m, k) -> float:

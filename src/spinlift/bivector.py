@@ -104,8 +104,10 @@ def mu_roots(L: Bivector) -> MuPair:
     :class:`NegativeDiscriminantError` since they cannot arise from a real
     bivector.
     """
-    t = tr2(L)
-    d = det_bivector(L)
+    return _mu_pair(tr2(L), det_bivector(L))
+
+
+def _mu_pair(t: float, d: float) -> MuPair:  # from t = tr2 L and d = det L
     disc = t * t - 4.0 * d
     if disc < -NEGATIVE_DISC_TOL * max(1.0, t * t):
         raise NegativeDiscriminantError(
@@ -117,7 +119,11 @@ def mu_roots(L: Bivector) -> MuPair:
 
 def is_simple(L: Bivector, tol: float = SIMPLE_DET_TOL) -> bool:
     """Whether L is a single wedge u ^ v, detected via det L = 0."""
-    return abs(det_bivector(L)) <= tol * scale(L.matrix, 4)
+    return _is_simple_det(det_bivector(L), scale(L.matrix, 1), tol)
+
+
+def _is_simple_det(d: float, norm: float, tol: float) -> bool:  # norm = scale(L, 1)
+    return abs(d) <= tol * norm**4
 
 
 def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):

@@ -32,7 +32,7 @@ from .bivector import (
     tr2,
 )
 from .clifford import Representation, representation, spin_rep
-from .errors import MalformedInputError, SpinLiftError
+from .errors import MalformedInputError, NonFiniteOutputError, SpinLiftError
 from .expmap import exp_spin, exp_spin_factored, exp_spin_polynomial, exp_spin_simple
 from .group_lift import (
     FactorPair,
@@ -96,7 +96,7 @@ def _render(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
         if not math.isfinite(value):
-            raise ValueError(f"non-finite value {value} in output")
+            raise NonFiniteOutputError(f"non-finite value {value} in output")
         if value == 0.0:
             value = 0.0  # canonicalize -0.0
         return format(value, ".17g")
@@ -347,7 +347,8 @@ _COMMAND_BODIES = {
 
 
 # ---------------------------------------------------------------------------
-# selftest battery: each check yields one relative defect per case.
+# selftest battery: each check draws each input once and yields one relative
+# defect per case and representation, in an order their maximum ignores.
 
 
 def _check_decomposition(g, reps, seed, trials):
@@ -360,20 +361,20 @@ def _check_decomposition(g, reps, seed, trials):
 
 
 def _check_spin_square(g, reps, seed, trials):
-    for rep in reps:
-        for i in range(trials):
-            W = random_wedge(g, seed + i, kind="any")
+    for i in range(trials):
+        W = random_wedge(g, seed + i, kind="any")
+        for rep in reps:
             s = spin_rep(rep, W)
             yield maxabs(s @ s + 0.25 * tr2(W) * rep.identity) / scale(W.matrix, 2)
 
 
 def _check_spin_decompose(g, reps, seed, trials):
-    for rep in reps:
-        for i in range(trials):
-            L = random_nonsimple_bivector(g, seed + i)
-            l_plus, l_minus = orthogonal_decompose(L)
-            s_plus, s_minus = spin_decompose(spin_rep(rep, L), mu_roots(L))
-            norm2 = scale(L.matrix, 2)
+    for i in range(trials):
+        L = random_nonsimple_bivector(g, seed + i)
+        l_plus, l_minus = orthogonal_decompose(L)
+        mu, norm2 = mu_roots(L), scale(L.matrix, 2)
+        for rep in reps:
+            s_plus, s_minus = spin_decompose(spin_rep(rep, L), mu)
             yield max(
                 maxabs(s_plus - spin_rep(rep, l_plus)) / norm2,
                 maxabs(s_minus - spin_rep(rep, l_minus)) / norm2,
@@ -381,40 +382,41 @@ def _check_spin_decompose(g, reps, seed, trials):
 
 
 def _check_cross_product(g, reps, seed, trials):
-    for rep in reps:
-        for i in range(trials):
-            L = random_nonsimple_bivector(g, seed + i)
-            l_plus, l_minus = orthogonal_decompose(L)
+    for i in range(trials):
+        L = random_nonsimple_bivector(g, seed + i)
+        l_plus, l_minus = orthogonal_decompose(L)
+        t2, norm2 = tr2(L), scale(L.matrix, 2)
+        for rep in reps:
             sp = spin_rep(rep, l_plus)
             sm = spin_rep(rep, l_minus)
-            predicted = spin_cross_product(spin_rep(rep, L), tr2(L), rep)
-            norm2 = scale(L.matrix, 2)
+            predicted = spin_cross_product(spin_rep(rep, L), t2, rep)
             yield max(
                 maxabs(predicted - sp @ sm) / norm2, maxabs(sp @ sm - sm @ sp) / norm2
             )
 
 
 def _check_recovery(g, reps, seed, trials):
-    for rep in reps:
-        for i in range(trials):
-            L = random_nonsimple_bivector(g, seed + i)
+    for i in range(trials):
+        L = random_nonsimple_bivector(g, seed + i)
+        norm2 = scale(L.matrix, 2)  # squared for det L: scale(L, 4) rounds apart
+        for rep in reps:
             _, defects = _recovery_defects(L, rep)
-            norm2 = scale(L.matrix, 2)  # squared for det L: scale(L, 4) rounds apart
             yield max(d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
 def _check_exp_agreement(g, reps, seed, trials):
-    for rep in reps:
-        for i in range(trials):
-            L = random_nonsimple_bivector(g, seed + i)
+    for i in range(trials):
+        L = random_nonsimple_bivector(g, seed + i)
+        for rep in reps:
             series = exp_series(spin_rep(rep, L))
             norm = scale(series, 1)
             yield max(
                 maxabs(exp_spin_factored(L, rep) - series) / norm,
                 maxabs(exp_spin_polynomial(L, rep) - series) / norm,
             )
-        for j, kind in enumerate(("rotation", "boost", "null")):
-            W = random_wedge(g, seed + 500 + j, kind=kind)
+    for j, kind in enumerate(("rotation", "boost", "null")):
+        W = random_wedge(g, seed + 500 + j, kind=kind)
+        for rep in reps:
             s = spin_rep(rep, W)
             series = exp_series(s)
             yield maxabs(exp_spin_simple(s, tr2(W)) - series) / scale(series, 1)
@@ -442,32 +444,32 @@ def _check_factor(g, reps, seed, trials):
 
 
 def _check_lift(g, reps, seed, trials):
-    for rep in reps:
-        lams = [random_nonsimple_transformation(g, seed + i) for i in range(trials)]
-        for j, kind in enumerate(("rotation", "boost")):
-            W = random_wedge(g, seed + 600 + j, kind=kind)
-            lams.append(LorentzTransformation(exp_series(W.matrix), g))
-        lams.append(traceless_simple_transformation(g, seed + 700))
-        lams.append(degenerate_denominator_transformation(g, seed + 800))
-        for lam in lams:
+    lams = [random_nonsimple_transformation(g, seed + i) for i in range(trials)]
+    for j, kind in enumerate(("rotation", "boost")):
+        W = random_wedge(g, seed + 600 + j, kind=kind)
+        lams.append(LorentzTransformation(exp_series(W.matrix), g))
+    lams.append(traceless_simple_transformation(g, seed + 700))
+    lams.append(degenerate_denominator_transformation(g, seed + 800))
+    for lam in lams:
+        for rep in reps:
             yield intertwining_defect(lift(lam, rep), lam, rep)
 
 
 def _check_homomorphism(g, reps, seed, trials):
-    for rep in reps:
-        for i in range(trials):
-            lam1 = random_nonsimple_transformation(g, seed + 2 * i)
-            lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1)
+    for i in range(trials):
+        lam1 = random_nonsimple_transformation(g, seed + 2 * i)
+        lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1)
+        for rep in reps:
             sigma = lift(lam1, rep) @ lift(lam2, rep)
             yield intertwining_defect(sigma, lam1 @ lam2, rep)
 
 
 def _check_double_cover(g, reps, seed, trials):
-    for rep in reps:
-        for i in range(trials):
-            W = random_wedge(g, seed + i, kind="rotation")
-            angle = math.sqrt(tr2(W))
-            W2 = W * ((angle + 2.0 * math.pi) / angle)
+    for i in range(trials):
+        W = random_wedge(g, seed + i, kind="rotation")
+        angle = math.sqrt(tr2(W))
+        W2 = W * ((angle + 2.0 * math.pi) / angle)
+        for rep in reps:
             base = exp_spin(W, rep)
             yield maxabs(exp_spin(W2, rep) + base) / scale(base, 1)
 
@@ -496,16 +498,8 @@ def run_selftest(metric_tag: str, seed: int, trials: int = _SELFTEST_TRIALS) -> 
         defects = (0.0, *check(g, reps, seed + 1000 * index, trials))
         # max() would drop a NaN, and the renderer refuses non-finite floats
         defect = max(defects) if all(map(math.isfinite, defects)) else None
-        passed = defect is not None and bool(defect <= tol)
-        checks.append(
-            {
-                "name": name,
-                "cases": trials,
-                "max_defect": defect,
-                "tol": tol,
-                "passed": passed,
-            }
-        )
+        checks.append({"name": name, "cases": trials, "max_defect": defect, "tol": tol,
+                       "passed": defect is not None and bool(defect <= tol)})
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
 
 
@@ -558,13 +552,14 @@ def main(argv=None) -> int:
     try:
         request = _load_request(args)
         doc = run_request(request)
+        text = render_document(doc)
     except SpinLiftError as exc:
         _emit(
             render_document({"error": {"code": exc.code, "message": str(exc)}}),
             args.outfile,
         )
         return 2 if isinstance(exc, MalformedInputError) else 1
-    _emit(render_document(doc), args.outfile)
+    _emit(text, args.outfile)
     if request["command"] == "selftest" and not doc["result"]["all_passed"]:
         return 1
     return 0

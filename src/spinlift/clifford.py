@@ -39,6 +39,7 @@ VECTOR_MASKS = (1, 2, 4, 8)
 
 #: Index pairs (a, b) with a < b, in the order used for bivector coefficients.
 PAIR_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_PAIR_INDEX = tuple(np.array(axis) for axis in zip(*PAIR_INDICES))
 
 _GAMMA_NAMES = ("1", "e0", "e1", "e01", "e2", "e02", "e12", "e012",
                 "e3", "e03", "e13", "e013", "e23", "e023", "e123", "e0123")
@@ -168,14 +169,20 @@ class Representation:
         )
         for arr in (self.blades, self.identity, self.vectors, self.pair_generators):
             arr.flags.writeable = False
+        # Each stack as rows of flattened matrices: np.dot(coeffs (1, n), rows) is
+        # the one BLAS call of np.tensordot(coeffs, stack, axes=1), same bits.
+        self._blade_rows = blades.reshape(BLADE_COUNT, -1)
+        self._vector_rows = self.vectors.reshape(len(VECTOR_MASKS), -1)
+        self._pair_rows = self.pair_generators.reshape(len(PAIR_INDICES), -1)
 
     def of(self, x: CliffordElement) -> np.ndarray:
         """Matrix image of an algebra element."""
-        return np.tensordot(x.coeffs, self.blades, axes=1)
+        return np.dot(x.coeffs.reshape(1, -1), self._blade_rows).reshape(self.dim, -1)
 
     def vector(self, u) -> np.ndarray:
         """Matrix image u^a rho(e_a) of a 4-vector."""
-        return np.tensordot(np.asarray(u, dtype=float), self.vectors, axes=1)
+        u = np.asarray(u, dtype=float).reshape(1, -1)
+        return np.dot(u, self._vector_rows).reshape(self.dim, -1)
 
 
 def _regular_blades(g: Metric) -> np.ndarray:
@@ -227,8 +234,7 @@ def spin_rep(rep: Representation, L: Bivector) -> np.ndarray:
     f = L.matrix @ rep.metric._inverse
     if maxabs(f + f.T) > SPIN_REP_SKEW_TOL * scale(f, 1):
         raise InvalidBivectorError("coefficient matrix L g^{-1} is not antisymmetric")
-    coeffs = np.array([f[a, b] for a, b in PAIR_INDICES])
-    return np.tensordot(coeffs, rep.pair_generators, axes=1)
+    return np.dot(f[_PAIR_INDEX].reshape(1, -1), rep._pair_rows).reshape(rep.dim, -1)
 
 
 def lie_bracket_check(rep: Representation, l1: Bivector, l2: Bivector) -> float:
@@ -238,5 +244,4 @@ def lie_bracket_check(rep: Representation, l1: Bivector, l2: Bivector) -> float:
     )
     s1 = spin_rep(rep, l1)
     s2 = spin_rep(rep, l2)
-    defect = spin_rep(rep, bracket) - (s1 @ s2 - s2 @ s1)
-    return float(np.abs(defect).max())
+    return maxabs(spin_rep(rep, bracket) - (s1 @ s2 - s2 @ s1))

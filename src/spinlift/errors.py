@@ -93,6 +93,10 @@ class SingularSigmaError(SpinLiftError):
     code = "SingularSigma"
 
 
+class NonFiniteOutputError(SpinLiftError):
+    code = "NonFiniteOutput"
+
+
 class MalformedInputError(SpinLiftError):
     """Raised by the CLI for requests that cannot be parsed at all."""
 

@@ -18,7 +18,8 @@ import numpy as np
 from ._linalg import (
     SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _NULL_TOL, scale,
 )
-from .bivector import Bivector, MuPair, is_simple, mu_roots, orthogonal_decompose, tr2
+from .bivector import (Bivector, MuPair, _is_simple_det, _mu_pair, det_bivector,
+                       is_simple, mu_roots, orthogonal_decompose, tr2)
 from .clifford import Representation, spin_rep
 from .errors import SimpleInputError
 from .oracle import exp_series
@@ -127,7 +128,11 @@ def exp_spin_polynomial(L: Bivector, rep: Representation) -> np.ndarray:
     """exp(sigma(L)) for non-simple L as a cubic polynomial in S = sigma(L)."""
     if is_simple(L):
         raise SimpleInputError("polynomial exponential requires a non-simple input")
-    co = exp_coefficients(mu_roots(L))
+    return _exp_polynomial(L, rep, mu_roots(L))
+
+
+def _exp_polynomial(L: Bivector, rep: Representation, mu: MuPair) -> np.ndarray:
+    co = exp_coefficients(mu)
     s = spin_rep(rep, L)
     s2 = s @ s
     a0, a1, a2, a3 = co.alpha
@@ -146,13 +151,12 @@ def exp_spin(
     healthy eigenvalue gap use the cubic polynomial; inputs near the
     simple/non-simple tolerance boundary fall back to the series oracle
     (branch "near-degenerate/series").  With ``return_branch=True`` returns
-    ``(matrix, branch)``.
+    ``(matrix, branch)``.  The branch taken trusts the classification at ``tol``.
     """
-    mu = mu_roots(L)
-    gap = mu.mu_plus - mu.mu_minus
-    norm2 = scale(L.matrix, 2)
-    if is_simple(L, tol):
-        t2 = tr2(L)
+    t2, d, norm = tr2(L), det_bivector(L), scale(L.matrix, 1)
+    mu = _mu_pair(t2, d)
+    norm2 = norm**2
+    if _is_simple_det(d, norm, tol):
         out = exp_spin_simple(spin_rep(rep, L), t2)
         if abs(t2) <= _NULL_TOL * norm2:
             branch = "simple/null"
@@ -160,8 +164,8 @@ def exp_spin(
             branch = "simple/trig"
         else:
             branch = "simple/hyperbolic"
-    elif gap > SERIES_GAP_TOL * norm2:
-        out, branch = exp_spin_polynomial(L, rep), "nonsimple/polynomial"
+    elif mu.mu_plus - mu.mu_minus > SERIES_GAP_TOL * norm2:
+        out, branch = _exp_polynomial(L, rep, mu), "nonsimple/polynomial"
     else:
         out, branch = exp_series(spin_rep(rep, L)), "near-degenerate/series"
     return (out, branch) if return_branch else out

@@ -111,7 +111,10 @@ def is_simple_transform(
 
     Simple transformations are exactly those with tr2 Lam = 2 (tr Lam - 1).
     """
-    t, t2 = transform_traces(lam.matrix)
+    return _is_simple_traces(*transform_traces(lam.matrix), tol)
+
+
+def _is_simple_traces(t: float, t2: float, tol: float) -> bool:  # tr, tr2 of Lam
     return simplicity_defect(t, t2) <= tol * max(1.0, t2, t)
 
 
@@ -200,23 +203,23 @@ def factor_transform(
     )
 
 
-def _difference_bivector(lam: LorentzTransformation) -> Bivector:
-    return Bivector(lam.matrix - lam.inverse(), lam.metric)
-
-
 def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
     """Spin lift of a simple Lam with tr Lam > 0 (up to global sign):
 
         Sigma = (tr Lam I + 2 sigma(Lam - Lam^{-1})) / (2 sqrt(tr Lam)).
     """
-    if not is_simple_transform(lam):
+    return _lift_simple(lam, rep, *transform_traces(lam.matrix))
+
+
+def _lift_simple(lam: LorentzTransformation, rep: Representation, t, t2) -> np.ndarray:
+    # Its error grows with the simplicity defect: guarded at the default tol.
+    if not _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         raise NotSimpleError("lift_simple requires a simple transformation")
-    t = float(np.trace(lam.matrix))
     if t <= TRACE_GATE:
         raise TracelessSimpleError(
             "trace too close to zero; use the traceless special-case lift"
         )
-    s = spin_rep(rep, _difference_bivector(lam))
+    s = spin_rep(rep, Bivector(lam.matrix - lam.inverse(), lam.metric))
     return (t * rep.identity + 2.0 * s) / (2.0 * math.sqrt(t))
 
 
@@ -228,15 +231,20 @@ def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarra
         Sigma = ((2 + t + t2 - t^2/4) I + (t + 2) sigma(B1) - sigma(B2)
                  + sigma(B1)^2) / (2 sqrt(2 + 2 t + t2)).
     """
-    if is_simple_transform(lam):
-        raise NotNonsimpleError("lift_nonsimple requires a non-simple transformation")
-    m = lam.matrix
     t, t2 = transform_traces(lam.matrix)
+    if _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
+        raise NotNonsimpleError("lift_nonsimple requires a non-simple transformation")
     den = lift_denominator(t, t2)
     if den <= DENOMINATOR_GATE:
         raise DegenerateDenominatorError(
             f"lift denominator {den} vanishes; use the special-case product lift"
         )
+    return _lift_nonsimple(lam, rep, t, t2, den)
+
+
+def _lift_nonsimple(lam: LorentzTransformation, rep: Representation, t, t2, den):
+    # Accurate on near-simple input too, so it trusts the caller's classification.
+    m = lam.matrix
     inv = lam.inverse()
     s1 = spin_rep(rep, Bivector(m - inv, lam.metric))
     s2 = spin_rep(rep, Bivector(m @ m - inv @ inv, lam.metric))
@@ -301,18 +309,20 @@ def lift(
     * non-simple, denominator near 0 -> ``lift_nonsimple_special``
                                                                 ("nonsimple/special")
 
+    The ``nonsimple`` branch trusts ``tol``; the others re-check at the default.
     With ``return_branch=True`` returns ``(Sigma, branch)``.
     """
-    if is_simple_transform(lam, tol):
-        if float(np.trace(lam.matrix)) > TRACE_GATE:
-            out, branch = lift_simple(lam, rep), "simple"
+    t, t2 = transform_traces(lam.matrix)
+    den = lift_denominator(t, t2)
+    if _is_simple_traces(t, t2, tol):
+        if t > TRACE_GATE:
+            out, branch = _lift_simple(lam, rep, t, t2), "simple"
         else:
             out, branch = lift_special(lam, rep), "special/traceless"
+    elif den > DENOMINATOR_GATE:
+        out, branch = _lift_nonsimple(lam, rep, t, t2, den), "nonsimple"
     else:
-        if lift_denominator(*transform_traces(lam.matrix)) > DENOMINATOR_GATE:
-            out, branch = lift_nonsimple(lam, rep), "nonsimple"
-        else:
-            out, branch = lift_nonsimple_special(lam, rep), "nonsimple/special"
+        out, branch = lift_nonsimple_special(lam, rep), "nonsimple/special"
     return (out, branch) if return_branch else out
 
 

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import _DET_TOL
+from ._linalg import _DET_TOL, maxabs
 from .errors import InvalidMetricError
 
 #: Diagonal entries of the two supported orthonormal signatures.  The time
@@ -59,7 +59,7 @@ def metric_from_matrix(entries) -> Metric:
         raise InvalidMetricError(f"metric must be 4x4, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidMetricError("metric entries must be finite")
-    if np.abs(m - m.T).max() != 0.0:
+    if maxabs(m - m.T) != 0.0:
         raise InvalidMetricError("metric must be exactly symmetric")
     det = float(np.linalg.det(m))
     if abs(det + 1.0) > _DET_TOL:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import SERIES_TERM_TOL, _COND_LIMIT
+from ._linalg import SERIES_TERM_TOL, _COND_LIMIT, maxabs
 from .bivector import Bivector
 from .clifford import Representation
 from .errors import SingularSigmaError
@@ -36,7 +36,7 @@ def exp_series(m) -> np.ndarray:
     for k in range(1, 128):
         term = term @ a / k
         total = total + term
-        if np.abs(term).max() <= SERIES_TERM_TOL * np.abs(total).max():
+        if maxabs(term) <= SERIES_TERM_TOL * maxabs(total):
             break
     else:
         raise RuntimeError("matrix exponential series failed to converge")
@@ -82,10 +82,9 @@ def intertwining_defect(
     cond = float(np.linalg.cond(sigma))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSigmaError(f"candidate lift is ill-conditioned (cond={cond:g})")
-    basis = np.eye(4)
     worst = 0.0
     for a in range(4):
-        lhs = sigma @ rep.vector(basis[:, a]) @ inv
+        lhs = sigma @ rep.vectors[a] @ inv  # rho(e_a)
         rhs = rep.vector(lam.matrix[:, a])
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        worst = max(worst, maxabs(lhs - rhs))
     return worst

@@ -56,7 +56,7 @@ def random_wedge(g: Metric, seed: int, kind: str = "any", scale: float = 1.0) ->
             z = np.eye(4)[0]
             v = w - (inner(g, u, w) / inner(g, u, z)) * z
             L = wedge(g, u, v)
-            if np.abs(L.matrix).max() > _linalg.NULL_WEDGE_MIN:
+            if _linalg.maxabs(L.matrix) > _linalg.NULL_WEDGE_MIN:
                 return L
             continue
         u = rng.uniform(-scale, scale, 4)

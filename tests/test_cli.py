@@ -123,6 +123,27 @@ def test_rank_deficiency_exit_code(tmp_path):
     assert json.loads(out)["error"]["code"] == "RankDeficiency"
 
 
+def test_exp_spin_tol_flag(tmp_path):
+    # b01 + 1e-5 b23 is non-simple at --tol 1e-12, and the branch taken agrees
+    g = make_metric()
+    L = wedge(g, E[0], E[1]) + 1e-5 * wedge(g, E[2], E[3])
+    code, out = run_cli(["exp-spin", "--tol", "1e-12"], tmp_path, {"matrix": L.matrix.tolist()})
+    assert code == 0
+    assert json.loads(out)["branch"] == "nonsimple/polynomial"
+
+
+def test_non_finite_output_exit_code(tmp_path):
+    # At --tol 1e-6 log accepts this non-simple Lam (tr Lam = 1e-8) and returns
+    # a logarithm of norm 2.6e12, whose roundtrip diagnostic overflows to NaN.
+    g = make_metric()
+    L = 1e-4 * wedge(g, E[0], E[1]) + math.pi * wedge(g, E[2], E[3])
+    payload = {"matrix": exp_series(L.matrix).tolist()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run_cli(["log", "--tol", "1e-6"], tmp_path, payload)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "NonFiniteOutput"
+
+
 def test_invalid_bivector_exit_code(tmp_path):
     code, out = run_cli(["decompose"], tmp_path, {"matrix": np.eye(4).tolist()})
     assert code == 1

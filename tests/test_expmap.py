@@ -14,8 +14,10 @@ from spinlift import (
     exp_spin_polynomial,
     exp_spin_simple,
     intertwining_defect,
+    make_metric,
     mu_roots,
     orthogonal_decompose,
+    representation,
     sin_ratio,
     sinh_ratio,
     spin_rep,
@@ -154,6 +156,22 @@ def test_exp_spin_near_degenerate_series(g, rep):
     out, branch = exp_spin(L, rep, return_branch=True)
     assert branch == "near-degenerate/series"
     assert mabs(out - exp_series(spin_rep(rep, L))) == 0.0
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_exp_spin_tol_reaches_branch(sig, rep):
+    # b01 + 1e-5 b23 is simple at the default tol, not at 1e-12.  The branch
+    # exp_spin picks at 1e-12 takes that decision and is accurate there.
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    L = wedge(g, E[0], E[1]) + 1e-5 * wedge(g, E[2], E[3])
+    assert exp_spin(L, rep, return_branch=True)[1] == "simple/hyperbolic"
+    out, branch = exp_spin(L, rep, tol=1e-12, return_branch=True)
+    assert branch == "nonsimple/polynomial"
+    series = exp_series(spin_rep(rep, L))
+    assert mabs(out - series) <= 1e-14 * mabs(series)
+    with pytest.raises(SimpleInputError):  # the public branch keeps its own check
+        exp_spin_polynomial(L, rep)
 
 
 def test_exp_spin_group_intertwining(g, rep):

@@ -24,6 +24,7 @@ from spinlift import (
     lift_simple,
     lift_special,
     log_simple,
+    make_metric,
     representation,
     sign_normalize,
     simple_log_coefficients,
@@ -255,6 +256,36 @@ def test_lift_nonsimple_gates(g, rep):
     assert abs(2.0 + 2.0 * np.trace(degenerate.matrix) + tr2_transform(degenerate)) < 1e-8
     with pytest.raises(DegenerateDenominatorError):
         lift_nonsimple(degenerate, rep)
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_lift_tol_reaches_branch(sig, rep):
+    # expm(b01 + 1e-5 b23) is simple at the default tol, not at 1e-13.  The
+    # non-simple branch lift picks at 1e-13 takes that decision and is accurate.
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    L = wedge(g, E[0], E[1]) + 1e-5 * wedge(g, E[2], E[3])
+    lam = LorentzTransformation(exp_series(L.matrix), g)
+    assert lift(lam, rep, return_branch=True)[1] == "simple"
+    sigma, branch = lift(lam, rep, tol=1e-13, return_branch=True)
+    assert branch == "nonsimple"
+    ref = exp_series(spin_rep(rep, L))
+    assert min(mabs(sigma - ref), mabs(sigma + ref)) <= 1e-14 * mabs(ref)
+    with pytest.raises(NotNonsimpleError):  # the public branch keeps its own check
+        lift_nonsimple(lam, rep)
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_lift_simple_keeps_accuracy_guard(sig, rep):
+    # A looser tol does not force the simple closed form onto this non-simple
+    # Lam, on which it would miss exp(sigma(L)) by 1.7e-4 relative.
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    L = 0.7 * wedge(g, E[0], E[1]) + 1e-3 * wedge(g, E[2], E[3])
+    lam = LorentzTransformation(exp_series(L.matrix), g)
+    assert is_simple_transform(lam, 1e-6)
+    with pytest.raises(NotSimpleError):
+        lift(lam, rep, tol=1e-6)
 
 
 def test_lift_special_half_turn(g):

@@ -1,0 +1,124 @@
+"""The hot paths do each piece of work once and give the bits of the plain forms.
+
+The spin map and the vector and algebra images are compared bit for bit with
+the ``np.tensordot`` form they replace; call counters pin that a dispatcher
+computes its invariants once and that the selftest battery draws each input
+once.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import spinlift
+from spinlift import (
+    CliffordElement,
+    LorentzTransformation,
+    cli,
+    exp_series,
+    exp_spin,
+    lift,
+    make_metric,
+    representation,
+    spin_rep,
+    wedge,
+)
+from spinlift.bivector import det_bivector
+from spinlift.clifford import PAIR_INDICES
+from spinlift.oracle import random_bivector
+
+E = np.eye(4)
+MODULES = [getattr(spinlift, name) for name in (
+    "_linalg", "bivector", "clifford", "cli", "expmap", "group_lift", "oracle",
+    "sampling", "spin",
+)]
+
+
+def count_calls(monkeypatch, fn):
+    """Wrap fn in every spinlift module that holds it; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in MODULES:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture(params=["pmmm", "mppp"])
+def metric(request):
+    return make_metric(request.param)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_images_bit_equal_tensordot(metric, kind):
+    rep = representation(kind, metric)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        L = random_bivector(metric, seed, scale=4.0)
+        f = L.matrix @ np.linalg.inv(metric.matrix)
+        coeffs = np.array([f[a, b] for a, b in PAIR_INDICES])
+        expected = np.tensordot(coeffs, rep.pair_generators, axes=1)
+        assert spin_rep(rep, L).tobytes() == expected.tobytes()
+        u = rng.uniform(-3.0, 3.0, 4)
+        for vec in (u, L.matrix[:, seed % 4]):  # contiguous, and a strided column
+            expected = np.tensordot(np.asarray(vec, dtype=float), rep.vectors, axes=1)
+            assert rep.vector(vec).tobytes() == expected.tobytes()
+        x = CliffordElement(rng.uniform(-2.0, 2.0, 16))
+        expected = np.tensordot(x.coeffs, rep.blades, axes=1)
+        assert rep.of(x).tobytes() == expected.tobytes()
+
+
+def test_exp_spin_computes_det_once(g, rep, monkeypatch):
+    calls = count_calls(monkeypatch, det_bivector)
+    b01, b12, b23 = (wedge(g, E[a], E[b]) for a, b in ((0, 1), (1, 2), (2, 3)))
+    cases = {
+        "simple/hyperbolic": b01,
+        "simple/trig": b23,
+        "simple/null": b01 + b12,
+        "nonsimple/polynomial": b01 + b23,
+        "near-degenerate/series": 0.02 * (b01 + b23),
+    }
+    for branch, L in cases.items():
+        calls.clear()
+        assert exp_spin(L, rep, return_branch=True)[1] == branch
+        assert len(calls) == 1, branch
+
+
+def test_nonsimple_lift_computes_traces_once(g, rep, monkeypatch):
+    calls = count_calls(monkeypatch, spinlift._linalg.transform_traces)
+    block = wedge(g, E[0], E[1]) + 0.7 * wedge(g, E[2], E[3])
+    lam = LorentzTransformation(exp_series(block.matrix), g)
+    assert lift(lam, rep, return_branch=True)[1] == "nonsimple"
+    assert len(calls) == 1
+
+
+SAMPLERS = (
+    "random_nonsimple_bivector",
+    "random_wedge",
+    "random_nonsimple_transformation",
+    "traceless_simple_transformation",
+    "degenerate_denominator_transformation",
+)
+
+
+@pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
+def test_selftest_draws_each_input_once(metric_tag, monkeypatch):
+    draws = Counter()
+    for name in SAMPLERS:
+        sampler = getattr(cli, name)
+
+        def counted(g, *args, _name=name, _sampler=sampler, **kwargs):
+            draws[(_name, g.signature, args, tuple(sorted(kwargs.items())))] += 1
+            return _sampler(g, *args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    report = cli.run_selftest(metric_tag, seed=5, trials=3)
+    assert report["all_passed"]
+    assert set(name for name, *_ in draws) == set(SAMPLERS)
+    assert [key for key, n in draws.items() if n != 1] == []
