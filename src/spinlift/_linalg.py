@@ -66,12 +66,18 @@ _NULL_TOL = 1e-12  # |tr2 L| of a "simple/null" exp_spin branch; rel L^2
 ORTHO_TOL = 1e-9
 # simplicity_defect in is_simple_transform; relative to max(1, tr2 Lam, tr Lam)
 SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
-TRACE_GATE = 1e-6  # tr Lam: lift_simple above, lift_special at or below; abs
+# The paper's lift formulas divide by a gate quantity x, tr Lam or the denominator;
+# their forward error against exp(sigma(L)) fits c u scale(Lam, 2) / x, u the unit
+# roundoff.  Over sweeps of pi - eps rotations, with boosts of rapidity 0-2 and
+# frame changes, c reached 30 for tr Lam and 82 for the denominator; c = 128
+# bounds both, and each gate keeps the error within _LIFT_TARGET.  Units: rel Lam^2.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_LIFT_TARGET = 1e-11  # relative forward error of a lift formula at its gate
+TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple above
 LOG_TRACE_GATE = 1e-9  # tr Lam in log_simple; abs
 PARABOLIC_TOL = 1e-12  # |tr Lam / 2 - 2| for the parabolic simple log; abs
 FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs
-DENOMINATOR_GATE = 1e-6  # lift_denominator: lift_nonsimple above it; abs
-PIVOT_TOL = 1e-7  # rank of (I - Lam)/2 in lift_special; pivot
+DENOMINATOR_GATE = TRACE_GATE  # lift_denominator: lift_nonsimple above it; rel Lam^2
 IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
 SIGN_TOL = 1e-12  # |Re z| of the largest entry in sign_normalize; relative to |z|
 TINY = 1e-300  # floor on the largest pivot, and on the wedge_factors ratio; abs

@@ -134,9 +134,14 @@ def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
     orthogonal planes.  Raises :class:`SimpleInputError` for simple input or
     when the eigenvalue gap is too small to separate the parts.
     """
-    if is_simple(L, tol):
+    return _decompose(L, tol)[:2]
+
+
+def _decompose(L: Bivector, tol: float):  # (L_plus, L_minus, mu), det L taken once
+    d = det_bivector(L)
+    if _is_simple_det(d, scale(L.matrix, 1), tol):
         raise SimpleInputError("simple bivector has no orthogonal decomposition")
-    mu = mu_roots(L)
+    mu = _mu_pair(tr2(L), d)
     gap = mu.mu_plus - mu.mu_minus
     if gap <= DECOMPOSE_GAP_TOL * scale(L.matrix, 2):
         raise SimpleInputError(
@@ -146,7 +151,7 @@ def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
     cube = m @ m @ m
     plus = (cube - mu.mu_minus * m) / gap
     minus = -(cube - mu.mu_plus * m) / gap
-    return Bivector(plus, L.metric), Bivector(minus, L.metric)
+    return Bivector(plus, L.metric), Bivector(minus, L.metric), mu
 
 
 def plane_projection(L: Bivector) -> np.ndarray:

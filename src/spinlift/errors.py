@@ -58,7 +58,7 @@ class NotSimpleError(SpinLiftError):
 
 
 class TracelessSimpleError(SpinLiftError):
-    """Simple transformation with vanishing trace; use the special-case lift."""
+    """Simple transformation with vanishing trace, outside a simple-only formula."""
 
     code = "TracelessSimple"
 
@@ -74,19 +74,9 @@ class NotNonsimpleError(SpinLiftError):
 
 
 class DegenerateDenominatorError(SpinLiftError):
-    """The generic non-simple lift denominator vanishes; use the special case."""
+    """The generic non-simple lift denominator vanishes; ``lift`` handles it."""
 
     code = "DegenerateDenominator"
-
-
-class NotTracelessError(SpinLiftError):
-    code = "NotTraceless"
-
-
-class RankDeficiencyError(SpinLiftError):
-    """A matrix expected to have numerical rank 2 does not."""
-
-    code = "RankDeficiency"
 
 
 class SingularSigmaError(SpinLiftError):

@@ -18,8 +18,8 @@ import numpy as np
 from ._linalg import (
     SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _NULL_TOL, scale,
 )
-from .bivector import (Bivector, MuPair, _is_simple_det, _mu_pair, det_bivector,
-                       is_simple, mu_roots, orthogonal_decompose, tr2)
+from .bivector import (Bivector, MuPair, _decompose, _is_simple_det, _mu_pair,
+                       det_bivector, is_simple, mu_roots, tr2)
 from .clifford import Representation, spin_rep
 from .errors import SimpleInputError
 from .oracle import exp_series
@@ -112,8 +112,8 @@ def exp_spin_factored(L: Bivector, rep: Representation) -> np.ndarray:
         cbar+ cbar- I + sbar+ cbar- sigma(L+) + cbar+ sbar- sigma(L-)
         + sbar+ sbar- sigma(L+) sigma(L-).
     """
-    l_plus, l_minus = orthogonal_decompose(L)
-    co = exp_coefficients(mu_roots(L))
+    l_plus, l_minus, mu = _decompose(L, SIMPLE_DET_TOL)
+    co = exp_coefficients(mu)
     s_plus = spin_rep(rep, l_plus)
     s_minus = spin_rep(rep, l_minus)
     return (

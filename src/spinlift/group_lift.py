@@ -11,6 +11,7 @@ up to global sign and characterized by the intertwining relation
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,19 +19,16 @@ import numpy as np
 
 from ._linalg import (
     DENOMINATOR_GATE, FACTOR_GAP_TOL, LOG_TRACE_GATE, ORTHO_TOL, PARABOLIC_TOL,
-    PIVOT_TOL, SIGN_TOL, SIMPLE_CRITERION_TOL, TINY, TRACE_GATE, factor_delta,
-    lift_denominator, maxabs, pivot_columns, scale, simplicity_defect, transform_traces,
+    SIGN_TOL, SIMPLE_CRITERION_TOL, TRACE_GATE, factor_delta, lift_denominator, maxabs,
+    scale, simplicity_defect, transform_traces,
 )
-from .bivector import Bivector, tr2, wedge
-from .clifford import Representation, spin_rep
+from .bivector import Bivector
+from .clifford import _PAULI, Representation, representation, spin_rep
 from .errors import (
     DegenerateDenominatorError,
-    DegeneratePlaneError,
     InvalidTransformationError,
     NotNonsimpleError,
     NotSimpleError,
-    NotTracelessError,
-    RankDeficiencyError,
     SimpleTransformError,
     TracelessSimpleError,
 )
@@ -204,21 +202,19 @@ def factor_transform(
 
 
 def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
-    """Spin lift of a simple Lam with tr Lam > 0 (up to global sign):
+    """Spin lift of a simple Lam with tr Lam above lift's gate (up to global sign):
 
         Sigma = (tr Lam I + 2 sigma(Lam - Lam^{-1})) / (2 sqrt(tr Lam)).
     """
-    return _lift_simple(lam, rep, *transform_traces(lam.matrix))
+    return _lift_simple(lam, rep, *transform_traces(lam.matrix), scale(lam.matrix, 2))
 
 
-def _lift_simple(lam: LorentzTransformation, rep: Representation, t, t2) -> np.ndarray:
+def _lift_simple(lam: LorentzTransformation, rep: Representation, t, t2, norm2):
     # Its error grows with the simplicity defect: guarded at the default tol.
     if not _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         raise NotSimpleError("lift_simple requires a simple transformation")
-    if t <= TRACE_GATE:
-        raise TracelessSimpleError(
-            "trace too close to zero; use the traceless special-case lift"
-        )
+    if t <= min(TRACE_GATE * norm2, 4.0):  # lift's gate; norm2 = scale(Lam, 2)
+        raise TracelessSimpleError("trace too close to zero for lift_simple; use lift")
     s = spin_rep(rep, Bivector(lam.matrix - lam.inverse(), lam.metric))
     return (t * rep.identity + 2.0 * s) / (2.0 * math.sqrt(t))
 
@@ -235,10 +231,8 @@ def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarra
     if _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         raise NotNonsimpleError("lift_nonsimple requires a non-simple transformation")
     den = lift_denominator(t, t2)
-    if den <= DENOMINATOR_GATE:
-        raise DegenerateDenominatorError(
-            f"lift denominator {den} vanishes; use the special-case product lift"
-        )
+    if den <= DENOMINATOR_GATE * scale(lam.matrix, 2):
+        raise DegenerateDenominatorError(f"lift denominator {den} too small; use lift")
     return _lift_nonsimple(lam, rep, t, t2, den)
 
 
@@ -254,43 +248,43 @@ def _lift_nonsimple(lam: LorentzTransformation, rep: Representation, t, t2, den)
     )
 
 
-def lift_special(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
-    """Spin lift of a traceless simple Lam (rotation by pi; Lam^2 = I).
-
-    P = (I - Lam)/2 projects onto the rotation plane; two independent columns
-    u, v give Sigma = 2 sigma(u ^ v) / sqrt(tr2(u ^ v)).
-    """
-    if not is_simple_transform(lam):
-        raise NotSimpleError("lift_special requires a simple transformation")
-    t = float(np.trace(lam.matrix))
-    if abs(t) > TRACE_GATE:
-        raise NotTracelessError("lift_special requires a traceless transformation")
-    p = 0.5 * (np.eye(4) - lam.matrix)
-    order, pivots = pivot_columns(p)
-    top = max(pivots[0], TINY)
-    if pivots[1] <= PIVOT_TOL * top or pivots[2] > PIVOT_TOL * top:
-        raise RankDeficiencyError(
-            "plane projector does not have numerical rank 2"
-        )
-    u = p[:, order[0]]
-    v = p[:, order[1]]
-    w = wedge(lam.metric, u, v)
-    t2w = tr2(w)
-    if t2w <= 0.0:
-        raise DegeneratePlaneError("extracted rotation plane is degenerate")
-    return (2.0 / math.sqrt(t2w)) * spin_rep(rep, w)
+# The spinor map Lam^m_n = tr(s_m A s_n A^H) / 2, with s = (I, Pauli) and A in
+# SL(2,C), is linear in H = vec(A) vec(A)^H; Pauli orthogonality inverts it in
+# closed form: H[i,j,l,k] = sum_mn Lam^m_n s_m[i,l] s_n[k,j] / 2.
+_S = np.stack([np.eye(2, dtype=complex), *_PAULI])
+_SPINOR_H = 0.5 * np.einsum("mil,nkj->ijlkmn", _S, _S).reshape(16, 16)
 
 
-def lift_nonsimple_special(
-    lam: LorentzTransformation, rep: Representation
-) -> np.ndarray:
-    """Spin lift of a non-simple Lam whose rotation factor has angle pi.
+def _even_table(g: Metric) -> np.ndarray:
+    # A is the upper-left block of U Sigma U^T, U = u / sqrt(2) (Dirac to Weyl); there
+    # the even gamma blades have orthogonal blocks of squared norm 2, the odd ones
+    # none, so (Re A, Im A) -> coefficients is their transpose over 2, exact with u.
+    u = np.kron([[1.0, -1.0], [1.0, 1.0]], np.eye(2))
+    a = (u @ representation("gamma", g).blades @ u.T)[:, :2, :2].reshape(16, 4)
+    return 0.25 * np.hstack([a.real, a.imag])
 
-    Factors Lam and multiplies the simple lift of the boost factor by the
-    traceless special-case lift of the rotation factor.
-    """
-    pair = factor_transform(lam)
-    return lift_simple(pair.lambda_plus, rep) @ lift_special(pair.lambda_minus, rep)
+
+_EVEN_TABLES: dict = {}  # metric diagonal -> _even_table, built on first use
+
+
+def _spinor(m) -> np.ndarray:
+    # +/-A of Lam = m: the column of H with the largest diagonal (>= 1/2, as
+    # det A = 1) is A times a phase, and the phase of det A alone fixes it.
+    h = (_SPINOR_H @ m.ravel()).reshape(4, 4)
+    c = int(np.argmax(h.diagonal().real))
+    a = (h[:, c] / math.sqrt(h[c, c].real)).reshape(2, 2)
+    d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return a / cmath.sqrt(d / abs(d))
+
+
+def _lift_spinor(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
+    # The gate-free lift, from the even blade coefficients of A
+    key = tuple(rep.metric.matrix.diagonal())
+    if key not in _EVEN_TABLES:  # a metric other than pmmm, mppp raises here
+        _EVEN_TABLES[key] = _even_table(rep.metric)
+    a = _spinor(lam.matrix).ravel()
+    coeffs = np.dot(_EVEN_TABLES[key], np.concatenate([a.real, a.imag]))
+    return np.dot(coeffs.reshape(1, -1), rep._blade_rows).reshape(rep.dim, -1)
 
 
 def lift(
@@ -301,28 +295,31 @@ def lift(
 ):
     """Spin lift of any proper orthochronous Lam, up to global sign.
 
-    Dispatches on the trace criterion and the two degenerate gates:
+    Dispatches on the trace criterion and the two divisor gates:
 
-    * simple, tr Lam > TRACE_GATE    -> ``lift_simple``        ("simple")
-    * simple with tr Lam near 0      -> ``lift_special``       ("special/traceless")
-    * non-simple, generic            -> ``lift_nonsimple``     ("nonsimple")
-    * non-simple, denominator near 0 -> ``lift_nonsimple_special``
-                                                                ("nonsimple/special")
+    * simple, tr Lam above its gate          -> ``lift_simple``    ("simple")
+    * simple, tr Lam at or below it          -> the spinor map     ("special/traceless")
+    * non-simple, denominator above its gate -> ``lift_nonsimple`` ("nonsimple")
+    * non-simple, denominator at or below it -> the spinor map     ("nonsimple/special")
 
-    The ``nonsimple`` branch trusts ``tol``; the others re-check at the default.
-    With ``return_branch=True`` returns ``(Sigma, branch)``.
+    The spinor map Lam -> +/-A in SL(2,C) (Shepperd's largest-diagonal
+    extraction) has no gate.  The ``simple`` branch re-checks simplicity at the
+    default tol.  With ``return_branch=True`` returns ``(Sigma, branch)``.
     """
     t, t2 = transform_traces(lam.matrix)
     den = lift_denominator(t, t2)
+    norm2 = scale(lam.matrix, 2)
     if _is_simple_traces(t, t2, tol):
-        if t > TRACE_GATE:
-            out, branch = _lift_simple(lam, rep, t, t2), "simple"
+        # Boosts and null rotations have tr Lam >= 4, far from the root's zero;
+        # there lift_simple is also more accurate than the spinor map.
+        if t > min(TRACE_GATE * norm2, 4.0):
+            out, branch = _lift_simple(lam, rep, t, t2, norm2), "simple"
         else:
-            out, branch = lift_special(lam, rep), "special/traceless"
-    elif den > DENOMINATOR_GATE:
+            out, branch = _lift_spinor(lam, rep), "special/traceless"
+    elif den > DENOMINATOR_GATE * norm2:
         out, branch = _lift_nonsimple(lam, rep, t, t2, den), "nonsimple"
     else:
-        out, branch = lift_nonsimple_special(lam, rep), "nonsimple/special"
+        out, branch = _lift_spinor(lam, rep), "nonsimple/special"
     return (out, branch) if return_branch else out
 
 

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinlift import cli, exp_series, make_metric, wedge
+from spinlift import cli, exp_series, make_metric, representation, spin_rep, wedge
 from spinlift.cli import main, run_selftest
 
 E = np.eye(4)
@@ -114,13 +114,19 @@ def test_domain_error_exit_code(tmp_path):
 
 
 def test_rank_deficiency_exit_code(tmp_path):
-    # rotation by pi times a boost of rapidity 1e-5: see
+    # rotations by pi times boosts of rapidity 1e-5 and 1e-4: see
     # test_group_lift.py::test_lift_rank_deficiency
     g = make_metric()
-    L = 1e-5 * wedge(g, E[0], E[1]) + math.pi * wedge(g, E[2], E[3])
-    code, out = run_cli(["lift"], tmp_path, {"matrix": exp_series(L.matrix).tolist()})
-    assert code == 1
-    assert json.loads(out)["error"]["code"] == "RankDeficiency"
+    rep = representation("gamma", g)
+    for rapidity, expected in ((1e-5, "special/traceless"), (1e-4, "nonsimple/special")):
+        L = rapidity * wedge(g, E[0], E[1]) + math.pi * wedge(g, E[2], E[3])
+        code, out = run_cli(["lift"], tmp_path, {"matrix": exp_series(L.matrix).tolist()})
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["branch"] == expected
+        pairs = np.array(doc["result"]["sigma"])  # [re, im] per entry
+        sigma, ref = pairs[..., 0] + 1j * pairs[..., 1], exp_series(spin_rep(rep, L))
+        assert min(np.abs(sigma - ref).max(), np.abs(sigma + ref).max()) <= 1e-12
 
 
 def test_exp_spin_tol_flag(tmp_path):

@@ -58,7 +58,7 @@ MODULE_CONSTANTS = {
     "spin": ["SPIN_GAP_TOL"],
     "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL", "_NULL_TOL"],
     "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE", "LOG_TRACE_GATE",
-                   "PARABOLIC_TOL", "FACTOR_GAP_TOL", "DENOMINATOR_GATE", "PIVOT_TOL"],
+                   "PARABOLIC_TOL", "FACTOR_GAP_TOL", "DENOMINATOR_GATE"],
     "oracle": ["_COND_LIMIT"],
 }
 

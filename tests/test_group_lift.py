@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from spinlift import (
+    Bivector,
     DegenerateDenominatorError,
     InvalidTransformationError,
     LorentzTransformation,
+    NonDiagonalMetricError,
     NotNonsimpleError,
     NotSimpleError,
-    NotTracelessError,
-    RankDeficiencyError,
     SimpleTransformError,
     TracelessSimpleError,
     exp_series,
@@ -20,11 +20,11 @@ from spinlift import (
     is_simple_transform,
     lift,
     lift_nonsimple,
-    lift_nonsimple_special,
     lift_simple,
-    lift_special,
     log_simple,
     make_metric,
+    metric_from_matrix,
+    random_transformation,
     representation,
     sign_normalize,
     simple_log_coefficients,
@@ -33,6 +33,7 @@ from spinlift import (
     tr2_transform,
     wedge,
 )
+from spinlift.group_lift import _spinor
 from spinlift.sampling import (
     degenerate_denominator_transformation,
     random_nonsimple_transformation,
@@ -296,35 +297,37 @@ def test_lift_special_half_turn(g):
     p = 0.5 * (np.eye(4) - lam.matrix)
     assert mabs(p @ p - p) < 1e-10
     assert np.trace(p) == pytest.approx(2.0, abs=1e-10)
-    sigma = sign_normalize(lift_special(lam, rep))
+    sigma, branch = lift(lam, rep, return_branch=True)
+    assert branch == "special/traceless"
     g2g3 = sign_normalize(rep.vector(E[2]) @ rep.vector(E[3]))
-    assert mabs(sigma - g2g3) < 1e-12
+    assert mabs(sign_normalize(sigma) - g2g3) < 1e-12
     assert intertwining_defect(sigma, lam, rep) < 1e-10
 
 
-def test_lift_special_random_planes(g, rep):
-    for seed in range(15):
-        lam = traceless_simple_transformation(g, seed)
-        sigma = lift_special(lam, rep)
-        assert intertwining_defect(sigma, lam, rep) < 1e-7
+def sampled_lifts(sampler, rep):
+    """Lifts of seeds 0-39 of a sampler, in both metrics, in rep's kind."""
+    for sig in ("pmmm", "mppp"):
+        g = make_metric(sig)
+        rep_g = representation(rep.kind, g)
+        for seed in range(40):
+            lam = sampler(g, seed)
+            yield lam, rep_g, lift(lam, rep_g, return_branch=True)
 
 
-def test_lift_special_gates(g, rep):
-    eye = LorentzTransformation(np.eye(4), g)
-    with pytest.raises(NotTracelessError):
-        lift_special(eye, rep)
-    with pytest.raises(NotSimpleError):
-        lift_special(block_transform(g), rep)
+def test_lift_special_random_planes(rep):
+    for lam, rep_g, (sigma, branch) in sampled_lifts(traceless_simple_transformation, rep):
+        assert branch == "special/traceless"
+        assert intertwining_defect(sigma, lam, rep_g) <= 1e-13
 
 
-def test_lift_nonsimple_special(g, rep):
-    for seed in range(10):
-        lam = degenerate_denominator_transformation(g, seed)
-        sigma = lift_nonsimple_special(lam, rep)
-        assert intertwining_defect(sigma, lam, rep) < 1e-7
+def test_lift_nonsimple_special(rep):
+    sampler = degenerate_denominator_transformation
+    for lam, rep_g, (sigma, branch) in sampled_lifts(sampler, rep):
+        assert branch == "nonsimple/special"
+        assert intertwining_defect(sigma, lam, rep_g) <= 1e-13
     # squaring consistency, sign-blind: Sigma(Lam)^2 intertwines for Lam^2
-    lam = degenerate_denominator_transformation(g, 11)
-    sigma = lift_nonsimple_special(lam, rep)
+    lam = sampler(make_metric(), 11)
+    sigma = lift(lam, rep)
     assert intertwining_defect(sigma @ sigma, lam @ lam, rep) < 1e-7
 
 
@@ -344,19 +347,89 @@ def test_lift_dispatch_branches(g, rep):
 
 
 def test_lift_rank_deficiency(g, rep):
-    # A rotation by pi times a boost of rapidity 1e-5: the plane projector of
-    # the rotation factor falls short of numerical rank 2, and the lift raises
-    # a typed error.  At rapidity 1e-4 the same branch lifts accurately.
-    def boosted_half_turn(rapidity):
+    # A rotation by pi times a boost of rapidity 1e-5 or 1e-4: the plane
+    # projector of the rotation factor falls short of numerical rank 2, which
+    # the spinor map never looks at.  At rapidity 1e-5 the simplicity defect
+    # 4e-10 is within the default tol, so Lam counts as simple and traceless.
+    for rapidity, expected in ((1e-5, "special/traceless"), (1e-4, "nonsimple/special")):
         L = rapidity * wedge(g, E[0], E[1]) + math.pi * wedge(g, E[2], E[3])
-        return LorentzTransformation(exp_series(L.matrix), g)
+        lam = LorentzTransformation(exp_series(L.matrix), g)
+        sigma, branch = lift(lam, rep, return_branch=True)
+        assert branch == expected
+        ref = exp_series(spin_rep(rep, L))
+        assert min(mabs(sigma - ref), mabs(sigma + ref)) <= 1e-12 * mabs(ref)
 
-    with pytest.raises(RankDeficiencyError):
-        lift(boosted_half_turn(1e-5), rep)
-    lam = boosted_half_turn(1e-4)
-    sigma, branch = lift(lam, rep, return_branch=True)
-    assert branch == "nonsimple/special"
-    assert intertwining_defect(sigma, lam, rep) < 1e-12
+
+def gate_sweep(g, frame):
+    """(category, generator) on both sides of the lift gates, moved by a frame."""
+    b01, b23 = wedge(g, E[0], E[1]), wedge(g, E[2], E[3])
+    q = random_transformation(g, 3, frame).matrix
+
+    def moved(L):
+        return Bivector(q @ L.matrix @ np.linalg.inv(q), g)
+
+    for eps in np.logspace(-12, -1, 23):
+        yield "pi-eps", moved((math.pi - eps) * b23)
+        yield "rapidity-eps-pi", moved(eps * b01 + math.pi * b23)
+        for b in (0.05, 0.5, 2.0):
+            yield f"boost-{b}-pi-eps", moved(b * b01 + (math.pi - eps) * b23)
+    for rapidity in (8.0, 12.0):
+        yield "boost", moved(rapidity * b01)
+    if frame == 0.0:  # in a frame the rounding of Lam alone costs more than 1e-11
+        for rapidity in (20.0, 24.0):
+            yield "large-rapidity", rapidity * b01
+
+
+@pytest.mark.parametrize("frame", [0.0, 0.5])
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_lift_gate_sweep(sig, frame, rep):
+    # exp_spin's closed forms are the referee; tol=0 keeps a tiny rapidity
+    # next to a half-turn out of its simple branch.
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    branches = {}
+    for category, L in gate_sweep(g, frame):
+        lam = LorentzTransformation(exp_series(L.matrix), g)
+        sigma, branch = lift(lam, rep, return_branch=True)
+        branches.setdefault(category, set()).add(branch)
+        ref = exp_spin(L, rep, tol=0.0)
+        err = min(mabs(sigma - ref), mabs(sigma + ref)) / mabs(ref)
+        assert err <= 1e-11, (category, branch, err)
+    # each sweep crosses its gate; boosts keep the simple formula, and the
+    # rapidity-20/24 ones, classified non-simple, fall below the relative gate
+    assert branches["pi-eps"] == {"simple", "special/traceless"}
+    assert branches["rapidity-eps-pi"] == {"special/traceless", "nonsimple/special"}
+    for b in (0.05, 0.5, 2.0):
+        assert branches[f"boost-{b}-pi-eps"] == {"nonsimple", "nonsimple/special"}
+    assert branches["boost"] == {"simple"}
+    assert branches.get("large-rapidity", {"nonsimple/special"}) == {"nonsimple/special"}
+
+
+def test_lift_spinor_needs_standard_signature():
+    # The regular representation exists over any diagonal +/-1 metric, but the
+    # spinor map takes index 0 as time: a half-turn over diag(1, 1, 1, -1) is
+    # refused with a typed error rather than lifted wrongly.
+    g = metric_from_matrix(np.diag([1.0, 1.0, 1.0, -1.0]))
+    lam = LorentzTransformation(np.diag([1.0, -1.0, -1.0, 1.0]), g)
+    with pytest.raises(NonDiagonalMetricError):
+        lift(lam, representation("regular", g))
+
+
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_spinor_roundtrip(seed):
+    # Lam(A)^m_n = tr(s_m A s_n A^H) / 2 is proper orthochronous, and the
+    # spinor map gives A back up to sign.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = a / np.sqrt(np.linalg.det(a))
+    lam = np.einsum("mij,jk,nkl,li->mn", PAULI, a, PAULI, a.conj().T).real / 2.0
+    for sig in ("pmmm", "mppp"):
+        LorentzTransformation(lam, make_metric(sig))
+    back = _spinor(lam)
+    assert min(mabs(back - a), mabs(back + a)) <= 1e-13 * mabs(a)
 
 
 def test_lift_homomorphism_pairs(g, rep):

@@ -2,8 +2,8 @@
 
 The spin map and the vector and algebra images are compared bit for bit with
 the ``np.tensordot`` form they replace; call counters pin that a dispatcher
-computes its invariants once and that the selftest battery draws each input
-once.
+or a decomposition computes its invariants once and that the selftest battery
+draws each input once.
 """
 
 from collections import Counter
@@ -18,8 +18,10 @@ from spinlift import (
     cli,
     exp_series,
     exp_spin,
+    exp_spin_factored,
     lift,
     make_metric,
+    orthogonal_decompose,
     representation,
     spin_rep,
     wedge,
@@ -88,6 +90,15 @@ def test_exp_spin_computes_det_once(g, rep, monkeypatch):
         calls.clear()
         assert exp_spin(L, rep, return_branch=True)[1] == branch
         assert len(calls) == 1, branch
+
+
+def test_decompose_computes_det_once(g, rep, monkeypatch):
+    calls = count_calls(monkeypatch, det_bivector)
+    L = wedge(g, E[0], E[1]) + 0.7 * wedge(g, E[2], E[3])
+    for fn in (orthogonal_decompose, lambda L: exp_spin_factored(L, rep)):
+        calls.clear()
+        fn(L)
+        assert len(calls) == 1, fn
 
 
 def test_nonsimple_lift_computes_traces_once(g, rep, monkeypatch):
