@@ -77,7 +77,7 @@ TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple ab
 LOG_TRACE_GATE = 1e-9  # tr Lam in log_simple; abs
 PARABOLIC_TOL = 1e-12  # |tr Lam / 2 - 2| for the parabolic simple log; abs
 FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs
-DENOMINATOR_GATE = TRACE_GATE  # lift_denominator: lift_nonsimple above it; rel Lam^2
+DENOMINATOR_GATE = TRACE_GATE  # lift_denominator in lift_nonsimple; a label in lift
 IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
 SIGN_TOL = 1e-12  # |Re z| of the largest entry in sign_normalize; relative to |z|
 TINY = 1e-300  # floor on the largest pivot, and on the wedge_factors ratio; abs

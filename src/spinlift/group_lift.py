@@ -206,15 +206,16 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
 
         Sigma = (tr Lam I + 2 sigma(Lam - Lam^{-1})) / (2 sqrt(tr Lam)).
     """
-    return _lift_simple(lam, rep, *transform_traces(lam.matrix), scale(lam.matrix, 2))
-
-
-def _lift_simple(lam: LorentzTransformation, rep: Representation, t, t2, norm2):
+    t, t2 = transform_traces(lam.matrix)
     # Its error grows with the simplicity defect: guarded at the default tol.
     if not _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         raise NotSimpleError("lift_simple requires a simple transformation")
-    if t <= min(TRACE_GATE * norm2, 4.0):  # lift's gate; norm2 = scale(Lam, 2)
+    if t <= min(TRACE_GATE * scale(lam.matrix, 2), 4.0):  # lift's gate
         raise TracelessSimpleError("trace too close to zero for lift_simple; use lift")
+    return _lift_simple(lam, rep, t)
+
+
+def _lift_simple(lam: LorentzTransformation, rep: Representation, t):
     s = spin_rep(rep, Bivector(lam.matrix - lam.inverse(), lam.metric))
     return (t * rep.identity + 2.0 * s) / (2.0 * math.sqrt(t))
 
@@ -233,11 +234,6 @@ def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarra
     den = lift_denominator(t, t2)
     if den <= DENOMINATOR_GATE * scale(lam.matrix, 2):
         raise DegenerateDenominatorError(f"lift denominator {den} too small; use lift")
-    return _lift_nonsimple(lam, rep, t, t2, den)
-
-
-def _lift_nonsimple(lam: LorentzTransformation, rep: Representation, t, t2, den):
-    # Accurate on near-simple input too, so it trusts the caller's classification.
     m = lam.matrix
     inv = lam.inverse()
     s1 = spin_rep(rep, Bivector(m - inv, lam.metric))
@@ -295,31 +291,34 @@ def lift(
 ):
     """Spin lift of any proper orthochronous Lam, up to global sign.
 
-    Dispatches on the trace criterion and the two divisor gates:
+    Classifies on the trace criterion and the two divisor gates:
 
     * simple, tr Lam above its gate          -> ``lift_simple``    ("simple")
     * simple, tr Lam at or below it          -> the spinor map     ("special/traceless")
-    * non-simple, denominator above its gate -> ``lift_nonsimple`` ("nonsimple")
+    * non-simple, denominator above its gate -> the spinor map     ("nonsimple")
     * non-simple, denominator at or below it -> the spinor map     ("nonsimple/special")
 
     The spinor map Lam -> +/-A in SL(2,C) (Shepperd's largest-diagonal
-    extraction) has no gate.  The ``simple`` branch re-checks simplicity at the
-    default tol.  With ``return_branch=True`` returns ``(Sigma, branch)``.
+    extraction) has no gate; the denominator gate only names the non-simple
+    regime.  A Lam simple at ``tol`` but not at the default tol, where the
+    simple formula loses accuracy, keeps the label "simple" and takes the
+    spinor map.  With ``return_branch=True`` returns ``(Sigma, branch)``.
     """
     t, t2 = transform_traces(lam.matrix)
-    den = lift_denominator(t, t2)
     norm2 = scale(lam.matrix, 2)
-    if _is_simple_traces(t, t2, tol):
-        # Boosts and null rotations have tr Lam >= 4, far from the root's zero;
-        # there lift_simple is also more accurate than the spinor map.
-        if t > min(TRACE_GATE * norm2, 4.0):
-            out, branch = _lift_simple(lam, rep, t, t2, norm2), "simple"
-        else:
-            out, branch = _lift_spinor(lam, rep), "special/traceless"
-    elif den > DENOMINATOR_GATE * norm2:
-        out, branch = _lift_nonsimple(lam, rep, t, t2, den), "nonsimple"
+    if not _is_simple_traces(t, t2, tol):
+        den = lift_denominator(t, t2)
+        branch = "nonsimple" if den > DENOMINATOR_GATE * norm2 else "nonsimple/special"
+    elif t <= min(TRACE_GATE * norm2, 4.0):
+        branch = "special/traceless"
     else:
-        out, branch = _lift_spinor(lam, rep), "nonsimple/special"
+        branch = "simple"
+    # Boosts and null rotations have tr Lam >= 4, far from the root's zero;
+    # there lift_simple is also more accurate than the spinor map.
+    if branch == "simple" and _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
+        out = _lift_simple(lam, rep, t)
+    else:
+        out = _lift_spinor(lam, rep)
     return (out, branch) if return_branch else out
 
 

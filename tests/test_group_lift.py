@@ -24,6 +24,7 @@ from spinlift import (
     log_simple,
     make_metric,
     metric_from_matrix,
+    random_bivector,
     random_transformation,
     representation,
     sign_normalize,
@@ -278,15 +279,20 @@ def test_lift_tol_reaches_branch(sig, rep):
 
 @pytest.mark.parametrize("sig", ["pmmm", "mppp"])
 def test_lift_simple_keeps_accuracy_guard(sig, rep):
-    # A looser tol does not force the simple closed form onto this non-simple
-    # Lam, on which it would miss exp(sigma(L)) by 1.7e-4 relative.
+    # A looser tol calls this non-simple Lam simple, but lift keeps the simple
+    # closed form, which would miss exp(sigma(L)) by 1.7e-4 relative, off it
+    # and answers with the spinor map; the public lift_simple still refuses.
     g = make_metric(sig)
     rep = representation(rep.kind, g)
     L = 0.7 * wedge(g, E[0], E[1]) + 1e-3 * wedge(g, E[2], E[3])
     lam = LorentzTransformation(exp_series(L.matrix), g)
     assert is_simple_transform(lam, 1e-6)
+    sigma, branch = lift(lam, rep, tol=1e-6, return_branch=True)
+    assert branch == "simple"
+    ref = exp_series(spin_rep(rep, L))
+    assert min(mabs(sigma - ref), mabs(sigma + ref)) <= 1e-12 * mabs(ref)
     with pytest.raises(NotSimpleError):
-        lift(lam, rep, tol=1e-6)
+        lift_simple(lam, rep)
 
 
 def test_lift_special_half_turn(g):
@@ -329,6 +335,26 @@ def test_lift_nonsimple_special(rep):
     lam = sampler(make_metric(), 11)
     sigma = lift(lam, rep)
     assert intertwining_defect(sigma @ sigma, lam @ lam, rep) < 1e-7
+
+
+def test_lift_agrees_with_paper_nonsimple(rep):
+    # The paper's non-simple formula referees the spinor map that lift uses.
+    for lam, rep_g, (sigma, branch) in sampled_lifts(random_nonsimple_transformation, rep):
+        assert branch == "nonsimple"
+        ref = lift_nonsimple(lam, rep_g)
+        assert min(mabs(sigma - ref), mabs(sigma + ref)) <= 1e-12 * mabs(ref)
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_lift_large_frames(sig, rep):
+    # exp(F g) with F's entries in [-8, 8]: entries of Lam reach ~4e3.
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    for seed in range(40):
+        L = random_bivector(g, seed, 8.0)
+        sigma = lift(random_transformation(g, seed, 8.0), rep)
+        ref = exp_series(spin_rep(rep, L))
+        assert min(mabs(sigma - ref), mabs(sigma + ref)) <= 1e-11 * mabs(ref), seed
 
 
 def test_lift_dispatch_branches(g, rep):

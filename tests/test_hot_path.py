@@ -13,6 +13,7 @@ import pytest
 
 import spinlift
 from spinlift import (
+    Bivector,
     CliffordElement,
     LorentzTransformation,
     cli,
@@ -29,6 +30,7 @@ from spinlift import (
 from spinlift.bivector import det_bivector
 from spinlift.clifford import PAIR_INDICES
 from spinlift.oracle import random_bivector
+from spinlift.sampling import degenerate_denominator_transformation
 
 E = np.eye(4)
 MODULES = [getattr(spinlift, name) for name in (
@@ -107,6 +109,28 @@ def test_nonsimple_lift_computes_traces_once(g, rep, monkeypatch):
     lam = LorentzTransformation(exp_series(block.matrix), g)
     assert lift(lam, rep, return_branch=True)[1] == "nonsimple"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_nonsimple_lift_builds_no_bivector(metric, kind, monkeypatch):
+    # Both non-simple regimes take the spinor map, which has no intermediate
+    # bivector to validate or map through spin_rep.
+    rep = representation(kind, metric)
+    spins = count_calls(monkeypatch, spin_rep)
+    bivectors = []
+    validate = Bivector.__post_init__
+    monkeypatch.setattr(Bivector, "__post_init__",
+                        lambda self: bivectors.append(self) or validate(self))
+    block = wedge(metric, E[0], E[1]) + 0.7 * wedge(metric, E[2], E[3])
+    cases = {
+        "nonsimple": LorentzTransformation(exp_series(block.matrix), metric),
+        "nonsimple/special": degenerate_denominator_transformation(metric, 3),
+    }
+    for branch, lam in cases.items():
+        spins.clear()
+        bivectors.clear()
+        assert lift(lam, rep, return_branch=True)[1] == branch
+        assert (len(spins), len(bivectors)) == (0, 0), branch
 
 
 SAMPLERS = (
