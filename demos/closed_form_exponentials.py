@@ -61,8 +61,8 @@ cases = [
     ("null", wedge(g, e[0] + e[3], e[1])),
     ("generic", L),
     # Near-degenerate: both invariant roots almost coincide, so the
-    # polynomial denominators blow up and the dispatcher defers to the
-    # series evaluator.
+    # polynomial's 1/(mu+ - mu-) would blow up.  The label says so; the
+    # dispatcher's SL(2,C) exponential divides by no gap and stays exact.
     ("tiny gap", wedge(g, e[0], e[1]) * 0.02 + wedge(g, e[2], e[3]) * 0.02),
 ]
 for label, biv in cases:

@@ -15,7 +15,12 @@ def maxabs(m) -> float:
 
 def scale(m, k) -> float:
     """max(1, maxabs(m))^k: the norm floor of relative gates and selftest defects."""
-    return max(1.0, maxabs(m)) ** k
+    return _floored(maxabs(m), k)
+
+
+def _floored(top: float, k) -> float:
+    """max(1, top)^k, the rule of scale for a maxabs already taken."""
+    return max(1.0, top) ** k
 
 
 def transform_traces(m) -> tuple[float, float]:
@@ -42,11 +47,13 @@ def factor_delta(t: float, t2: float) -> float:
 # The gate table: each threshold, the quantity it bounds, where, and its units:
 # "abs" absolute; "rel X^k" relative to scale(X, k); "pivot" relative to the
 # largest pivot of pivot_columns.  Inconsistent units are recorded as they are.
+_UNIT_ROUNDOFF = 2.0 ** -53  # u, of IEEE double precision
 _DET_TOL = 1e-12  # |det g + 1| of a metric matrix; abs
 SKEW_TOL = 1e-10  # ||L^T g + g L|| in the Bivector validator; rel L^1
 TRACE_TOL = 1e-12  # |tr L| in the Bivector validator; rel L^1
-# |det L| in is_simple; rel L^4.  Also the default tol of exp_spin and of the
-# CLI, whose one --tol reaches both is_simple and is_simple_transform.
+# |det L| in is_simple, and its equal 4 (Im s^2)^2 in exp_spin; rel L^4.  Also the
+# default tol of exp_spin and of the CLI, whose one --tol reaches both is_simple
+# and is_simple_transform.
 SIMPLE_DET_TOL = 1e-9
 DECOMPOSE_GAP_TOL = 1e-8  # mu_plus - mu_minus in orthogonal_decompose; rel L^2
 PLANE_TOL = 1e-9  # |tr2 L| in plane_projection; rel L^2
@@ -56,11 +63,20 @@ FACTOR_PIVOT_TOL = 1e-7  # rank of L g^{-1} in wedge_factors; pivot
 SPIN_REP_SKEW_TOL = 1e-9  # ||F + F^T|| for F = L g^{-1} in spin_rep; rel F^1
 # mu_plus - mu_minus in spin_decompose; abs, while DECOMPOSE_GAP_TOL is rel L^2
 SPIN_GAP_TOL = 1e-8
-SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio and sinh_ratio; abs
-# mu_plus - mu_minus in exp_spin, at or below it the series oracle; rel L^2.
-# The default min_gap of random_nonsimple_bivector, so samples reach the polynomial.
+SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spin; abs
+# mu_plus - mu_minus = 4 |s^2| of a non-simple L in exp_spin, at or below it the
+# label "near-degenerate/series"; rel L^2.  Also the default min_gap of
+# random_nonsimple_bivector, so samples draw the label "nonsimple/polynomial".
 SERIES_GAP_TOL = 1e-3
 _NULL_TOL = 1e-12  # |tr2 L| of a "simple/null" exp_spin branch; rel L^2
+# |Im s^2| = sqrt|det L| / 2 of a simple-labelled L in exp_spin, s^2 = -det X for
+# X the Weyl block of sigma(L): the paper's two-term exponential drops the part of
+# L that Im s^2 measures.  Its error relative to max|exp(sigma(L))| fits
+# 0.5 |Im s^2| / scale(L, 2) for |s^2| < 1, up to 4.5 times that for |s^2| < 4.
+# At or below c u scale(L, 2), c = 64, the worst measured over perturbed random
+# wedges of scale 1e-3 to 8 was 9e-15 (|s^2| < 1) and 3e-14 (|s^2| < 4); above
+# it exp_spin takes the SL(2,C) exponential.  Units: rel L^2.
+_TWO_TERM_GATE = 64.0 * _UNIT_ROUNDOFF
 # ||Lam^T g Lam - g|| and |det Lam - 1| in the LorentzTransformation validator;
 # rel Lam^2, degree 2 for det Lam too.  Also abs on 1 - Lam^0_0 and on -tr Lam.
 ORTHO_TOL = 1e-9
@@ -71,7 +87,6 @@ SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
 # roundoff.  Over sweeps of pi - eps rotations, with boosts of rapidity 0-2 and
 # frame changes, c reached 30 for tr Lam and 82 for the denominator; c = 128
 # bounds both, and each gate keeps the error within _LIFT_TARGET.  Units: rel Lam^2.
-_UNIT_ROUNDOFF = 2.0 ** -53
 _LIFT_TARGET = 1e-11  # relative forward error of a lift formula at its gate
 TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple above
 LOG_TRACE_GATE = 1e-9  # tr Lam in log_simple; abs

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import (
     DECOMPOSE_GAP_TOL, FACTOR_PIVOT_TOL, NEGATIVE_DISC_TOL, PLANE_TOL, SIMPLE_DET_TOL,
-    SKEW_TOL, TINY, TRACE_TOL, maxabs, pivot_columns, scale,
+    SKEW_TOL, TINY, TRACE_TOL, _floored, maxabs, pivot_columns, scale,
 )
 from .errors import (
     DegeneratePlaneError,
@@ -40,13 +40,14 @@ class Bivector:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise InvalidBivectorError(f"bivector must be 4x4, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        top = maxabs(m)  # NaN and +/-inf entries carry through to it
+        if not math.isfinite(top):
             raise InvalidBivectorError("bivector entries must be finite")
         g = self.metric.matrix
-        norm = scale(m, 1)
+        norm = _floored(top, 1)
         if maxabs(m.T @ g + g @ m) > SKEW_TOL * norm:
             raise InvalidBivectorError("matrix is not skew with respect to the metric")
-        if abs(float(np.trace(m))) > TRACE_TOL * norm:
+        if abs(float(m.trace())) > TRACE_TOL * norm:
             raise InvalidBivectorError("matrix is not traceless")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

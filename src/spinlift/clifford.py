@@ -24,6 +24,7 @@ which on a wedge u ^ v reduces to rho(uv - vu)/4.  The commutation identity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +146,7 @@ _PAULI = (
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 _Z2 = np.zeros((2, 2), dtype=complex)
+_WEYL_U = np.kron([[1.0, -1.0], [1.0, 1.0]], np.eye(2))  # Dirac to Weyl, times sqrt(2)
 _GAMMA_PMMM = np.stack(
     [np.block([[np.eye(2, dtype=complex), _Z2], [_Z2, -np.eye(2, dtype=complex)]])]
     + [np.block([[_Z2, s], [-s, _Z2]]) for s in _PAULI]
@@ -174,6 +176,18 @@ class Representation:
         self._blade_rows = blades.reshape(BLADE_COUNT, -1)
         self._vector_rows = self.vectors.reshape(len(VECTOR_MASKS), -1)
         self._pair_rows = self.pair_generators.reshape(len(PAIR_INDICES), -1)
+
+    @cached_property  # built on first use; a metric other than pmmm, mppp raises here
+    def _weyl_tables(self):
+        # The even gamma blades over this metric are block-diagonal in the Weyl basis,
+        # U rho U^T with U = _WEYL_U / sqrt(2); their upper-left blocks have squared
+        # norm 2, the odd ones' none.  Returns (pairs, even): F's six pair
+        # coefficients -> X, the block of sigma(L), as a (6, 4) complex table, and
+        # (Re A, Im A) of a block A -> even blade coefficients, the transpose over 2.
+        blades = representation("gamma", self.metric).blades
+        a = (_WEYL_U @ blades @ _WEYL_U.T)[:, :2, :2].reshape(BLADE_COUNT, 4)
+        pairs = [(1 << i) | (1 << j) for i, j in PAIR_INDICES]
+        return 0.25 * a[pairs], 0.25 * np.hstack([a.real, a.imag])
 
     def of(self, x: CliffordElement) -> np.ndarray:
         """Matrix image of an algebra element."""
@@ -231,10 +245,23 @@ def representation(kind: str, g: Metric) -> Representation:
 
 def spin_rep(rep: Representation, L: Bivector) -> np.ndarray:
     """Spin-representation image sigma(L) of a bivector (simple or not)."""
+    return np.dot(_pair_coefficients(rep, L)[0], rep._pair_rows).reshape(rep.dim, -1)
+
+
+def _pair_coefficients(rep: Representation, L: Bivector):
+    # (F^ab for a < b as a (1, 6) row, scale(F, 1)) of F = L g^{-1}, checked skew
     f = L.matrix @ rep.metric._inverse
-    if maxabs(f + f.T) > SPIN_REP_SKEW_TOL * scale(f, 1):
+    norm = scale(f, 1)
+    if maxabs(f + f.T) > SPIN_REP_SKEW_TOL * norm:
         raise InvalidBivectorError("coefficient matrix L g^{-1} is not antisymmetric")
-    return np.dot(f[_PAIR_INDEX].reshape(1, -1), rep._pair_rows).reshape(rep.dim, -1)
+    return f[_PAIR_INDEX].reshape(1, -1), norm
+
+
+def _even_image(rep: Representation, re_im) -> np.ndarray:
+    # The image in rep of the even element whose Weyl block A has (Re A, Im A) = re_im,
+    # both row-major
+    coeffs = np.dot(rep._weyl_tables[1], re_im)
+    return np.dot(coeffs.reshape(1, -1), rep._blade_rows).reshape(rep.dim, -1)
 
 
 def lie_bracket_check(rep: Representation, l1: Bivector, l2: Bivector) -> float:

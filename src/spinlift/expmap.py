@@ -6,23 +6,31 @@ collapses to cbar I + sbar S with trigonometric (tr2 > 0), hyperbolic
 commuting split gives a four-term product formula, which regrouped in powers
 of S becomes a cubic polynomial with coefficients alpha_0..alpha_3 built from
 the same cbar/sbar data of the two parts.
+
+The dispatcher ``exp_spin`` works in SL(2,C): X, the Weyl block of sigma(L),
+squares to s^2 I, where the complex s^2 = -det X packs the two half-angles of
+the paper as s = theta_plus + i theta_minus.  So exp X = cosh(s) I + sinh(s)/s X
+in every regime, with no eigenvalue gap to divide by; the even blade
+coefficients of exp X give the result in either representation.  The two-term
+form serves the simple inputs it is accurate for; the factored and polynomial
+forms stay as public referees.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import (
-    SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _NULL_TOL, scale,
+    SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _NULL_TOL, _TWO_TERM_GATE,
 )
-from .bivector import (Bivector, MuPair, _decompose, _is_simple_det, _mu_pair,
-                       det_bivector, is_simple, mu_roots, tr2)
-from .clifford import Representation, spin_rep
+from .bivector import (Bivector, MuPair, _decompose, _is_simple_det, is_simple,
+                       mu_roots, tr2)
+from .clifford import Representation, _even_image, _pair_coefficients, spin_rep
 from .errors import SimpleInputError
-from .oracle import exp_series
 
 
 def sin_ratio(theta: float) -> float:
@@ -128,11 +136,7 @@ def exp_spin_polynomial(L: Bivector, rep: Representation) -> np.ndarray:
     """exp(sigma(L)) for non-simple L as a cubic polynomial in S = sigma(L)."""
     if is_simple(L):
         raise SimpleInputError("polynomial exponential requires a non-simple input")
-    return _exp_polynomial(L, rep, mu_roots(L))
-
-
-def _exp_polynomial(L: Bivector, rep: Representation, mu: MuPair) -> np.ndarray:
-    co = exp_coefficients(mu)
+    co = exp_coefficients(mu_roots(L))
     s = spin_rep(rep, L)
     s2 = s @ s
     a0, a1, a2, a3 = co.alpha
@@ -145,27 +149,46 @@ def exp_spin(
     tol: float = SIMPLE_DET_TOL,
     return_branch: bool = False,
 ):
-    """exp(sigma(L)) for any bivector, routed by regime.
+    """exp(sigma(L)) for any bivector, labelled by regime.
 
-    Simple inputs use the two-term closed form; non-simple inputs with a
-    healthy eigenvalue gap use the cubic polynomial; inputs near the
-    simple/non-simple tolerance boundary fall back to the series oracle
-    (branch "near-degenerate/series").  With ``return_branch=True`` returns
-    ``(matrix, branch)``.  The branch taken trusts the classification at ``tol``.
+    X, the Weyl block of sigma(L) in SL(2,C)'s Lie algebra, squares to s^2 I with
+    s^2 = -det X; tr2 L = -4 Re s^2 and det L = -4 (Im s^2)^2 label the input:
+    "simple/trig", "simple/hyperbolic" or "simple/null" when L is simple at
+    ``tol``, else "nonsimple/polynomial", or "near-degenerate/series" for an
+    eigenvalue gap 4 |s^2| at or below its gate.  A simple label with
+    |Im s^2| within its gate takes the paper's two-term closed form; every other
+    input takes exp X = cosh(s) I + sinh(s)/s X, which has no gap to divide by,
+    mapped to the representation through its even blade coefficients.  With
+    ``return_branch=True`` returns ``(matrix, branch)``.
     """
-    t2, d, norm = tr2(L), det_bivector(L), scale(L.matrix, 1)
-    mu = _mu_pair(t2, d)
-    norm2 = norm**2
-    if _is_simple_det(d, norm, tol):
-        out = exp_spin_simple(spin_rep(rep, L), t2)
+    coeffs, norm = _pair_coefficients(rep, L)
+    x00, x01, x10, x11 = np.dot(coeffs, rep._weyl_tables[0])[0].tolist()  # X
+    s2 = x01 * x10 - x00 * x11
+    t2, norm2 = -4.0 * s2.real, norm**2
+    if _is_simple_det(-4.0 * s2.imag**2, norm, tol):
         if abs(t2) <= _NULL_TOL * norm2:
             branch = "simple/null"
         elif t2 > 0.0:
             branch = "simple/trig"
         else:
             branch = "simple/hyperbolic"
-    elif mu.mu_plus - mu.mu_minus > SERIES_GAP_TOL * norm2:
-        out, branch = _exp_polynomial(L, rep, mu), "nonsimple/polynomial"
+        if abs(s2.imag) <= _TWO_TERM_GATE * norm2:
+            # sigma(L) as spin_rep maps it and tr2 L, not -4 Re s^2, which rounds
+            # apart: the paper's formula, bit for bit
+            s = np.dot(coeffs, rep._pair_rows).reshape(rep.dim, -1)
+            out = exp_spin_simple(s, tr2(L))
+            return (out, branch) if return_branch else out
+    elif 4.0 * abs(s2) > SERIES_GAP_TOL * norm2:
+        branch = "nonsimple/polynomial"
     else:
-        out, branch = exp_series(spin_rep(rep, L)), "near-degenerate/series"
+        branch = "near-degenerate/series"
+    s = cmath.sqrt(s2)
+    # sinh(s)/s, with a 3-term Taylor fallback near zero as in sinh_ratio
+    if abs(s) < SBAR_TAYLOR_CUTOFF:
+        h = 1.0 + s2 / 6.0 + s2 * s2 / 120.0
+    else:
+        h = cmath.sinh(s) / s
+    c = cmath.cosh(s)
+    a = (c + h * x00, h * x01, h * x10, c + h * x11)
+    out = _even_image(rep, np.array([z.real for z in a] + [z.imag for z in a]))
     return (out, branch) if return_branch else out

@@ -19,11 +19,11 @@ import numpy as np
 
 from ._linalg import (
     DENOMINATOR_GATE, FACTOR_GAP_TOL, LOG_TRACE_GATE, ORTHO_TOL, PARABOLIC_TOL,
-    SIGN_TOL, SIMPLE_CRITERION_TOL, TRACE_GATE, factor_delta, lift_denominator, maxabs,
-    scale, simplicity_defect, transform_traces,
+    SIGN_TOL, SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, factor_delta,
+    lift_denominator, maxabs, scale, simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
-from .clifford import _PAULI, Representation, representation, spin_rep
+from .clifford import _PAULI, Representation, _even_image, spin_rep
 from .errors import (
     DegenerateDenominatorError,
     InvalidTransformationError,
@@ -53,17 +53,18 @@ class LorentzTransformation:
             raise InvalidTransformationError(
                 f"transformation must be 4x4, got shape {m.shape}"
             )
-        if not np.isfinite(m).all():
+        top = maxabs(m)  # NaN and +/-inf entries carry through to it
+        if not math.isfinite(top):
             raise InvalidTransformationError("transformation entries must be finite")
         g = self.metric.matrix
-        norm2 = scale(m, 2)
+        norm2 = _floored(top, 2)
         if maxabs(m.T @ g @ m - g) > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
         if abs(float(np.linalg.det(m)) - 1.0) > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix is not proper (det != 1)")
         if m[0, 0] < 1.0 - ORTHO_TOL:
             raise InvalidTransformationError("matrix is not orthochronous")
-        if float(np.trace(m)) < -ORTHO_TOL:
+        if float(m.trace()) < -ORTHO_TOL:
             raise InvalidTransformationError(
                 "negative trace: matrix is outside the proper orthochronous component"
             )
@@ -251,18 +252,6 @@ _S = np.stack([np.eye(2, dtype=complex), *_PAULI])
 _SPINOR_H = 0.5 * np.einsum("mil,nkj->ijlkmn", _S, _S).reshape(16, 16)
 
 
-def _even_table(g: Metric) -> np.ndarray:
-    # A is the upper-left block of U Sigma U^T, U = u / sqrt(2) (Dirac to Weyl); there
-    # the even gamma blades have orthogonal blocks of squared norm 2, the odd ones
-    # none, so (Re A, Im A) -> coefficients is their transpose over 2, exact with u.
-    u = np.kron([[1.0, -1.0], [1.0, 1.0]], np.eye(2))
-    a = (u @ representation("gamma", g).blades @ u.T)[:, :2, :2].reshape(16, 4)
-    return 0.25 * np.hstack([a.real, a.imag])
-
-
-_EVEN_TABLES: dict = {}  # metric diagonal -> _even_table, built on first use
-
-
 def _spinor(m) -> np.ndarray:
     # +/-A of Lam = m: the column of H with the largest diagonal (>= 1/2, as
     # det A = 1) is A times a phase, and the phase of det A alone fixes it.
@@ -274,13 +263,9 @@ def _spinor(m) -> np.ndarray:
 
 
 def _lift_spinor(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
-    # The gate-free lift, from the even blade coefficients of A
-    key = tuple(rep.metric.matrix.diagonal())
-    if key not in _EVEN_TABLES:  # a metric other than pmmm, mppp raises here
-        _EVEN_TABLES[key] = _even_table(rep.metric)
+    # The gate-free lift: Sigma is the even element whose Weyl block is A
     a = _spinor(lam.matrix).ravel()
-    coeffs = np.dot(_EVEN_TABLES[key], np.concatenate([a.real, a.imag]))
-    return np.dot(coeffs.reshape(1, -1), rep._blade_rows).reshape(rep.dim, -1)
+    return _even_image(rep, np.concatenate([a.real, a.imag]))
 
 
 def lift(

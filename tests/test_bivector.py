@@ -119,6 +119,16 @@ def test_bivector_validation(g):
         Bivector(bad, g)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 1), (2, 2), (3, 0)])
+def test_bivector_rejects_non_finite(g, value, entry):
+    # one maxabs carries NaN and +/-inf alike to the finiteness test
+    bad = WEDGE_01.copy()
+    bad[entry] = value
+    with pytest.raises(InvalidBivectorError, match="entries must be finite"):
+        Bivector(bad, g)
+
+
 def test_bivector_metric_mismatch(g, g_alt):
     a = wedge(g, E[0], E[1])
     b = wedge(g_alt, E[0], E[1])

@@ -155,7 +155,68 @@ def test_exp_spin_near_degenerate_series(g, rep):
     assert 0.0 < gap < 1e-3
     out, branch = exp_spin(L, rep, return_branch=True)
     assert branch == "near-degenerate/series"
-    assert mabs(out - exp_series(spin_rep(rep, L))) == 0.0
+    series = exp_series(spin_rep(rep, L))
+    assert mabs(out - series) <= 1e-14 * mabs(series)
+
+
+def _metric_rep(sig, kind):
+    g = make_metric(sig)
+    return g, representation(kind, g)
+
+
+def _rel_error(out, rep, L):
+    series = exp_series(spin_rep(rep, L))
+    return mabs(out - series) / mabs(series)
+
+
+SWEEPS = {
+    "b01 + eps b23": lambda b01, b12, b23, eps: b01 + eps * b23,
+    "b01 + b12 + eps b23": lambda b01, b12, b23, eps: b01 + b12 + eps * b23,
+    "eps (b01 + b23)": lambda b01, b12, b23, eps: eps * (b01 + b23),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SWEEPS))
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_exp_spin_eps_sweeps(sig, rep, family):
+    # Off exact decades, across every label these families reach: near the
+    # simple/non-simple gate, near null, and with a vanishing eigenvalue gap.
+    g, rep = _metric_rep(sig, rep.kind)
+    b01, b12, b23 = (wedge(g, E[a], E[b]) for a, b in ((0, 1), (1, 2), (2, 3)))
+    for eps in np.logspace(-12, 0, 49) * 1.37:
+        L = SWEEPS[family](b01, b12, b23, eps)
+        assert _rel_error(exp_spin(L, rep), rep, L) <= 1e-13, eps
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_exp_spin_simple_label_keeps_accuracy(sig, rep):
+    # simple at the default tol, yet with |Im s^2| far above the two-term gate:
+    # the label stays, the output is the SL(2,C) exponential's
+    g, rep = _metric_rep(sig, rep.kind)
+    b01, b23 = wedge(g, E[0], E[1]), wedge(g, E[2], E[3])
+    L = b01 + 1e-5 * b23
+    out, branch = exp_spin(L, rep, return_branch=True)
+    assert branch == "simple/hyperbolic"
+    assert _rel_error(out, rep, L) <= 1e-14
+    L = 1e-3 * (b01 + b23)
+    out, branch = exp_spin(L, rep, return_branch=True)
+    assert branch.startswith("simple/")
+    assert _rel_error(out, rep, L) <= 1e-14
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_exp_spin_two_term_bits(sig, rep):
+    # inside the two-term gate a simple label gives the paper's closed form, bit for bit
+    g, rep = _metric_rep(sig, rep.kind)
+    wedges = [random_wedge(g, seed, kind=kind) * k
+              for seed in range(8) for kind in ("rotation", "boost", "null")
+              for k in (1e-3, 1.0, 4.0)]
+    wedges += [wedge(g, E[0], E[1]), wedge(g, E[0] + E[3], E[1]),
+               0.0 * wedge(g, E[2], E[3])]
+    for W in wedges:
+        out, branch = exp_spin(W, rep, return_branch=True)
+        assert branch.startswith("simple/")
+        assert out.tobytes() == exp_spin_simple(spin_rep(rep, W), tr2(W)).tobytes()
 
 
 @pytest.mark.parametrize("sig", ["pmmm", "mppp"])

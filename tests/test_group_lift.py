@@ -70,6 +70,15 @@ def test_validation_rejections(g):
         LorentzTransformation(-np.eye(4), g)  # antichronous
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (3, 3)])
+def test_validation_rejects_non_finite(g, value, entry):
+    bad = np.eye(4)
+    bad[entry] = value
+    with pytest.raises(InvalidTransformationError, match="entries must be finite"):
+        LorentzTransformation(bad, g)
+
+
 def test_inverse_exact(g):
     lam = block_transform(g, 0.7, 1.2)
     assert mabs(lam.matrix @ lam.inverse() - np.eye(4)) < 1e-14

@@ -6,6 +6,7 @@ or a decomposition computes its invariants once and that the selftest battery
 draws each input once.
 """
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -78,8 +79,10 @@ def test_images_bit_equal_tensordot(metric, kind):
         assert rep.of(x).tobytes() == expected.tobytes()
 
 
-def test_exp_spin_computes_det_once(g, rep, monkeypatch):
-    calls = count_calls(monkeypatch, det_bivector)
+def test_exp_spin_runs_no_det_or_series(g, rep, monkeypatch):
+    # every label is read off s^2 of the Weyl block, and no output takes the series
+    dets = count_calls(monkeypatch, det_bivector)
+    series = count_calls(monkeypatch, exp_series)
     b01, b12, b23 = (wedge(g, E[a], E[b]) for a, b in ((0, 1), (1, 2), (2, 3)))
     cases = {
         "simple/hyperbolic": b01,
@@ -89,9 +92,11 @@ def test_exp_spin_computes_det_once(g, rep, monkeypatch):
         "near-degenerate/series": 0.02 * (b01 + b23),
     }
     for branch, L in cases.items():
-        calls.clear()
+        dets.clear()
+        series.clear()
         assert exp_spin(L, rep, return_branch=True)[1] == branch
-        assert len(calls) == 1, branch
+        assert (len(dets), len(series)) == (0, 0), branch
+    assert spinlift.oracle not in map(inspect.getmodule, vars(spinlift.expmap).values())
 
 
 def test_decompose_computes_det_once(g, rep, monkeypatch):
