@@ -69,14 +69,6 @@ SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spi
 # random_nonsimple_bivector, so samples draw the label "nonsimple/polynomial".
 SERIES_GAP_TOL = 1e-3
 _NULL_TOL = 1e-12  # |tr2 L| of a "simple/null" exp_spin branch; rel L^2
-# |Im s^2| = sqrt|det L| / 2 of a simple-labelled L in exp_spin, s^2 = -det X for
-# X the Weyl block of sigma(L): the paper's two-term exponential drops the part of
-# L that Im s^2 measures.  Its error relative to max|exp(sigma(L))| fits
-# 0.5 |Im s^2| / scale(L, 2) for |s^2| < 1, up to 4.5 times that for |s^2| < 4.
-# At or below c u scale(L, 2), c = 64, the worst measured over perturbed random
-# wedges of scale 1e-3 to 8 was 9e-15 (|s^2| < 1) and 3e-14 (|s^2| < 4); above
-# it exp_spin takes the SL(2,C) exponential.  Units: rel L^2.
-_TWO_TERM_GATE = 64.0 * _UNIT_ROUNDOFF
 # ||Lam^T g Lam - g|| and |det Lam - 1| in the LorentzTransformation validator;
 # rel Lam^2, degree 2 for det Lam too.  Also abs on 1 - Lam^0_0 and on -tr Lam.
 ORTHO_TOL = 1e-9
@@ -98,7 +90,9 @@ SIGN_TOL = 1e-12  # |Re z| of the largest entry in sign_normalize; relative to |
 TINY = 1e-300  # floor on the largest pivot, and on the wedge_factors ratio; abs
 SERIES_TERM_TOL = 1e-16  # largest term entry in exp_series; relative to the sum's
 _COND_LIMIT = 1e12  # condition number of a lift in intertwining_defect; abs
-NULL_WEDGE_MIN = 1e-6  # maxabs(L) of a null wedge in random_wedge; abs
+# maxabs(L) of a null wedge in random_wedge; relative to scale^2, for the sampler's
+# scale argument, as L = u ^ v is of degree 2 in it
+NULL_WEDGE_MIN = 1e-6
 
 
 def pivot_columns(m):

@@ -257,10 +257,10 @@ def _pair_coefficients(rep: Representation, L: Bivector):
     return f[_PAIR_INDEX].reshape(1, -1), norm
 
 
-def _even_image(rep: Representation, re_im) -> np.ndarray:
-    # The image in rep of the even element whose Weyl block A has (Re A, Im A) = re_im,
-    # both row-major
-    coeffs = np.dot(rep._weyl_tables[1], re_im)
+def _even_image(rep: Representation, a) -> np.ndarray:
+    # The image in rep of the even element whose Weyl block is A = a, row-major
+    a = np.ravel(a)
+    coeffs = np.dot(rep._weyl_tables[1], np.concatenate((a.real, a.imag)))
     return np.dot(coeffs.reshape(1, -1), rep._blade_rows).reshape(rep.dim, -1)
 
 

@@ -11,9 +11,8 @@ The dispatcher ``exp_spin`` works in SL(2,C): X, the Weyl block of sigma(L),
 squares to s^2 I, where the complex s^2 = -det X packs the two half-angles of
 the paper as s = theta_plus + i theta_minus.  So exp X = cosh(s) I + sinh(s)/s X
 in every regime, with no eigenvalue gap to divide by; the even blade
-coefficients of exp X give the result in either representation.  The two-term
-form serves the simple inputs it is accurate for; the factored and polynomial
-forms stay as public referees.
+coefficients of exp X give the result in either representation.  The paper's
+two-term, factored and polynomial forms stay public as referees.
 """
 
 from __future__ import annotations
@@ -24,11 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (
-    SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _NULL_TOL, _TWO_TERM_GATE,
-)
-from .bivector import (Bivector, MuPair, _decompose, _is_simple_det, is_simple,
-                       mu_roots, tr2)
+from ._linalg import SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _NULL_TOL
+from .bivector import Bivector, MuPair, _decompose, _is_simple_det, is_simple, mu_roots
 from .clifford import Representation, _even_image, _pair_coefficients, spin_rep
 from .errors import SimpleInputError
 
@@ -55,7 +51,7 @@ class ExpCoefficients:
 
     theta_plus/theta_minus are the half-angles of the boost-like and
     rotation-like parts; cbar/sbar their cosh-cos and sinh-sin ratios; alpha
-    the polynomial coefficients; gap_scale the factor 2/(mu_plus - mu_minus).
+    the polynomial coefficients.
     """
 
     theta_plus: float
@@ -65,7 +61,6 @@ class ExpCoefficients:
     s_bar_plus: float
     s_bar_minus: float
     alpha: tuple
-    gap_scale: float
 
 
 def exp_coefficients(mu: MuPair) -> ExpCoefficients:
@@ -91,7 +86,7 @@ def exp_coefficients(mu: MuPair) -> ExpCoefficients:
         0.5 * sp * sm,
         n * (cp * sm - sp * cm),
     )
-    return ExpCoefficients(theta_plus, theta_minus, cp, cm, sp, sm, alpha, n)
+    return ExpCoefficients(theta_plus, theta_minus, cp, cm, sp, sm, alpha)
 
 
 def exp_spin_simple(s, tr2_l: float) -> np.ndarray:
@@ -152,14 +147,13 @@ def exp_spin(
     """exp(sigma(L)) for any bivector, labelled by regime.
 
     X, the Weyl block of sigma(L) in SL(2,C)'s Lie algebra, squares to s^2 I with
-    s^2 = -det X; tr2 L = -4 Re s^2 and det L = -4 (Im s^2)^2 label the input:
-    "simple/trig", "simple/hyperbolic" or "simple/null" when L is simple at
-    ``tol``, else "nonsimple/polynomial", or "near-degenerate/series" for an
-    eigenvalue gap 4 |s^2| at or below its gate.  A simple label with
-    |Im s^2| within its gate takes the paper's two-term closed form; every other
-    input takes exp X = cosh(s) I + sinh(s)/s X, which has no gap to divide by,
-    mapped to the representation through its even blade coefficients.  With
-    ``return_branch=True`` returns ``(matrix, branch)``.
+    s^2 = -det X, and every input takes exp X = cosh(s) I + sinh(s)/s X, which
+    has no gap to divide by, mapped to the representation through its even blade
+    coefficients.  tr2 L = -4 Re s^2 and det L = -4 (Im s^2)^2 only label the
+    input: "simple/trig", "simple/hyperbolic" or "simple/null" when L is simple
+    at ``tol``, else "nonsimple/polynomial", or "near-degenerate/series" for an
+    eigenvalue gap 4 |s^2| at or below its gate.  With ``return_branch=True``
+    returns ``(matrix, branch)``.
     """
     coeffs, norm = _pair_coefficients(rep, L)
     x00, x01, x10, x11 = np.dot(coeffs, rep._weyl_tables[0])[0].tolist()  # X
@@ -172,12 +166,6 @@ def exp_spin(
             branch = "simple/trig"
         else:
             branch = "simple/hyperbolic"
-        if abs(s2.imag) <= _TWO_TERM_GATE * norm2:
-            # sigma(L) as spin_rep maps it and tr2 L, not -4 Re s^2, which rounds
-            # apart: the paper's formula, bit for bit
-            s = np.dot(coeffs, rep._pair_rows).reshape(rep.dim, -1)
-            out = exp_spin_simple(s, tr2(L))
-            return (out, branch) if return_branch else out
     elif 4.0 * abs(s2) > SERIES_GAP_TOL * norm2:
         branch = "nonsimple/polynomial"
     else:
@@ -189,6 +177,5 @@ def exp_spin(
     else:
         h = cmath.sinh(s) / s
     c = cmath.cosh(s)
-    a = (c + h * x00, h * x01, h * x10, c + h * x11)
-    out = _even_image(rep, np.array([z.real for z in a] + [z.imag for z in a]))
+    out = _even_image(rep, np.array((c + h * x00, h * x01, h * x10, c + h * x11)))
     return (out, branch) if return_branch else out

@@ -23,7 +23,7 @@ from ._linalg import (
     lift_denominator, maxabs, scale, simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
-from .clifford import _PAULI, Representation, _even_image, spin_rep
+from .clifford import _PAIR_INDEX, _PAULI, Representation, _even_image, spin_rep
 from .errors import (
     DegenerateDenominatorError,
     InvalidTransformationError,
@@ -205,7 +205,9 @@ def factor_transform(
 def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
     """Spin lift of a simple Lam with tr Lam above lift's gate (up to global sign):
 
-        Sigma = (tr Lam I + 2 sigma(Lam - Lam^{-1})) / (2 sqrt(tr Lam)).
+        Sigma = (tr Lam I + 2 sigma(Lam - Lam^{-1})) / (2 sqrt(tr Lam)),
+
+    evaluated on the Weyl block of Sigma in SL(2,C).
     """
     t, t2 = transform_traces(lam.matrix)
     # Its error grows with the simplicity defect: guarded at the default tol.
@@ -213,12 +215,18 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
         raise NotSimpleError("lift_simple requires a simple transformation")
     if t <= min(TRACE_GATE * scale(lam.matrix, 2), 4.0):  # lift's gate
         raise TracelessSimpleError("trace too close to zero for lift_simple; use lift")
-    return _lift_simple(lam, rep, t)
+    return _even_image(rep, _simple_block(lam, rep, t))
 
 
-def _lift_simple(lam: LorentzTransformation, rep: Representation, t):
-    s = spin_rep(rep, Bivector(lam.matrix - lam.inverse(), lam.metric))
-    return (t * rep.identity + 2.0 * s) / (2.0 * math.sqrt(t))
+def _simple_block(lam: LorentzTransformation, rep: Representation, t):
+    # The Weyl block of lift_simple's Sigma: A = (sqrt(t) / 2) I + X_B / sqrt(t), X_B
+    # the block of sigma(B), B = Lam - Lam^{-1}.  With M = Lam g^{-1} and
+    # Lam^{-1} = g^{-1} Lam^T g, B g^{-1} = M - M^T is skew by construction.
+    m = lam.matrix @ lam.metric._inverse
+    r = math.sqrt(t)
+    a = np.dot((m - m.T)[_PAIR_INDEX], rep._weyl_tables[0]) / r
+    a[0::3] += 0.5 * r
+    return a
 
 
 def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
@@ -262,12 +270,6 @@ def _spinor(m) -> np.ndarray:
     return a / cmath.sqrt(d / abs(d))
 
 
-def _lift_spinor(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
-    # The gate-free lift: Sigma is the even element whose Weyl block is A
-    a = _spinor(lam.matrix).ravel()
-    return _even_image(rep, np.concatenate([a.real, a.imag]))
-
-
 def lift(
     lam: LorentzTransformation,
     rep: Representation,
@@ -283,7 +285,8 @@ def lift(
     * non-simple, denominator above its gate -> the spinor map     ("nonsimple")
     * non-simple, denominator at or below it -> the spinor map     ("nonsimple/special")
 
-    The spinor map Lam -> +/-A in SL(2,C) (Shepperd's largest-diagonal
+    Each branch forms A in SL(2,C), the Weyl block of Sigma, and one map takes
+    A to ``rep``.  The spinor map Lam -> +/-A (Shepperd's largest-diagonal
     extraction) has no gate; the denominator gate only names the non-simple
     regime.  A Lam simple at ``tol`` but not at the default tol, where the
     simple formula loses accuracy, keeps the label "simple" and takes the
@@ -301,9 +304,10 @@ def lift(
     # Boosts and null rotations have tr Lam >= 4, far from the root's zero;
     # there lift_simple is also more accurate than the spinor map.
     if branch == "simple" and _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
-        out = _lift_simple(lam, rep, t)
+        a = _simple_block(lam, rep, t)
     else:
-        out = _lift_spinor(lam, rep)
+        a = _spinor(lam.matrix)
+    out = _even_image(rep, a)
     return (out, branch) if return_branch else out
 
 

@@ -56,14 +56,14 @@ def random_wedge(g: Metric, seed: int, kind: str = "any", scale: float = 1.0) ->
             z = np.eye(4)[0]
             v = w - (inner(g, u, w) / inner(g, u, z)) * z
             L = wedge(g, u, v)
-            if _linalg.maxabs(L.matrix) > _linalg.NULL_WEDGE_MIN:
+            if _linalg.maxabs(L.matrix) > _linalg.NULL_WEDGE_MIN * scale * scale:
                 return L
             continue
         u = rng.uniform(-scale, scale, 4)
         v = rng.uniform(-scale, scale, 4)
         L = wedge(g, u, v)
         t2 = tr2(L)
-        floor = 0.1 * scale * scale
+        floor = 0.1 * scale**4  # tr2 of u ^ v is of degree 4 in scale
         if kind == "rotation" and t2 > floor:
             return L
         if kind == "boost" and t2 < -floor:

@@ -258,6 +258,18 @@ def test_simple_cube_identity(g):
         assert mabs(m @ m @ m + tr2(W) * m) < 1e-10 * max(1.0, mabs(m) ** 3)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1e-2, 0.1, 1.0, 4.0])
+@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
+def test_random_wedge_kinds_at_every_scale(tag, scale):
+    # tr2 of u ^ v is of degree 4 in the sampler's scale, and its floors follow
+    g = make_metric(tag)
+    for seed in range(10):
+        t = {kind: tr2(random_wedge(g, seed, kind=kind, scale=scale)) / scale**4
+             for kind in ("rotation", "boost", "null", "any")}
+        assert t["rotation"] > 0.0 > t["boost"], seed
+        assert abs(t["null"]) <= 1e-12 and t["any"] != 0.0, seed
+
+
 def test_plane_projection_frozen(g):
     assert mabs(plane_projection(wedge(g, E[0], E[1])) - np.diag([1.0, 1.0, 0, 0])) < 1e-15
     assert mabs(plane_projection(wedge(g, E[2], E[3])) - np.diag([0, 0, 1.0, 1.0])) < 1e-15

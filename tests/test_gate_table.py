@@ -57,7 +57,7 @@ MODULE_CONSTANTS = {
     "bivector": ["SKEW_TOL", "TRACE_TOL", "SIMPLE_DET_TOL", "DECOMPOSE_GAP_TOL",
                  "PLANE_TOL", "NEGATIVE_DISC_TOL", "FACTOR_PIVOT_TOL"],
     "spin": ["SPIN_GAP_TOL"],
-    "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL", "_NULL_TOL", "_TWO_TERM_GATE"],
+    "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL", "_NULL_TOL"],
     "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE", "LOG_TRACE_GATE",
                    "PARABOLIC_TOL", "FACTOR_GAP_TOL", "DENOMINATOR_GATE"],
     "oracle": ["_COND_LIMIT"],

@@ -442,12 +442,22 @@ def test_lift_gate_sweep(sig, frame, rep):
 
 def test_lift_spinor_needs_standard_signature():
     # The regular representation exists over any diagonal +/-1 metric, but the
-    # spinor map takes index 0 as time: a half-turn over diag(1, 1, 1, -1) is
-    # refused with a typed error rather than lifted wrongly.
+    # Weyl block that every lift is evaluated on exists only over pmmm and mppp,
+    # with index 0 as time: a half-turn (spinor map) and a hyperbolic rotation in
+    # the (0, 3) plane (simple formula) over diag(1, 1, 1, -1) raise a typed error.
     g = metric_from_matrix(np.diag([1.0, 1.0, 1.0, -1.0]))
+    rep = representation("regular", g)
     lam = LorentzTransformation(np.diag([1.0, -1.0, -1.0, 1.0]), g)
     with pytest.raises(NonDiagonalMetricError):
-        lift(lam, representation("regular", g))
+        lift(lam, rep)
+    c, s = math.cosh(0.5), math.sinh(0.5)
+    hyperbolic = np.eye(4)
+    hyperbolic[np.ix_([0, 3], [0, 3])] = [[c, s], [s, c]]
+    lam = LorentzTransformation(hyperbolic, g)
+    assert is_simple_transform(lam)
+    for fn in (lift, lift_simple):
+        with pytest.raises(NonDiagonalMetricError):
+            fn(lam, rep)
 
 
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])

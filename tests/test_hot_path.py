@@ -26,12 +26,14 @@ from spinlift import (
     orthogonal_decompose,
     representation,
     spin_rep,
+    tr2,
     wedge,
 )
 from spinlift.bivector import det_bivector
 from spinlift.clifford import PAIR_INDICES
 from spinlift.oracle import random_bivector
-from spinlift.sampling import degenerate_denominator_transformation
+from spinlift.sampling import (degenerate_denominator_transformation,
+                               traceless_simple_transformation)
 
 E = np.eye(4)
 MODULES = [getattr(spinlift, name) for name in (
@@ -80,9 +82,10 @@ def test_images_bit_equal_tensordot(metric, kind):
 
 
 def test_exp_spin_runs_no_det_or_series(g, rep, monkeypatch):
-    # every label is read off s^2 of the Weyl block, and no output takes the series
-    dets = count_calls(monkeypatch, det_bivector)
-    series = count_calls(monkeypatch, exp_series)
+    # every label is read off s^2 of the Weyl block, and every output is exp X of
+    # that block: no determinant, series, sigma(L) or tr2 L runs
+    counters = [count_calls(monkeypatch, fn) for fn in (det_bivector, exp_series,
+                                                         spin_rep, tr2)]
     b01, b12, b23 = (wedge(g, E[a], E[b]) for a, b in ((0, 1), (1, 2), (2, 3)))
     cases = {
         "simple/hyperbolic": b01,
@@ -92,10 +95,10 @@ def test_exp_spin_runs_no_det_or_series(g, rep, monkeypatch):
         "near-degenerate/series": 0.02 * (b01 + b23),
     }
     for branch, L in cases.items():
-        dets.clear()
-        series.clear()
+        for calls in counters:
+            calls.clear()
         assert exp_spin(L, rep, return_branch=True)[1] == branch
-        assert (len(dets), len(series)) == (0, 0), branch
+        assert [len(calls) for calls in counters] == [0, 0, 0, 0], branch
     assert spinlift.oracle not in map(inspect.getmodule, vars(spinlift.expmap).values())
 
 
@@ -116,26 +119,40 @@ def test_nonsimple_lift_computes_traces_once(g, rep, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("kind", ["gamma", "regular"])
-def test_nonsimple_lift_builds_no_bivector(metric, kind, monkeypatch):
-    # Both non-simple regimes take the spinor map, which has no intermediate
-    # bivector to validate or map through spin_rep.
-    rep = representation(kind, metric)
+def assert_lifts_build_no_bivector(rep, cases, monkeypatch):
+    """lift labels each case by its key, validating no Bivector and calling no spin_rep."""
     spins = count_calls(monkeypatch, spin_rep)
     bivectors = []
     validate = Bivector.__post_init__
     monkeypatch.setattr(Bivector, "__post_init__",
                         lambda self: bivectors.append(self) or validate(self))
-    block = wedge(metric, E[0], E[1]) + 0.7 * wedge(metric, E[2], E[3])
-    cases = {
-        "nonsimple": LorentzTransformation(exp_series(block.matrix), metric),
-        "nonsimple/special": degenerate_denominator_transformation(metric, 3),
-    }
     for branch, lam in cases.items():
         spins.clear()
         bivectors.clear()
         assert lift(lam, rep, return_branch=True)[1] == branch
         assert (len(spins), len(bivectors)) == (0, 0), branch
+
+
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_nonsimple_lift_builds_no_bivector(metric, kind, monkeypatch):
+    # Both non-simple regimes take the spinor map, which has no intermediate
+    # bivector to validate or map through spin_rep.
+    block = wedge(metric, E[0], E[1]) + 0.7 * wedge(metric, E[2], E[3])
+    assert_lifts_build_no_bivector(representation(kind, metric), {
+        "nonsimple": LorentzTransformation(exp_series(block.matrix), metric),
+        "nonsimple/special": degenerate_denominator_transformation(metric, 3),
+    }, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_simple_lift_builds_no_bivector(metric, kind, monkeypatch):
+    # The simple formula runs on the Weyl block, from the pair coefficients of
+    # (Lam - Lam^{-1}) g^{-1}; the traceless regime takes the spinor map.
+    boost = 0.8 * wedge(metric, E[0], E[1]) + 0.3 * wedge(metric, E[1], E[2])
+    assert_lifts_build_no_bivector(representation(kind, metric), {
+        "simple": LorentzTransformation(exp_series(boost.matrix), metric),
+        "special/traceless": traceless_simple_transformation(metric, 3),
+    }, monkeypatch)
 
 
 SAMPLERS = (
