@@ -25,8 +25,8 @@ def _floored(top: float, k) -> float:
 
 def transform_traces(m) -> tuple[float, float]:
     """(tr Lam, tr2 Lam) of a transformation, tr2 Lam = ((tr Lam)^2 - tr(Lam^2)) / 2."""
-    t = float(np.trace(m))
-    return t, 0.5 * (t * t - float(np.trace(m @ m)))
+    t = float(m.trace())
+    return t, 0.5 * (t * t - float((m @ m).trace()))
 
 
 def simplicity_defect(t: float, t2: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._linalg import (
     DECOMPOSE_GAP_TOL, FACTOR_PIVOT_TOL, NEGATIVE_DISC_TOL, PLANE_TOL, SIMPLE_DET_TOL,
-    SKEW_TOL, TINY, TRACE_TOL, _floored, maxabs, pivot_columns, scale,
+    SKEW_TOL, TINY, TRACE_TOL, _floored, maxabs, pivot_columns,
 )
 from .errors import (
     DegeneratePlaneError,
@@ -31,7 +31,11 @@ from .metric import Metric
 
 @dataclass(frozen=True, eq=False)
 class Bivector:
-    """Mixed-index matrix of an element of the Lorentz Lie algebra so(g)."""
+    """Mixed-index matrix of an element of the Lorentz Lie algebra so(g).
+
+    The validator keeps ``_maxabs`` of the read-only matrix, and every gate
+    reads it instead of re-scanning L.
+    """
 
     matrix: np.ndarray
     metric: Metric
@@ -51,6 +55,7 @@ class Bivector:
             raise InvalidBivectorError("matrix is not traceless")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_maxabs", top)
 
     def _require_same_metric(self, other: "Bivector"):
         if not np.array_equal(self.metric.matrix, other.metric.matrix):
@@ -88,7 +93,7 @@ def wedge(g: Metric, u, v) -> Bivector:
 def tr2(L: Bivector) -> float:
     """Second trace invariant -tr(L^2)/2."""
     m = L.matrix
-    return -0.5 * float(np.trace(m @ m))
+    return -0.5 * float((m @ m).trace())
 
 
 def det_bivector(L: Bivector) -> float:
@@ -120,7 +125,7 @@ def _mu_pair(t: float, d: float) -> MuPair:  # from t = tr2 L and d = det L
 
 def is_simple(L: Bivector, tol: float = SIMPLE_DET_TOL) -> bool:
     """Whether L is a single wedge u ^ v, detected via det L = 0."""
-    return _is_simple_det(det_bivector(L), scale(L.matrix, 1), tol)
+    return _is_simple_det(det_bivector(L), _floored(L._maxabs, 1), tol)
 
 
 def _is_simple_det(d: float, norm: float, tol: float) -> bool:  # norm = scale(L, 1)
@@ -140,11 +145,11 @@ def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
 
 def _decompose(L: Bivector, tol: float):  # (L_plus, L_minus, mu), det L taken once
     d = det_bivector(L)
-    if _is_simple_det(d, scale(L.matrix, 1), tol):
+    if _is_simple_det(d, _floored(L._maxabs, 1), tol):
         raise SimpleInputError("simple bivector has no orthogonal decomposition")
     mu = _mu_pair(tr2(L), d)
     gap = mu.mu_plus - mu.mu_minus
-    if gap <= DECOMPOSE_GAP_TOL * scale(L.matrix, 2):
+    if gap <= DECOMPOSE_GAP_TOL * _floored(L._maxabs, 2):
         raise SimpleInputError(
             f"eigenvalue gap {gap} too small to decompose the bivector"
         )
@@ -158,7 +163,7 @@ def _decompose(L: Bivector, tol: float):  # (L_plus, L_minus, mu), det L taken o
 def plane_projection(L: Bivector) -> np.ndarray:
     """Projection -L^2 / tr2(L) onto the plane of a simple, non-null L."""
     t = tr2(L)
-    if abs(t) <= PLANE_TOL * scale(L.matrix, 2):
+    if abs(t) <= PLANE_TOL * _floored(L._maxabs, 2):
         raise DegeneratePlaneError("null plane: tr2 vanishes, no projection exists")
     m = L.matrix
     return -(m @ m) / t

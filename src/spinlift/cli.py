@@ -20,7 +20,6 @@ import numpy as np
 
 from ._linalg import (
     IDENTITY_TOL, SIMPLE_DET_TOL, lift_denominator, maxabs, scale, simplicity_defect,
-    transform_traces,
 )
 from .bivector import (
     Bivector,
@@ -197,7 +196,7 @@ def _bivector_invariants(L: Bivector, mu: MuPair) -> dict:
 
 
 def _transform_traces(lam: LorentzTransformation) -> dict:
-    return dict(zip(("tr_lambda", "tr2_lambda"), transform_traces(lam.matrix)))
+    return dict(zip(("tr_lambda", "tr2_lambda"), lam._traces))
 
 
 def _decomposition_defects(
@@ -237,12 +236,12 @@ def _roundtrip_defect(L: Bivector, lam: LorentzTransformation) -> float:
 def _factor_defects(lam: LorentzTransformation, pair: FactorPair) -> dict:
     """Defects of Lam = Lam+ Lam- = Lam- Lam+, simple Lam+-, and the c+- identities."""
     mp, mm = pair.lambda_plus.matrix, pair.lambda_minus.matrix
-    t, t2 = transform_traces(lam.matrix)
+    t, t2 = lam._traces
     return {
         "reconstruction_defect": maxabs(mp @ mm - lam.matrix),
         "commutation_defect": maxabs(mp @ mm - mm @ mp),
-        "simplicity_defect_plus": simplicity_defect(*transform_traces(mp)),
-        "simplicity_defect_minus": simplicity_defect(*transform_traces(mm)),
+        "simplicity_defect_plus": simplicity_defect(*pair.lambda_plus._traces),
+        "simplicity_defect_minus": simplicity_defect(*pair.lambda_minus._traces),
         "trace_identity_defect": abs(t - 2.0 * (pair.c_plus + pair.c_minus)),
         "tr2_identity_defect": abs(t2 - (4.0 * pair.c_plus * pair.c_minus + 2.0)),
     }
@@ -286,7 +285,7 @@ def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
     }
     diagnostics = {
         "roundtrip_defect": _roundtrip_defect(L, lam),
-        "simplicity_defect": simplicity_defect(*transform_traces(lam.matrix)),
+        "simplicity_defect": simplicity_defect(*lam._traces),
     }
     return f"simple/{kind}", result, invariants, diagnostics
 
@@ -304,8 +303,8 @@ def _cmd_factor(matrix, g: Metric, rep: Representation, tol: float):
         "delta": pair.delta,
         "c_plus": pair.c_plus,
         "c_minus": pair.c_minus,
-        "tr_plus": float(np.trace(mp)),
-        "tr_minus": float(np.trace(mm)),
+        "tr_plus": pair.lambda_plus._traces[0],
+        "tr_minus": pair.lambda_minus._traces[0],
     }
     return "nonsimple", result, invariants, _factor_defects(lam, pair)
 
@@ -316,11 +315,10 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
     if branch == "simple" and maxabs(lam.matrix - np.eye(4)) <= IDENTITY_TOL:
         branch = "simple/identity"
     sigma = sign_normalize(sigma)
-    traces = _transform_traces(lam)
     result = {"sigma": _matrix_payload(sigma)}
     invariants = {
-        **traces,
-        "denominator": lift_denominator(*traces.values()),
+        **_transform_traces(lam),
+        "denominator": lift_denominator(*lam._traces),
         "simple": is_simple_transform(lam, tol),
     }
     diagnostics = {"intertwining_defect": intertwining_defect(sigma, lam, rep)}

@@ -20,7 +20,7 @@ import numpy as np
 from ._linalg import (
     DENOMINATOR_GATE, FACTOR_GAP_TOL, LOG_TRACE_GATE, ORTHO_TOL, PARABOLIC_TOL,
     SIGN_TOL, SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, factor_delta,
-    lift_denominator, maxabs, scale, simplicity_defect, transform_traces,
+    lift_denominator, maxabs, simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
 from .clifford import _PAIR_INDEX, _PAULI, Representation, _even_image, spin_rep
@@ -41,7 +41,9 @@ class LorentzTransformation:
 
     The orthochronous condition is enforced on the time-time entry (index 0
     in both supported signatures), and the trace is required non-negative as
-    holds throughout the proper orthochronous component.
+    holds throughout the proper orthochronous component.  The validator keeps
+    what it measured of the read-only matrix, ``_maxabs`` and ``_traces`` =
+    (tr Lam, tr2 Lam), and every gate reads them instead of re-scanning Lam.
     """
 
     matrix: np.ndarray
@@ -64,12 +66,15 @@ class LorentzTransformation:
             raise InvalidTransformationError("matrix is not proper (det != 1)")
         if m[0, 0] < 1.0 - ORTHO_TOL:
             raise InvalidTransformationError("matrix is not orthochronous")
-        if float(m.trace()) < -ORTHO_TOL:
+        traces = transform_traces(m)
+        if traces[0] < -ORTHO_TOL:
             raise InvalidTransformationError(
                 "negative trace: matrix is outside the proper orthochronous component"
             )
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_maxabs", top)
+        object.__setattr__(self, "_traces", traces)
 
     def inverse(self) -> np.ndarray:
         """Inverse matrix g^{-1} Lam^T g (exact for metric-preserving Lam)."""
@@ -100,7 +105,7 @@ class FactorPair:
 
 def tr2_transform(lam: LorentzTransformation) -> float:
     """Second trace invariant ((tr Lam)^2 - tr(Lam^2)) / 2."""
-    return transform_traces(lam.matrix)[1]
+    return lam._traces[1]
 
 
 def is_simple_transform(
@@ -110,7 +115,7 @@ def is_simple_transform(
 
     Simple transformations are exactly those with tr2 Lam = 2 (tr Lam - 1).
     """
-    return _is_simple_traces(*transform_traces(lam.matrix), tol)
+    return _is_simple_traces(*lam._traces, tol)
 
 
 def _is_simple_traces(t: float, t2: float, tol: float) -> bool:  # tr, tr2 of Lam
@@ -124,8 +129,7 @@ def simple_log_coefficients(lam: LorentzTransformation):
     hyperbolic (boost) for s > 1, and parabolic (null rotation) at s = 1.
     The parabolic limit of k = x / sin x (or x / sinh x) is 1.
     """
-    t = float(np.trace(lam.matrix))
-    s = 0.5 * t - 1.0
+    s = 0.5 * lam._traces[0] - 1.0
     if abs(s - 1.0) <= PARABOLIC_TOL:
         return 1.0, 0.0, "parabolic"
     if s > 1.0:
@@ -135,7 +139,7 @@ def simple_log_coefficients(lam: LorentzTransformation):
         # acos amplifies trace round-off by 1/sin(x) near x = pi; recover the
         # angle from the sine instead: tr2(Lam - Lam^{-1}) = 4 sin^2 x
         b = lam.matrix - lam.inverse()
-        sin_x = 0.5 * math.sqrt(max(0.0, -0.5 * float(np.trace(b @ b))))
+        sin_x = 0.5 * math.sqrt(max(0.0, -0.5 * float((b @ b).trace())))
         x = math.pi - math.asin(min(sin_x, 1.0))
     else:
         x = math.acos(max(s, -1.0))
@@ -154,8 +158,7 @@ def log_simple(
     """
     if not is_simple_transform(lam, tol):
         raise NotSimpleError("transformation is not simple; no single-plane logarithm")
-    t = float(np.trace(lam.matrix))
-    if t <= LOG_TRACE_GATE:
+    if lam._traces[0] <= LOG_TRACE_GATE:
         raise TracelessSimpleError(
             "trace too close to zero for the simple logarithm branch"
         )
@@ -177,7 +180,7 @@ def factor_transform(
     if is_simple_transform(lam, tol):
         raise SimpleTransformError("simple transformation does not factor further")
     m = lam.matrix
-    t, t2 = transform_traces(lam.matrix)
+    t, t2 = lam._traces
     delta = factor_delta(t, t2)
     root = math.sqrt(max(delta, 0.0))
     c_plus = 0.25 * (t + root)
@@ -209,11 +212,11 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
 
     evaluated on the Weyl block of Sigma in SL(2,C).
     """
-    t, t2 = transform_traces(lam.matrix)
+    t, t2 = lam._traces
     # Its error grows with the simplicity defect: guarded at the default tol.
     if not _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         raise NotSimpleError("lift_simple requires a simple transformation")
-    if t <= min(TRACE_GATE * scale(lam.matrix, 2), 4.0):  # lift's gate
+    if t <= min(TRACE_GATE * _floored(lam._maxabs, 2), 4.0):  # lift's gate
         raise TracelessSimpleError("trace too close to zero for lift_simple; use lift")
     return _even_image(rep, _simple_block(lam, rep, t))
 
@@ -237,11 +240,11 @@ def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarra
         Sigma = ((2 + t + t2 - t^2/4) I + (t + 2) sigma(B1) - sigma(B2)
                  + sigma(B1)^2) / (2 sqrt(2 + 2 t + t2)).
     """
-    t, t2 = transform_traces(lam.matrix)
+    t, t2 = lam._traces
     if _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         raise NotNonsimpleError("lift_nonsimple requires a non-simple transformation")
     den = lift_denominator(t, t2)
-    if den <= DENOMINATOR_GATE * scale(lam.matrix, 2):
+    if den <= DENOMINATOR_GATE * _floored(lam._maxabs, 2):
         raise DegenerateDenominatorError(f"lift denominator {den} too small; use lift")
     m = lam.matrix
     inv = lam.inverse()
@@ -264,7 +267,7 @@ def _spinor(m) -> np.ndarray:
     # +/-A of Lam = m: the column of H with the largest diagonal (>= 1/2, as
     # det A = 1) is A times a phase, and the phase of det A alone fixes it.
     h = (_SPINOR_H @ m.ravel()).reshape(4, 4)
-    c = int(np.argmax(h.diagonal().real))
+    c = int(h.diagonal().real.argmax())
     a = (h[:, c] / math.sqrt(h[c, c].real)).reshape(2, 2)
     d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     return a / cmath.sqrt(d / abs(d))
@@ -292,8 +295,8 @@ def lift(
     simple formula loses accuracy, keeps the label "simple" and takes the
     spinor map.  With ``return_branch=True`` returns ``(Sigma, branch)``.
     """
-    t, t2 = transform_traces(lam.matrix)
-    norm2 = scale(lam.matrix, 2)
+    t, t2 = lam._traces
+    norm2 = _floored(lam._maxabs, 2)
     if not _is_simple_traces(t, t2, tol):
         den = lift_denominator(t, t2)
         branch = "nonsimple" if den > DENOMINATOR_GATE * norm2 else "nonsimple/special"

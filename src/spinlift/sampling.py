@@ -32,7 +32,7 @@ def random_nonsimple_bivector(
         if is_simple(L):
             continue
         mu = mu_roots(L)
-        if mu.mu_plus - mu.mu_minus > min_gap * _linalg.scale(L.matrix, 2):
+        if mu.mu_plus - mu.mu_minus > min_gap * _linalg._floored(L._maxabs, 2):
             return L
     raise RuntimeError(f"no non-simple bivector found for seed {seed}")
 
@@ -56,7 +56,7 @@ def random_wedge(g: Metric, seed: int, kind: str = "any", scale: float = 1.0) ->
             z = np.eye(4)[0]
             v = w - (inner(g, u, w) / inner(g, u, z)) * z
             L = wedge(g, u, v)
-            if _linalg.maxabs(L.matrix) > _linalg.NULL_WEDGE_MIN * scale * scale:
+            if L._maxabs > _linalg.NULL_WEDGE_MIN * scale * scale:
                 return L
             continue
         u = rng.uniform(-scale, scale, 4)
@@ -83,7 +83,7 @@ def random_nonsimple_transformation(
         lam = LorentzTransformation(exp_series(L.matrix), g)
         if is_simple_transform(lam):
             continue
-        delta = _linalg.factor_delta(*_linalg.transform_traces(lam.matrix))
+        delta = _linalg.factor_delta(*lam._traces)
         if delta > 0 and 0.5 * math.sqrt(delta) > min_c_gap:
             return lam
     raise RuntimeError(f"no non-simple transformation found for seed {seed}")

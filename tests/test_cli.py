@@ -129,6 +129,19 @@ def test_rank_deficiency_exit_code(tmp_path):
         assert min(np.abs(sigma - ref).max(), np.abs(sigma + ref).max()) <= 1e-12
 
 
+@pytest.mark.xfail(strict=True, reason="log_simple answers near a rotation by pi with "
+                   "the log of another transformation; ROADMAP's SL(2,C) log mends it")
+def test_log_near_pi_rotation_is_accurate(tmp_path):
+    # is_simple_transform's quadratic gate calls this Lam simple, and the log exits
+    # 0 with branch simple/trig, 1.0e-3 from L relative to |L|
+    g = make_metric()
+    L = 1e-6 * wedge(g, E[0], E[1]).matrix + (math.pi - 1e-3) * wedge(g, E[2], E[3]).matrix
+    code, out = run_cli(["log"], tmp_path, {"matrix": exp_series(L).tolist()})
+    assert code == 0
+    log = np.array(json.loads(out)["result"]["log"])
+    assert np.abs(log - L).max() <= 1e-10 * np.abs(L).max()
+
+
 def test_exp_spin_tol_flag(tmp_path):
     # b01 + 1e-5 b23 is non-simple at --tol 1e-12, and the branch taken agrees
     g = make_metric()

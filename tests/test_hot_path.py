@@ -2,8 +2,9 @@
 
 The spin map and the vector and algebra images are compared bit for bit with
 the ``np.tensordot`` form they replace; call counters pin that a dispatcher
-or a decomposition computes its invariants once and that the selftest battery
-draws each input once.
+or a decomposition computes its invariants once, that the gates read the
+norm and traces their input's validator measured, and that the selftest
+battery draws each input once.
 """
 
 import inspect
@@ -23,17 +24,21 @@ from spinlift import (
     exp_spin_factored,
     lift,
     make_metric,
+    is_simple,
     orthogonal_decompose,
+    plane_projection,
     representation,
     spin_rep,
     tr2,
     wedge,
 )
+from spinlift._linalg import _floored, maxabs, scale, transform_traces
 from spinlift.bivector import det_bivector
 from spinlift.clifford import PAIR_INDICES
 from spinlift.oracle import random_bivector
 from spinlift.sampling import (degenerate_denominator_transformation,
-                               traceless_simple_transformation)
+                               random_nonsimple_bivector, random_nonsimple_transformation,
+                               random_wedge, traceless_simple_transformation)
 
 E = np.eye(4)
 MODULES = [getattr(spinlift, name) for name in (
@@ -119,6 +124,19 @@ def test_nonsimple_lift_computes_traces_once(g, rep, monkeypatch):
     assert len(calls) == 1
 
 
+def lift_cases(metric, *labels):
+    """One transformation for each given lift label, by label."""
+    boost = 0.8 * wedge(metric, E[0], E[1]) + 0.3 * wedge(metric, E[1], E[2])
+    block = wedge(metric, E[0], E[1]) + 0.7 * wedge(metric, E[2], E[3])
+    cases = {
+        "simple": LorentzTransformation(exp_series(boost.matrix), metric),
+        "special/traceless": traceless_simple_transformation(metric, 3),
+        "nonsimple": LorentzTransformation(exp_series(block.matrix), metric),
+        "nonsimple/special": degenerate_denominator_transformation(metric, 3),
+    }
+    return {label: cases[label] for label in labels or cases}
+
+
 def assert_lifts_build_no_bivector(rep, cases, monkeypatch):
     """lift labels each case by its key, validating no Bivector and calling no spin_rep."""
     spins = count_calls(monkeypatch, spin_rep)
@@ -137,22 +155,61 @@ def assert_lifts_build_no_bivector(rep, cases, monkeypatch):
 def test_nonsimple_lift_builds_no_bivector(metric, kind, monkeypatch):
     # Both non-simple regimes take the spinor map, which has no intermediate
     # bivector to validate or map through spin_rep.
-    block = wedge(metric, E[0], E[1]) + 0.7 * wedge(metric, E[2], E[3])
-    assert_lifts_build_no_bivector(representation(kind, metric), {
-        "nonsimple": LorentzTransformation(exp_series(block.matrix), metric),
-        "nonsimple/special": degenerate_denominator_transformation(metric, 3),
-    }, monkeypatch)
+    assert_lifts_build_no_bivector(representation(kind, metric), lift_cases(
+        metric, "nonsimple", "nonsimple/special"), monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "regular"])
 def test_simple_lift_builds_no_bivector(metric, kind, monkeypatch):
     # The simple formula runs on the Weyl block, from the pair coefficients of
     # (Lam - Lam^{-1}) g^{-1}; the traceless regime takes the spinor map.
-    boost = 0.8 * wedge(metric, E[0], E[1]) + 0.3 * wedge(metric, E[1], E[2])
-    assert_lifts_build_no_bivector(representation(kind, metric), {
-        "simple": LorentzTransformation(exp_series(boost.matrix), metric),
-        "special/traceless": traceless_simple_transformation(metric, 3),
-    }, monkeypatch)
+    assert_lifts_build_no_bivector(representation(kind, metric), lift_cases(
+        metric, "simple", "special/traceless"), monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_lift_rescans_nothing(metric, kind, monkeypatch):
+    # Every gate of lift reads the maxabs and the traces that the validator of
+    # Lam measured: once Lam exists, lift scans it for neither.
+    rep = representation(kind, metric)
+    cases = lift_cases(metric)  # all four labels
+    counters = [count_calls(monkeypatch, fn) for fn in (maxabs, scale, transform_traces)]
+    for branch, lam in cases.items():
+        assert lift(lam, rep, return_branch=True)[1] == branch
+        assert [len(calls) for calls in counters] == [0, 0, 0], branch
+
+
+def test_bivector_gates_rescan_nothing(metric, monkeypatch):
+    # is_simple, both gates of orthogonal_decompose and plane_projection read
+    # the validator's maxabs of L; maxabs still runs on the parts' own matrices.
+    W = wedge(metric, E[0], E[1])
+    L = W + 0.7 * wedge(metric, E[2], E[3])
+    calls = count_calls(monkeypatch, maxabs)
+    assert is_simple(W) and not is_simple(L)
+    orthogonal_decompose(L)
+    plane_projection(W)
+    assert [args for args in calls if args[0] is L.matrix or args[0] is W.matrix] == []
+
+
+@pytest.mark.parametrize("size", [0.3, 1.0, 4.0])
+def test_validators_keep_what_they_measured(metric, size):
+    # The stored maxabs gives scale(m, k), and the stored traces transform_traces(m),
+    # bit for bit on sampler inputs of every regime; at size 0.3 the bivectors'
+    # maxabs lies below the floor of scale
+    bivectors = [random_nonsimple_bivector(metric, seed, scale=size) for seed in range(4)]
+    for kind in ("rotation", "boost", "null"):
+        bivectors += [random_wedge(metric, seed, kind=kind, scale=size) for seed in range(4)]
+    lams = [LorentzTransformation(exp_series(W.matrix), metric) for W in bivectors]
+    for seed in range(4):
+        lams += [random_nonsimple_transformation(metric, seed, scale=size),
+                 traceless_simple_transformation(metric, seed),
+                 degenerate_denominator_transformation(metric, seed, scale=size)]
+    for x in bivectors + lams:
+        for k in (1, 2, 4):
+            assert _floored(x._maxabs, k).hex() == scale(x.matrix, k).hex()
+    for lam in lams:
+        assert [t.hex() for t in lam._traces] == [
+            t.hex() for t in transform_traces(lam.matrix)]
 
 
 SAMPLERS = (

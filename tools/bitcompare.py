@@ -1,0 +1,139 @@
+"""Compare the output bits of two spinlift checkouts.
+
+Usage (from the repository root):
+
+    python3 tools/bitcompare.py OTHER_CHECKOUT [CHECKOUT]
+
+CHECKOUT defaults to the checkout that holds this file.  Each checkout runs
+in its own interpreter with its own ``src/`` first on ``PYTHONPATH``, over
+the same inputs:
+
+* ``lift``: the bytes of Sigma and the label of every ``lift`` of the
+  ``lift-mix`` workload, seeds 1-20;
+* ``exp``: the bytes and the label of every ``exp_spin`` of ``exp-mix``,
+  seeds 1-20;
+* ``selftest``: the ``run_selftest`` report for both metrics, seeds 0-29;
+* ``cli``: the exit code and the response text of ``spinlift <command>`` for
+  each request file in ``tests/golden``.
+
+A typed ``SpinLiftError`` is recorded as its class name and message.  The
+inputs come from ``bench/inputs.py`` of CHECKOUT (imported, never changed)
+and are made once, here, so both sides see the same bits.  Prints the number
+of differing entries per group, the first few keys that differ, and the
+total; exits 0 when no entry differs, 1 otherwise.  Needs numpy and scipy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import pickle
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
+SEEDS = range(1, 21)
+SELFTEST_SEEDS = range(30)
+SHOWN = 5
+
+
+def make_job(root: Path) -> dict:
+    sys.path.insert(0, str(root / "bench"))
+    import inputs
+
+    job = {"lift": {}, "exp": {}, "selftest": [], "cli": {}}
+    for group, make in (("lift", inputs.lift_mix), ("exp", inputs.exp_mix)):
+        for seed in SEEDS:
+            for i, item in enumerate(make(seed)):
+                key = (seed, i, item["category"], item["metric"], item["rep"])
+                job[group][key] = item["matrix"]
+    job["selftest"] = [(sig, seed) for sig in inputs.SIGNATURES for seed in SELFTEST_SEEDS]
+    for path in sorted((root / "tests" / "golden").glob("*.request.json")):
+        job["cli"][path.name.removesuffix(".request.json")] = path.read_text()
+    return job
+
+
+def collect(job: dict) -> dict:
+    """Run the job on the spinlift first on sys.path; key -> picklable output."""
+    from spinlift import Bivector, LorentzTransformation, exp_spin, lift, make_metric
+    from spinlift import cli, representation
+    from spinlift.errors import SpinLiftError
+
+    def guarded(op):
+        try:
+            out, label = op()
+        except SpinLiftError as exc:
+            return ("error", type(exc).__name__, str(exc))
+        return out.tobytes(), label
+
+    ops = {
+        "lift": lambda m, rep: lift(LorentzTransformation(m, rep.metric), rep,
+                                    return_branch=True),
+        "exp": lambda m, rep: exp_spin(Bivector(m, rep.metric), rep, return_branch=True),
+    }
+    reps = {(sig, kind): representation(kind, make_metric(sig))
+            for sig in ("pmmm", "mppp") for kind in ("gamma", "regular")}
+    out = {}
+    for group, op in ops.items():
+        for key, m in job[group].items():
+            out[(group, *key)] = guarded(partial(op, m, reps[key[3], key[4]]))
+    for sig, seed in job["selftest"]:
+        out[("selftest", sig, seed)] = cli.run_selftest(sig, seed)
+    for command, text in job["cli"].items():
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                code = cli.main([command])
+        finally:
+            sys.stdin = stdin
+        out[("cli", command)] = (code, buf.getvalue())
+    return out
+
+
+def run_side(checkout: Path, job_bytes: bytes) -> dict:
+    src = (checkout / "src").resolve()
+    if not (src / "spinlift").is_dir():
+        raise SystemExit(f"{checkout}: no src/spinlift")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, __file__, "--collect", str(src)],
+                          input=job_bytes, capture_output=True, env=env, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: collection failed\n{proc.stderr.decode()}")
+    return pickle.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other", nargs="?", type=Path)
+    parser.add_argument("checkout", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--collect", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:  # the child: run the job on the spinlift under SRC
+        import spinlift
+
+        if not Path(spinlift.__file__).resolve().is_relative_to(Path(args.collect)):
+            raise SystemExit(f"spinlift imported from {spinlift.__file__}, not {args.collect}")
+        sys.stdout.buffer.write(pickle.dumps(collect(pickle.load(sys.stdin.buffer))))
+        return 0
+    if args.other is None:
+        parser.error("OTHER_CHECKOUT is required")
+    job_bytes = pickle.dumps(make_job(args.checkout.resolve()))
+    a, b = run_side(args.other, job_bytes), run_side(args.checkout, job_bytes)
+    total = 0
+    for group in ("lift", "exp", "selftest", "cli"):
+        keys = sorted(k for k in a.keys() | b.keys() if k[0] == group)
+        differ = [k for k in keys if pickle.dumps(a.get(k)) != pickle.dumps(b.get(k))]
+        total += len(differ)
+        print(f"{group}: {len(differ)} of {len(keys)} entries differ")
+        for key in differ[:SHOWN]:
+            print(f"  {key}")
+    print(f"total: {total} differing entries")
+    return 1 if total else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
