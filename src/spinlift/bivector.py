@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +35,8 @@ class Bivector:
     """Mixed-index matrix of an element of the Lorentz Lie algebra so(g).
 
     The validator keeps ``_maxabs`` of the read-only matrix, and every gate
-    reads it instead of re-scanning L.
+    reads it instead of re-scanning L.  The invariants ``_tr2`` and ``_det``
+    are taken on first use and kept: ``tr2`` and ``det_bivector`` read them.
     """
 
     matrix: np.ndarray
@@ -56,6 +58,15 @@ class Bivector:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_maxabs", top)
+
+    @cached_property
+    def _tr2(self) -> float:
+        m = self.matrix
+        return -0.5 * float((m @ m).trace())
+
+    @cached_property
+    def _det(self) -> float:
+        return float(np.linalg.det(self.matrix))
 
     def _require_same_metric(self, other: "Bivector"):
         if not np.array_equal(self.metric.matrix, other.metric.matrix):
@@ -92,13 +103,12 @@ def wedge(g: Metric, u, v) -> Bivector:
 
 def tr2(L: Bivector) -> float:
     """Second trace invariant -tr(L^2)/2."""
-    m = L.matrix
-    return -0.5 * float((m @ m).trace())
+    return L._tr2
 
 
 def det_bivector(L: Bivector) -> float:
     """Determinant of the mixed-index matrix (<= 0 for real bivectors)."""
-    return float(np.linalg.det(L.matrix))
+    return L._det
 
 
 def mu_roots(L: Bivector) -> MuPair:

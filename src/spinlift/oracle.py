@@ -9,6 +9,8 @@ spin lift conjugates vector images.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._linalg import SERIES_TERM_TOL, _COND_LIMIT, maxabs
@@ -18,6 +20,9 @@ from .errors import SingularSigmaError
 from .group_lift import LorentzTransformation
 from .metric import Metric
 
+_SUM_BOUND = 1.75  # above e^(1/2), the largest 1-norm of a partial sum in exp_series
+_STRICT_UPPER = np.triu(np.ones((4, 4)), 1)
+
 
 def exp_series(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring a Taylor series.
@@ -25,18 +30,32 @@ def exp_series(m) -> np.ndarray:
     The argument is halved until its 1-norm is at most 0.5, the series is
     summed until a term falls below ``SERIES_TERM_TOL`` relative to the
     running sum, and the result is squared back up.  Conditioning stays good
-    for boost generators with entries up to about 5.
+    for boost generators with entries up to about 5.  A matrix whose 1-norm
+    is not finite raises ``ValueError``.
     """
     m = np.asarray(m)
     norm1 = float(np.linalg.norm(m, 1))
+    if not math.isfinite(norm1):
+        raise ValueError(f"exp_series needs a matrix of finite 1-norm, got {norm1}")
     squarings = 0 if norm1 <= 0.5 else int(np.ceil(np.log2(norm1 / 0.5)))
     a = m / (2.0 ** squarings)
     total = np.eye(m.shape[0], dtype=a.dtype)
     term = total
+    # The stop test maxabs(term) <= TOL * maxabs(total) needs maxabs(total) only near
+    # the end.  After scaling ||a||_1 <= 1/2 (to the rounding of log2), so every
+    # partial sum has maxabs <= ||.||_1 <= e^(1/2) < _SUM_BOUND, and fl(TOL * M) is
+    # monotone in M: while maxabs(term) > fl(TOL * _SUM_BOUND) the test is false.
+    # An entry of the term is a lower bound of its maxabs, so two of them may show
+    # that first; the stop index, and with it every bit, is the test's.
+    stop = SERIES_TERM_TOL * _SUM_BOUND
+    witness = min(1, term.size - 1)  # entry (0, 1), or (0, 0) of a 1x1 input
     for k in range(1, 128):
         term = term @ a / k
         total = total + term
-        if maxabs(term) <= SERIES_TERM_TOL * maxabs(total):
+        if abs(term.item(0)) > stop or abs(term.item(witness)) > stop:
+            continue
+        top = maxabs(term)
+        if top <= stop and top <= SERIES_TERM_TOL * maxabs(total):
             break
     else:
         raise RuntimeError("matrix exponential series failed to converge")
@@ -46,9 +65,10 @@ def exp_series(m) -> np.ndarray:
 
 
 def _bivector_from_rng(rng: np.random.Generator, g: Metric, scale: float) -> Bivector:
-    # L = F g with antisymmetric F satisfies L^T g + g L = 0 identically.
-    draw = rng.uniform(-scale, scale, size=(4, 4))
-    f = np.triu(draw, 1)
+    # L = F g with antisymmetric F satisfies L^T g + g L = 0 identically.  The mask
+    # leaves signed zeros below the diagonal, which f - f^T cancels to the bits of
+    # np.triu(draw, 1) minus its transpose.
+    f = rng.uniform(-scale, scale, size=(4, 4)) * _STRICT_UPPER
     f = f - f.T
     return Bivector(f @ g.matrix, g)
 
@@ -82,9 +102,7 @@ def intertwining_defect(
     cond = float(np.linalg.cond(sigma))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise SingularSigmaError(f"candidate lift is ill-conditioned (cond={cond:g})")
-    worst = 0.0
-    for a in range(4):
-        lhs = sigma @ rep.vectors[a] @ inv  # rho(e_a)
-        rhs = rep.vector(lam.matrix[:, a])
-        worst = max(worst, maxabs(lhs - rhs))
-    return worst
+    # sigma rho(e_a) sigma^{-1} and rho(Lam e_a) for the four a, as (4, d, d) stacks
+    lhs = sigma @ rep.vectors @ inv
+    rhs = np.dot(lam.matrix.T, rep._vector_rows).reshape(lhs.shape)
+    return maxabs(lhs - rhs)

@@ -1,6 +1,5 @@
 import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -192,11 +191,14 @@ def test_mu_roots_solve_quadratic(g):
 
 def test_mu_roots_negative_discriminant():
     # companion matrix of x^4 + 1: invariants tr2 = 0, det = 1, so the
-    # discriminant is -4; no real bivector produces this
+    # discriminant is -4; no real bivector produces this, so the fake skips the
+    # validator, and its lazy invariants are taken from the matrix as for any L
     companion = np.zeros((4, 4))
     companion[0, 3] = -1.0
     companion[1, 0] = companion[2, 1] = companion[3, 2] = 1.0
-    fake = SimpleNamespace(matrix=companion)
+    fake = object.__new__(Bivector)
+    object.__setattr__(fake, "matrix", companion)
+    assert (tr2(fake), det_bivector(fake)) == (0.0, 1.0)
     with pytest.raises(NegativeDiscriminantError):
         mu_roots(fake)
 

@@ -3,8 +3,9 @@
 The spin map and the vector and algebra images are compared bit for bit with
 the ``np.tensordot`` form they replace; call counters pin that a dispatcher
 or a decomposition computes its invariants once, that the gates read the
-norm and traces their input's validator measured, and that the selftest
-battery draws each input once.
+norm and traces their input's validator measured, that a bivector's tr2 and
+det are taken lazily and at most once, and that the selftest battery draws
+each input once.
 """
 
 import inspect
@@ -86,25 +87,62 @@ def test_images_bit_equal_tensordot(metric, kind):
         assert rep.of(x).tobytes() == expected.tobytes()
 
 
-def test_exp_spin_runs_no_det_or_series(g, rep, monkeypatch):
-    # every label is read off s^2 of the Weyl block, and every output is exp X of
-    # that block: no determinant, series, sigma(L) or tr2 L runs
-    counters = [count_calls(monkeypatch, fn) for fn in (det_bivector, exp_series,
-                                                         spin_rep, tr2)]
+def exp_cases(g):
+    """One bivector for each exp_spin label, by label."""
     b01, b12, b23 = (wedge(g, E[a], E[b]) for a, b in ((0, 1), (1, 2), (2, 3)))
-    cases = {
+    return {
         "simple/hyperbolic": b01,
         "simple/trig": b23,
         "simple/null": b01 + b12,
         "nonsimple/polynomial": b01 + b23,
         "near-degenerate/series": 0.02 * (b01 + b23),
     }
-    for branch, L in cases.items():
+
+
+def test_exp_spin_runs_no_det_or_series(g, rep, monkeypatch):
+    # every label is read off s^2 of the Weyl block, and every output is exp X of
+    # that block: no determinant, series, sigma(L) or tr2 L runs
+    counters = [count_calls(monkeypatch, fn) for fn in (det_bivector, exp_series,
+                                                         spin_rep, tr2)]
+    for branch, L in exp_cases(g).items():
         for calls in counters:
             calls.clear()
         assert exp_spin(L, rep, return_branch=True)[1] == branch
         assert [len(calls) for calls in counters] == [0, 0, 0, 0], branch
     assert spinlift.oracle not in map(inspect.getmodule, vars(spinlift.expmap).values())
+
+
+def count_dets(monkeypatch):
+    """Wrap np.linalg.det; returns the list of its arguments, kept alive."""
+    dets = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: dets.append(m) or det(m))
+    return dets
+
+
+def test_exp_spin_takes_no_invariants(g, rep, monkeypatch):
+    # tr2 L and det L are lazy: building a Bivector and exponentiating it, as
+    # exp-mix does, takes neither, and no determinant of L runs at all
+    dets = count_dets(monkeypatch)
+    for branch, L in exp_cases(g).items():
+        assert exp_spin(L, rep, return_branch=True)[1] == branch
+        assert "_tr2" not in vars(L) and "_det" not in vars(L), branch
+        assert [m for m in dets if m is L.matrix] == [], branch
+
+
+def test_selftest_takes_each_det_once(monkeypatch):
+    # the battery reads det L of one bivector in several checks; the Bivector
+    # keeps the value, so each one's determinant runs at most once
+    bivectors = []
+    validate = Bivector.__post_init__
+    monkeypatch.setattr(Bivector, "__post_init__",
+                        lambda self: bivectors.append(self) or validate(self))
+    dets = count_dets(monkeypatch)
+    assert cli.run_selftest("pmmm", 7)["all_passed"]
+    owners = {id(L.matrix): L for L in bivectors}  # all alive: the ids are distinct
+    taken = Counter(id(owners[id(m)]) for m in dets if id(m) in owners)
+    assert len(taken) > 10
+    assert max(taken.values()) == 1
 
 
 def test_decompose_computes_det_once(g, rep, monkeypatch):

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinlift import (
     LorentzTransformation,
     SingularSigmaError,
     exp_series,
     intertwining_defect,
+    lift,
     make_metric,
     random_bivector,
     random_transformation,
@@ -15,6 +19,9 @@ from spinlift import (
     spin_rep,
     wedge,
 )
+from spinlift._linalg import SERIES_TERM_TOL, maxabs
+from spinlift.oracle import _SUM_BOUND
+from spinlift.sampling import random_nonsimple_transformation, random_wedge
 
 E = np.eye(4)
 
@@ -112,3 +119,164 @@ def test_intertwining_singular_sigma(g, rep):
     lam = LorentzTransformation(np.eye(4), g)
     with pytest.raises(SingularSigmaError):
         intertwining_defect(np.zeros_like(rep.identity), lam, rep)
+
+
+# ---------------------------------------------------------------------------
+# The referees keep their bits: the loops below transcribe the earlier forms,
+# which scanned the running sum at every term and conjugated one vector image at
+# a time.  The new forms must give the same bytes.
+
+
+def series_partial_sums(m):
+    """(k, partial sums) of the earlier exp_series loop, before its squarings."""
+    m = np.asarray(m)
+    norm1 = float(np.linalg.norm(m, 1))
+    squarings = 0 if norm1 <= 0.5 else int(np.ceil(np.log2(norm1 / 0.5)))
+    a = m / (2.0 ** squarings)
+    total = np.eye(m.shape[0], dtype=a.dtype)
+    term = total
+    sums = []
+    for k in range(1, 128):
+        term = term @ a / k
+        total = total + term
+        sums.append(total)
+        if maxabs(term) <= SERIES_TERM_TOL * maxabs(total):
+            return k, squarings, sums
+    raise RuntimeError("matrix exponential series failed to converge")
+
+
+def exp_series_reference(m):
+    _, squarings, sums = series_partial_sums(m)
+    total = sums[-1]
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+def intertwining_reference(sigma, lam, rep):
+    sigma = np.asarray(sigma)
+    inv = np.linalg.inv(sigma)
+    worst = 0.0
+    for a in range(4):
+        lhs = sigma @ rep.vectors[a] @ inv
+        rhs = rep.vector(lam.matrix[:, a])
+        worst = max(worst, maxabs(lhs - rhs))
+    return worst
+
+
+def series_inputs(g, rep):
+    """Random bivectors at four scales, wedges of each kind, and their spin images."""
+    for seed in range(12):
+        for c in (1e-3, 0.3, 1.0, 8.0):
+            L = random_bivector(g, seed, scale=c)
+            yield L.matrix
+            yield spin_rep(rep, L)
+        for kind in ("rotation", "boost", "null"):
+            W = random_wedge(g, seed, kind=kind)
+            yield W.matrix
+            yield spin_rep(rep, W)
+
+
+def test_exp_series_bits_match_reference(g, g_alt, rep):
+    for metric in (g, g_alt):
+        image_rep = representation(rep.kind, metric)
+        for m in series_inputs(metric, image_rep):
+            assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
+
+
+def test_exp_series_bits_match_reference_on_mixed_scales():
+    # generic matrices with entries over three and a half decades: now and then the
+    # last term lands just below SERIES_TERM_TOL * _SUM_BOUND, where a wrong skip of
+    # the stop test would add a term
+    rng = np.random.default_rng(0)
+    for _ in range(1500):
+        n = int(rng.integers(1, 5))
+        m = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-3.0, 0.5, (n, n))
+        assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
+
+
+@pytest.mark.parametrize("m", [[[0.3]], [[-7.5]], [[0.0]], [[2.0 + 1.0j]]])
+def test_exp_series_one_by_one(m):
+    out = exp_series(np.array(m))
+    assert out.shape == (1, 1)
+    assert out.tobytes() == exp_series_reference(np.array(m)).tobytes()
+    assert out[0, 0] == pytest.approx(np.exp(m[0][0]), rel=1e-15)
+
+
+def test_exp_series_null_wedge_stops_early(g, rep):
+    # L^3 = 0 and sigma(L)^2 = 0 for a null wedge, to rounding: the series stops at
+    # k = 3 and k = 2, on terms far below the early-skip bound
+    for seed in range(10):
+        W = random_wedge(g, seed, kind="null")
+        for m, k in ((W.matrix, 3), (spin_rep(rep, W), 2)):
+            assert series_partial_sums(m)[0] == k
+            assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exp_series_rejects_non_finite(bad):
+    m = np.zeros((4, 4))
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        exp_series(m)
+
+
+def test_intertwining_bits_match_reference(g, g_alt, rep):
+    for metric in (g, g_alt):
+        image_rep = representation(rep.kind, metric)
+        for seed in range(15):
+            lam = random_nonsimple_transformation(metric, seed)
+            lam2 = random_nonsimple_transformation(metric, seed + 100)
+            L = random_bivector(metric, seed)
+            cases = [
+                (lift(lam, image_rep), lam),
+                (lift(lam, image_rep) @ lift(lam2, image_rep), lam @ lam2),
+                (exp_series(spin_rep(image_rep, L)),
+                 LorentzTransformation(exp_series(L.matrix), metric)),
+            ]
+            for sigma, target in cases:
+                new = intertwining_defect(sigma, target, image_rep)
+                old = intertwining_reference(sigma, target, image_rep)
+                assert np.float64(new).tobytes() == np.float64(old).tobytes()
+
+
+def test_random_bivector_bits_match_triu_form(g, g_alt):
+    # the earlier sampler cut the draw with np.triu; the mask's signed zeros cancel
+    for metric in (g, g_alt):
+        for seed in range(50):
+            for c in (0.0, 1e-3, 1.0, 8.0):
+                draw = np.random.default_rng(seed).uniform(-c, c, size=(4, 4))
+                f = np.triu(draw, 1)
+                expected = (f - f.T) @ metric.matrix
+                got = random_bivector(metric, seed, scale=c).matrix
+                assert got.tobytes() == expected.tobytes()
+
+
+def test_intertwining_refuses_both_singular_paths(g, rep):
+    lam = LorentzTransformation(np.eye(4), g)
+    singular = np.array(rep.identity)
+    singular[0, 0] = 0.0  # rank d - 1: the inverse fails
+    ill = np.array(rep.identity)
+    ill[0, 0] = 1e-13  # invertible, but cond = 1e13 > _COND_LIMIT
+    with pytest.raises(SingularSigmaError, match="is singular"):
+        intertwining_defect(singular, lam, rep)
+    with pytest.raises(SingularSigmaError, match="ill-conditioned"):
+        intertwining_defect(ill, lam, rep)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 16).flatmap(lambda n: hnp.arrays(
+        np.float64, (n, n), elements=st.floats(-30.0, 30.0, allow_subnormal=False))),
+    imag=st.booleans(),
+)
+@example(m=np.array([[0.5]]), imag=False)  # the sums rise to e^(1/2), the bound's case
+@example(m=np.array([[1.0 + 1e-15]]), imag=False)  # one squaring, by the rounding of log2
+def test_partial_sums_stay_below_bound(m, imag):
+    # the premise of exp_series' early skip: after scaling, every partial sum of
+    # the series has maxabs <= its 1-norm <= e^(1/2) < _SUM_BOUND
+    if imag:
+        m = m + 1j * m[::-1]
+    for total in series_partial_sums(m)[2]:
+        assert maxabs(total) <= _SUM_BOUND
+    assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()

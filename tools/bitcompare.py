@@ -12,9 +12,16 @@ the same inputs:
   ``lift-mix`` workload, seeds 1-20;
 * ``exp``: the bytes and the label of every ``exp_spin`` of ``exp-mix``,
   seeds 1-20;
+* ``oracle``: the bytes of the referees on fixed families, seeds 1-5: of
+  ``exp_series`` of c L and of its spin image sigma(c L), for every
+  ``exp-mix`` bivector L and c in {1e-3, 0.3, 1, 8}; and of
+  ``intertwining_defect(exp_series(sigma(L)), expm(L), rep)`` for every
+  ``lift-mix`` generator L;
 * ``selftest``: the ``run_selftest`` report for both metrics, seeds 0-29;
 * ``cli``: the exit code and the response text of ``spinlift <command>`` for
   each request file in ``tests/golden``.
+
+The spin images of the ``oracle`` group come from each side's ``spin_rep``.
 
 A typed ``SpinLiftError`` is recorded as its class name and message.  The
 inputs come from ``bench/inputs.py`` of CHECKOUT (imported, never changed)
@@ -36,6 +43,8 @@ from functools import partial
 from pathlib import Path
 
 SEEDS = range(1, 21)
+ORACLE_SEEDS = range(1, 6)
+ORACLE_SCALES = (1e-3, 0.3, 1.0, 8.0)
 SELFTEST_SEEDS = range(30)
 SHOWN = 5
 
@@ -44,12 +53,14 @@ def make_job(root: Path) -> dict:
     sys.path.insert(0, str(root / "bench"))
     import inputs
 
-    job = {"lift": {}, "exp": {}, "selftest": [], "cli": {}}
+    job = {"lift": {}, "exp": {}, "oracle": {}, "selftest": [], "cli": {}}
     for group, make in (("lift", inputs.lift_mix), ("exp", inputs.exp_mix)):
         for seed in SEEDS:
             for i, item in enumerate(make(seed)):
                 key = (seed, i, item["category"], item["metric"], item["rep"])
                 job[group][key] = item["matrix"]
+                if seed in ORACLE_SEEDS:  # (L, Lam) for lift-mix, (L, L) for exp-mix
+                    job["oracle"][(group, *key)] = (item["L"], item["matrix"])
     job["selftest"] = [(sig, seed) for sig in inputs.SIGNATURES for seed in SELFTEST_SEEDS]
     for path in sorted((root / "tests" / "golden").glob("*.request.json")):
         job["cli"][path.name.removesuffix(".request.json")] = path.read_text()
@@ -58,8 +69,10 @@ def make_job(root: Path) -> dict:
 
 def collect(job: dict) -> dict:
     """Run the job on the spinlift first on sys.path; key -> picklable output."""
+    import numpy as np
+
     from spinlift import Bivector, LorentzTransformation, exp_spin, lift, make_metric
-    from spinlift import cli, representation
+    from spinlift import cli, exp_series, intertwining_defect, representation, spin_rep
     from spinlift.errors import SpinLiftError
 
     def guarded(op):
@@ -76,10 +89,25 @@ def collect(job: dict) -> dict:
     }
     reps = {(sig, kind): representation(kind, make_metric(sig))
             for sig in ("pmmm", "mppp") for kind in ("gamma", "regular")}
+
+    def referees(family, generator, m, rep):
+        if family == "lift":  # Sigma from the series, checked against Lam = expm(L)
+            sigma = exp_series(spin_rep(rep, Bivector(generator, rep.metric)))
+            lam = LorentzTransformation(m, rep.metric)
+            return np.float64(intertwining_defect(sigma, lam, rep)), "defect"
+        out = []  # a real piece cast to complex keeps its bits in the real part
+        for c in ORACLE_SCALES:
+            out.append(exp_series(c * m).ravel())
+            out.append(exp_series(spin_rep(rep, Bivector(c * m, rep.metric))).ravel())
+        return np.concatenate(out), "exp_series"
+
     out = {}
     for group, op in ops.items():
         for key, m in job[group].items():
             out[(group, *key)] = guarded(partial(op, m, reps[key[3], key[4]]))
+    for key, (generator, m) in job["oracle"].items():
+        rep = reps[key[4], key[5]]
+        out[("oracle", *key)] = guarded(partial(referees, key[0], generator, m, rep))
     for sig, seed in job["selftest"]:
         out[("selftest", sig, seed)] = cli.run_selftest(sig, seed)
     for command, text in job["cli"].items():
@@ -124,7 +152,7 @@ def main(argv=None) -> int:
     job_bytes = pickle.dumps(make_job(args.checkout.resolve()))
     a, b = run_side(args.other, job_bytes), run_side(args.checkout, job_bytes)
     total = 0
-    for group in ("lift", "exp", "selftest", "cli"):
+    for group in ("lift", "exp", "oracle", "selftest", "cli"):
         keys = sorted(k for k in a.keys() | b.keys() if k[0] == group)
         differ = [k for k in keys if pickle.dumps(a.get(k)) != pickle.dumps(b.get(k))]
         total += len(differ)
