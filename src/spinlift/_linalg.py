@@ -48,7 +48,6 @@ def factor_delta(t: float, t2: float) -> float:
 # "abs" absolute; "rel X^k" relative to scale(X, k); "pivot" relative to the
 # largest pivot of pivot_columns.  Inconsistent units are recorded as they are.
 _UNIT_ROUNDOFF = 2.0 ** -53  # u, of IEEE double precision
-_DET_TOL = 1e-12  # |det g + 1| of a metric matrix; abs
 SKEW_TOL = 1e-10  # ||L^T g + g L|| in the Bivector validator; rel L^1
 TRACE_TOL = 1e-12  # |tr L| in the Bivector validator; rel L^1
 # |det L| in is_simple, and its equal 4 (Im s^2)^2 in exp_spin; rel L^4.  Also the
@@ -60,7 +59,6 @@ PLANE_TOL = 1e-9  # |tr2 L| in plane_projection; rel L^2
 # -(tr2^2 - 4 det L) in mu_roots; relative to max(1, tr2^2), a floor at tr2, not L
 NEGATIVE_DISC_TOL = 1e-9
 FACTOR_PIVOT_TOL = 1e-7  # rank of L g^{-1} in wedge_factors; pivot
-SPIN_REP_SKEW_TOL = 1e-9  # ||F + F^T|| for F = L g^{-1} in spin_rep; rel F^1
 # mu_plus - mu_minus in spin_decompose; abs, while DECOMPOSE_GAP_TOL is rel L^2
 SPIN_GAP_TOL = 1e-8
 SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spin; abs
@@ -81,6 +79,10 @@ SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
 # bounds both, and each gate keeps the error within _LIFT_TARGET.  Units: rel Lam^2.
 _LIFT_TARGET = 1e-11  # relative forward error of a lift formula at its gate
 TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple above
+# |det A - 1| of lift_simple's block A in lift; rel maxabs(A)^2.  The block's error,
+# about |det A - 1| / 2, is linear in the small invariant of a Lam the trace gate calls
+# simple (2.7e-6 at rapidity 1e-5, angle 1); framed boosts read < 7e-16 to rapidity 24.
+BLOCK_DET_TOL = 2.0 * _LIFT_TARGET
 LOG_TRACE_GATE = 1e-9  # tr Lam in log_simple; abs
 PARABOLIC_TOL = 1e-12  # |tr Lam / 2 - 2| for the parabolic simple log; abs
 FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs

@@ -69,7 +69,7 @@ class Bivector:
         return float(np.linalg.det(self.matrix))
 
     def _require_same_metric(self, other: "Bivector"):
-        if not np.array_equal(self.metric.matrix, other.metric.matrix):
+        if self.metric.signature != other.metric.signature:
             raise InvalidBivectorError("bivectors live over different metrics")
 
     def __add__(self, other: "Bivector") -> "Bivector":
@@ -182,11 +182,11 @@ def plane_projection(L: Bivector) -> np.ndarray:
 def wedge_factors(L: Bivector):
     """Vectors (u, v) with wedge(u, v) equal to the simple input L.
 
-    The columns of L g^{-1} span the plane of a simple bivector; two
+    The columns of L g^{-1} = L g span the plane of a simple bivector; two
     independent ones are selected by column-pivoted elimination and rescaled
     so the wedge reproduces L itself.
     """
-    f = L.matrix @ L.metric._inverse
+    f = L.matrix @ L.metric.matrix
     order, pivots = pivot_columns(f)
     top = max(pivots[0], TINY)
     if pivots[1] <= FACTOR_PIVOT_TOL * top:

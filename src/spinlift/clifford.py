@@ -28,9 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._linalg import SPIN_REP_SKEW_TOL, maxabs, scale
+from ._linalg import _floored, maxabs
 from .bivector import Bivector
-from .errors import InvalidBivectorError, NonDiagonalMetricError
+from .errors import InvalidBivectorError
 from .metric import Metric
 
 BLADE_COUNT = 16
@@ -74,16 +74,6 @@ def _reorder_sign(a: int, b: int) -> float:
     return -1.0 if swaps & 1 else 1.0
 
 
-def _metric_diagonal(g: Metric) -> np.ndarray:
-    m = g.matrix
-    d = np.diagonal(m)
-    if np.any(m != np.diag(d)) or np.any(np.abs(d) != 1.0):
-        raise NonDiagonalMetricError(
-            "Clifford constructions need a diagonal metric with +/-1 entries"
-        )
-    return d
-
-
 def _blade_product(a: int, b: int, diag: np.ndarray):
     sign = _reorder_sign(a, b)
     common = a & b
@@ -125,7 +115,7 @@ class CliffordElement:
 
 def clifford_mul(a: CliffordElement, b: CliffordElement, g: Metric) -> CliffordElement:
     """Clifford product of two algebra elements over the metric g."""
-    diag = _metric_diagonal(g)
+    diag = np.diagonal(g.matrix)
     out = np.zeros(BLADE_COUNT)
     for i, ca in enumerate(a.coeffs):
         if ca == 0.0:
@@ -177,7 +167,7 @@ class Representation:
         self._vector_rows = self.vectors.reshape(len(VECTOR_MASKS), -1)
         self._pair_rows = self.pair_generators.reshape(len(PAIR_INDICES), -1)
 
-    @cached_property  # built on first use; a metric other than pmmm, mppp raises here
+    @cached_property  # built on first use
     def _weyl_tables(self):
         # The even gamma blades over this metric are block-diagonal in the Weyl basis,
         # U rho U^T with U = _WEYL_U / sqrt(2); their upper-left blocks have squared
@@ -200,7 +190,7 @@ class Representation:
 
 
 def _regular_blades(g: Metric) -> np.ndarray:
-    diag = _metric_diagonal(g)
+    diag = np.diagonal(g.matrix)
     blades = np.zeros((BLADE_COUNT, BLADE_COUNT, BLADE_COUNT))
     for s in range(BLADE_COUNT):
         for t in range(BLADE_COUNT):
@@ -210,15 +200,7 @@ def _regular_blades(g: Metric) -> np.ndarray:
 
 
 def _gamma_blades(g: Metric) -> np.ndarray:
-    diag = _metric_diagonal(g)
-    if np.array_equal(diag, (1.0, -1.0, -1.0, -1.0)):
-        gammas = _GAMMA_PMMM
-    elif np.array_equal(diag, (-1.0, 1.0, 1.0, 1.0)):
-        gammas = 1j * _GAMMA_PMMM
-    else:
-        raise NonDiagonalMetricError(
-            "gamma representation supports only the (+---) and (-+++) signatures"
-        )
+    gammas = _GAMMA_PMMM if g.signature == "pmmm" else 1j * _GAMMA_PMMM
     blades = np.zeros((BLADE_COUNT, 4, 4), dtype=complex)
     for mask in range(BLADE_COUNT):
         m = np.eye(4, dtype=complex)
@@ -237,7 +219,7 @@ def representation(kind: str, g: Metric) -> Representation:
     """The "gamma" (4x4 complex) or "regular" (16x16 real) representation of Cl(g)."""
     if kind not in _BLADE_BUILDERS:
         raise ValueError(f"unknown representation kind {kind!r}")
-    key = (kind, tuple(_metric_diagonal(g)))
+    key = (kind, g.signature)
     if key not in _REP_CACHE:
         _REP_CACHE[key] = Representation(kind, g, _BLADE_BUILDERS[kind](g))
     return _REP_CACHE[key]
@@ -249,12 +231,13 @@ def spin_rep(rep: Representation, L: Bivector) -> np.ndarray:
 
 
 def _pair_coefficients(rep: Representation, L: Bivector):
-    # (F^ab for a < b as a (1, 6) row, scale(F, 1)) of F = L g^{-1}, checked skew
-    f = L.matrix @ rep.metric._inverse
-    norm = scale(f, 1)
-    if maxabs(f + f.T) > SPIN_REP_SKEW_TOL * norm:
-        raise InvalidBivectorError("coefficient matrix L g^{-1} is not antisymmetric")
-    return f[_PAIR_INDEX].reshape(1, -1), norm
+    # (F^ab for a < b as a (1, 6) row, scale(F, 1)) of F = L g^{-1} = L g.  With
+    # g = diag(+/-1), F + F^T is g (L^T g + g L) g up to the sign of each entry, so
+    # the Bivector validator bounds its skewness, and maxabs F = maxabs L, bit for bit.
+    if not isinstance(L, Bivector):
+        raise InvalidBivectorError("spin_rep takes a validated Bivector")
+    f = L.matrix @ rep.metric.matrix
+    return f[_PAIR_INDEX].reshape(1, -1), _floored(L._maxabs, 1)
 
 
 def _even_image(rep: Representation, a) -> np.ndarray:

@@ -15,12 +15,6 @@ class InvalidMetricError(SpinLiftError):
     code = "InvalidMetric"
 
 
-class NonDiagonalMetricError(SpinLiftError):
-    """Clifford constructions require an orthonormal (diagonal +/-1) metric."""
-
-    code = "NonDiagonalMetric"
-
-
 class InvalidBivectorError(SpinLiftError):
     code = "InvalidBivector"
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    DENOMINATOR_GATE, FACTOR_GAP_TOL, LOG_TRACE_GATE, ORTHO_TOL, PARABOLIC_TOL,
-    SIGN_TOL, SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, factor_delta,
+    BLOCK_DET_TOL, DENOMINATOR_GATE, FACTOR_GAP_TOL, LOG_TRACE_GATE, ORTHO_TOL,
+    PARABOLIC_TOL, SIGN_TOL, SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, factor_delta,
     lift_denominator, maxabs, simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
@@ -77,11 +77,11 @@ class LorentzTransformation:
         object.__setattr__(self, "_traces", traces)
 
     def inverse(self) -> np.ndarray:
-        """Inverse matrix g^{-1} Lam^T g (exact for metric-preserving Lam)."""
-        return self.metric._inverse @ self.matrix.T @ self.metric.matrix
+        """Inverse matrix g^{-1} Lam^T g = g Lam^T g (exact when Lam preserves g)."""
+        return self.metric.matrix @ self.matrix.T @ self.metric.matrix
 
     def __matmul__(self, other: "LorentzTransformation") -> "LorentzTransformation":
-        if not np.array_equal(self.metric.matrix, other.metric.matrix):
+        if self.metric.signature != other.metric.signature:
             raise InvalidTransformationError(
                 "transformations live over different metrics"
             )
@@ -223,9 +223,9 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
 
 def _simple_block(lam: LorentzTransformation, rep: Representation, t):
     # The Weyl block of lift_simple's Sigma: A = (sqrt(t) / 2) I + X_B / sqrt(t), X_B
-    # the block of sigma(B), B = Lam - Lam^{-1}.  With M = Lam g^{-1} and
-    # Lam^{-1} = g^{-1} Lam^T g, B g^{-1} = M - M^T is skew by construction.
-    m = lam.matrix @ lam.metric._inverse
+    # the block of sigma(B), B = Lam - Lam^{-1}.  With M = Lam g^{-1} = Lam g and
+    # Lam^{-1} = g Lam^T g, B g^{-1} = M - M^T is skew by construction.
+    m = lam.matrix @ lam.metric.matrix
     r = math.sqrt(t)
     a = np.dot((m - m.T)[_PAIR_INDEX], rep._weyl_tables[0]) / r
     a[0::3] += 0.5 * r
@@ -291,9 +291,10 @@ def lift(
     Each branch forms A in SL(2,C), the Weyl block of Sigma, and one map takes
     A to ``rep``.  The spinor map Lam -> +/-A (Shepperd's largest-diagonal
     extraction) has no gate; the denominator gate only names the non-simple
-    regime.  A Lam simple at ``tol`` but not at the default tol, where the
-    simple formula loses accuracy, keeps the label "simple" and takes the
-    spinor map.  With ``return_branch=True`` returns ``(Sigma, branch)``.
+    regime.  A "simple" Lam whose block misses det A = 1 by more than
+    ``BLOCK_DET_TOL`` maxabs(A)^2, where the simple formula has lost accuracy,
+    keeps its label and takes the spinor map.  With ``return_branch=True``
+    returns ``(Sigma, branch)``.
     """
     t, t2 = lam._traces
     norm2 = _floored(lam._maxabs, 2)
@@ -306,8 +307,12 @@ def lift(
         branch = "simple"
     # Boosts and null rotations have tr Lam >= 4, far from the root's zero;
     # there lift_simple is also more accurate than the spinor map.
-    if branch == "simple" and _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
+    if branch == "simple":
         a = _simple_block(lam, rep, t)
+        x00, x01, x10, x11 = a.tolist()
+        top = max(abs(x00), abs(x01), abs(x10), abs(x11))
+        if abs(x00 * x11 - x01 * x10 - 1.0) > BLOCK_DET_TOL * top * top:
+            a = _spinor(lam.matrix)
     else:
         a = _spinor(lam.matrix)
     out = _even_image(rep, a)

@@ -95,6 +95,8 @@ def intertwining_defect(
     under Sigma -> -Sigma.
     """
     sigma = np.asarray(sigma)
+    if not math.isfinite(maxabs(sigma)):  # inv passes NaN through and cond fails on it
+        raise SingularSigmaError("candidate lift has non-finite entries")
     try:
         inv = np.linalg.inv(sigma)
     except np.linalg.LinAlgError as exc:

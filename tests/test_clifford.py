@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinlift import (
     Bivector,
@@ -15,6 +18,8 @@ from spinlift import (
     spin_rep,
     wedge,
 )
+from spinlift._linalg import SKEW_TOL, maxabs
+from spinlift.clifford import _PAIR_INDEX
 
 E = np.eye(4)
 
@@ -170,3 +175,38 @@ def test_spin_rep_rejects_non_bivector(g, rep):
 
     with pytest.raises(InvalidBivectorError):
         spin_rep(rep, Fake())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sig=st.sampled_from(["pmmm", "mppp"]),
+    exponent=st.floats(-6.0, 3.0),
+    pairs=hnp.arrays(np.float64, 6, elements=st.floats(-1.0, 1.0)),
+    noise=hnp.arrays(np.float64, (4, 4), elements=st.floats(-0.5, 0.5)),
+    d=st.floats(-0.5, 0.5),
+)
+@example(sig="mppp", exponent=0.0, pairs=np.ones(6),
+         noise=np.full((4, 4), 0.5), d=0.5)  # every entry at the edge
+def test_validator_bounds_pair_skewness(sig, exponent, pairs, noise, d):
+    # spin_rep reads F = L g^{-1} = L g unchecked: over g = diag(+/-1), F + F^T is
+    # L^T g + g L up to the sign of each entry, so the Bivector validator's bound
+    # holds for it bit for bit, and maxabs F is the validator's maxabs L.
+    g = make_metric(sig)
+    f = np.zeros((4, 4))
+    f[_PAIR_INDEX] = 10.0**exponent * pairs
+    skew = (f - f.T) @ g.matrix
+    # a non-skew part up to SKEW_TOL: each entry of E^T g + g E is at most
+    # |E_ij| + |E_ji|, and the diagonal (d, -d, 0, 0) keeps the trace exactly 0
+    edge = SKEW_TOL * max(1.0, maxabs(skew))
+    e = noise.copy()
+    np.fill_diagonal(e, 0.0)
+    e[0, 0], e[1, 1] = d, -d
+    try:
+        L = Bivector(skew + edge * e, g)
+    except InvalidBivectorError:  # rounding past the edge
+        assume(False)
+    m, gm = L.matrix, g.matrix
+    F = m @ gm
+    assert maxabs(F + F.T) == maxabs(m.T @ gm + gm @ m)
+    assert maxabs(F + F.T) <= SKEW_TOL * max(1.0, L._maxabs)
+    assert maxabs(F) == L._maxabs

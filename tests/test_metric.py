@@ -3,11 +3,9 @@ import pytest
 
 from spinlift import (
     InvalidMetricError,
-    NonDiagonalMetricError,
+    Metric,
     inner,
     make_metric,
-    metric_from_matrix,
-    representation,
 )
 
 E = np.eye(4)
@@ -48,42 +46,36 @@ def test_inner_symmetric_random():
         assert inner(g, u, v) == pytest.approx(inner(g, v, u), abs=1e-15)
 
 
-@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
-def test_from_matrix_recognizes_diagonal_tags(tag):
-    m = metric_from_matrix(make_metric(tag).matrix)
-    assert m.signature == tag
+PMMM = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-def test_from_matrix_general_tag():
-    # symmetric, determinant -1, but not one of the diagonal conventions
+def test_metric_is_one_of_two():
+    for tag in ("pmmm", "mppp"):
+        g = Metric(make_metric(tag).matrix.tolist(), tag)
+        assert g.matrix.tobytes() == make_metric(tag).matrix.tobytes()
+        assert not g.matrix.flags.writeable
+
+
+def _general():
+    # symmetric with determinant -1, but neither diagonal convention
     m = np.zeros((4, 4))
     m[0, 1] = m[1, 0] = 1.0
     m[2, 2] = m[3, 3] = 1.0
-    g = metric_from_matrix(m)
-    assert g.signature == "general"
+    return m
 
 
-def test_from_matrix_rejections():
-    bad_shape = np.eye(3)
+@pytest.mark.parametrize("matrix, signature", [
+    (PMMM, "mppp"),  # the other convention's tag
+    (-PMMM, "pmmm"),
+    (np.diag([1.0, 1.0, 1.0, -1.0]), "pmmm"),  # +/-1 on the diagonal, time last
+    (np.diag([1.0, 1.0, 1.0, -1.0]), "general"),
+    (_general(), "general"),
+    (PMMM, "ppmm"),
+    (PMMM[:3, :3], "pmmm"),
+    (np.diag([1.0, -1.0, -1.0, np.nan]), "pmmm"),
+    (PMMM + 1e-15, "pmmm"),
+    (np.eye(4), "pmmm"),  # det +1
+])
+def test_metric_refuses_other_pairs(matrix, signature):
     with pytest.raises(InvalidMetricError):
-        metric_from_matrix(bad_shape)
-    asym = np.diag([1.0, -1.0, -1.0, -1.0])
-    asym[0, 1] = 1e-14
-    with pytest.raises(InvalidMetricError):
-        metric_from_matrix(asym)
-    with pytest.raises(InvalidMetricError):
-        metric_from_matrix(np.eye(4))  # det +1
-    nonfinite = np.diag([1.0, -1.0, -1.0, -1.0])
-    nonfinite[3, 3] = np.nan
-    with pytest.raises(InvalidMetricError):
-        metric_from_matrix(nonfinite)
-
-
-@pytest.mark.parametrize("kind", ["gamma", "regular"])
-def test_general_metric_rejected_by_representations(kind):
-    m = np.zeros((4, 4))
-    m[0, 1] = m[1, 0] = 1.0
-    m[2, 2] = m[3, 3] = 1.0
-    g = metric_from_matrix(m)
-    with pytest.raises(NonDiagonalMetricError):
-        representation(kind, g)
+        Metric(matrix, signature)

@@ -264,6 +264,20 @@ def test_intertwining_refuses_both_singular_paths(g, rep):
         intertwining_defect(ill, lam, rep)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_intertwining_refuses_non_finite_sigma(sig, bad, rep):
+    # np.linalg.inv passes a NaN through, and np.linalg.cond then raises an
+    # untyped LinAlgError; the check before both gives the typed error
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    lam = LorentzTransformation(np.eye(4), g)
+    sigma = np.array(rep.identity)
+    sigma[0, 1] = bad
+    with pytest.raises(SingularSigmaError, match="non-finite"):
+        intertwining_defect(sigma, lam, rep)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     m=st.integers(1, 16).flatmap(lambda n: hnp.arrays(
