@@ -79,9 +79,12 @@ SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
 # bounds both, and each gate keeps the error within _LIFT_TARGET.  Units: rel Lam^2.
 _LIFT_TARGET = 1e-11  # relative forward error of a lift formula at its gate
 TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple above
-# |det A - 1| of lift_simple's block A in lift; rel maxabs(A)^2.  The block's error,
-# about |det A - 1| / 2, is linear in the small invariant of a Lam the trace gate calls
-# simple (2.7e-6 at rapidity 1e-5, angle 1); framed boosts read < 7e-16 to rapidity 24.
+# |det A - 1| of lift_simple's block A in lift; abs.  The block is exp(-i phi) times
+# the true one, phi = arg tr A of the spinor, so its error is about |det A - 1| / 2:
+# linear in the small invariant of a Lam the trace gate calls simple (2.7e-6 at
+# rapidity 1e-5 next to angle 1).  Relative to maxabs(A)^2 the bound would let that
+# error grow as e^rapidity; absolute, it sends framed boosts past rapidity ~12, whose
+# computed det A carries u maxabs(A)^2 of rounding, to the spinor map.
 BLOCK_DET_TOL = 2.0 * _LIFT_TARGET
 LOG_TRACE_GATE = 1e-9  # tr Lam in log_simple; abs
 PARABOLIC_TOL = 1e-12  # |tr Lam / 2 - 2| for the parabolic simple log; abs

@@ -291,10 +291,10 @@ def lift(
     Each branch forms A in SL(2,C), the Weyl block of Sigma, and one map takes
     A to ``rep``.  The spinor map Lam -> +/-A (Shepperd's largest-diagonal
     extraction) has no gate; the denominator gate only names the non-simple
-    regime.  A "simple" Lam whose block misses det A = 1 by more than
-    ``BLOCK_DET_TOL`` maxabs(A)^2, where the simple formula has lost accuracy,
-    keeps its label and takes the spinor map.  With ``return_branch=True``
-    returns ``(Sigma, branch)``.
+    regime.  A "simple" Lam keeps its label but takes the spinor map where
+    ``lift_simple`` would lose accuracy: when it is simple only under a looser
+    ``tol`` than the default, or when the block misses det A = 1 by more than
+    ``BLOCK_DET_TOL``.  With ``return_branch=True`` returns ``(Sigma, branch)``.
     """
     t, t2 = lam._traces
     norm2 = _floored(lam._maxabs, 2)
@@ -307,11 +307,10 @@ def lift(
         branch = "simple"
     # Boosts and null rotations have tr Lam >= 4, far from the root's zero;
     # there lift_simple is also more accurate than the spinor map.
-    if branch == "simple":
+    if branch == "simple" and _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         a = _simple_block(lam, rep, t)
         x00, x01, x10, x11 = a.tolist()
-        top = max(abs(x00), abs(x01), abs(x10), abs(x11))
-        if abs(x00 * x11 - x01 * x10 - 1.0) > BLOCK_DET_TOL * top * top:
+        if abs(x00 * x11 - x01 * x10 - 1.0) > BLOCK_DET_TOL:
             a = _spinor(lam.matrix)
     else:
         a = _spinor(lam.matrix)

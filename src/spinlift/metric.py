@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,12 +22,11 @@ DEFAULT_SIGNATURE = "pmmm"
 class Metric:
     """One of the two orthonormal Lorentz metrics, diag(SIGNATURES[signature]).
 
-    The constructor refuses any other (matrix, signature) pair, so g^{-1} = g
-    and the signature alone identifies the metric.
+    The signature tag alone builds the read-only matrix, so g^{-1} = g.
     """
 
-    matrix: np.ndarray
     signature: str
+    matrix: np.ndarray = field(init=False)
 
     def __post_init__(self):
         diag = SIGNATURES.get(self.signature)
@@ -35,15 +34,13 @@ class Metric:
             raise InvalidMetricError(f"unknown signature {self.signature!r}; "
                                      f"expected one of {sorted(SIGNATURES)}")
         m = np.diag(diag)
-        if not np.array_equal(self.matrix, m):
-            raise InvalidMetricError(f"the {self.signature} metric is diag{diag}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 
 def make_metric(signature: str = DEFAULT_SIGNATURE) -> Metric:
     """Build one of the two diagonal Lorentz metrics; Metric refuses an unknown tag."""
-    return Metric(matrix=np.diag(SIGNATURES.get(signature, ())), signature=signature)
+    return Metric(signature)
 
 
 def inner(g: Metric, u, v) -> float:

@@ -32,7 +32,7 @@ from spinlift import (
     tr2_transform,
     wedge,
 )
-from spinlift.group_lift import _spinor
+from spinlift.group_lift import SIMPLE_CRITERION_TOL, _spinor
 from spinlift.sampling import (
     degenerate_denominator_transformation,
     random_nonsimple_transformation,
@@ -303,27 +303,31 @@ def test_lift_simple_keeps_accuracy_guard(sig, rep):
 
 
 def near_simple(g):
-    """Generators with one invariant 1e-9 ... 1e-5 next to an O(1) one, or both tiny."""
+    """(generator, tol): one invariant 1e-9 ... 1e-5 next to a larger one, or both
+    tiny, at the default tol; and a Lam simple only under a looser tol."""
     b01, b23 = wedge(g, E[0], E[1]), wedge(g, E[2], E[3])
     for eps in np.logspace(-9, -5, 9):
         for angle in (0.5, 1.0, 2.5):
-            yield eps * b01 + angle * b23
-        for rapidity in (0.5, 2.0):
-            yield rapidity * b01 + eps * b23
+            yield eps * b01 + angle * b23, SIMPLE_CRITERION_TOL
+        for rapidity in (0.5, 2.0, 5.0, 8.0, 12.0, 16.0):
+            yield rapidity * b01 + eps * b23, SIMPLE_CRITERION_TOL
     for eps in (1e-4, 1e-3):
-        yield eps * (b01 + b23)
+        yield eps * (b01 + b23), SIMPLE_CRITERION_TOL
+    # its trace defect is ~500 times the default bound; the block would be 5e-4 off
+    yield 20.0 * b01 + 1e-3 * b23, 1e-6
 
 
 @pytest.mark.parametrize("sig", ["pmmm", "mppp"])
 def test_lift_near_simple_is_accurate(sig, rep):
     # The trace gate calls each Lam simple, and lift_simple's block misses
     # exp(sigma(L)) by about |det A - 1| / 2, up to 2.7e-6 at rapidity 1e-5 next
-    # to angle 1; lift sees that defect and takes the spinor map.
+    # to angle 1 and 5e-6 at angle 1e-5 next to rapidity 16; lift sees that
+    # defect, or a tol looser than the default, and takes the spinor map.
     g = make_metric(sig)
     rep = representation(rep.kind, g)
-    for L in near_simple(g):
+    for L, tol in near_simple(g):
         lam = LorentzTransformation(exp_series(L.matrix), g)
-        sigma, branch = lift(lam, rep, return_branch=True)
+        sigma, branch = lift(lam, rep, tol, return_branch=True)
         assert branch == "simple"
         ref = exp_series(spin_rep(rep, L))
         err = min(mabs(sigma - ref), mabs(sigma + ref)) / mabs(ref)

@@ -7,6 +7,7 @@ from spinlift import (
     inner,
     make_metric,
 )
+from spinlift.metric import SIGNATURES
 
 E = np.eye(4)
 
@@ -46,36 +47,22 @@ def test_inner_symmetric_random():
         assert inner(g, u, v) == pytest.approx(inner(g, v, u), abs=1e-15)
 
 
-PMMM = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
 def test_metric_is_one_of_two():
     for tag in ("pmmm", "mppp"):
-        g = Metric(make_metric(tag).matrix.tolist(), tag)
-        assert g.matrix.tobytes() == make_metric(tag).matrix.tobytes()
+        g = Metric(tag)
+        assert g.matrix.tobytes() == np.diag(SIGNATURES[tag]).tobytes()
         assert not g.matrix.flags.writeable
 
 
-def _general():
-    # symmetric with determinant -1, but neither diagonal convention
-    m = np.zeros((4, 4))
-    m[0, 1] = m[1, 0] = 1.0
-    m[2, 2] = m[3, 3] = 1.0
-    return m
-
-
-@pytest.mark.parametrize("matrix, signature", [
-    (PMMM, "mppp"),  # the other convention's tag
-    (-PMMM, "pmmm"),
-    (np.diag([1.0, 1.0, 1.0, -1.0]), "pmmm"),  # +/-1 on the diagonal, time last
-    (np.diag([1.0, 1.0, 1.0, -1.0]), "general"),
-    (_general(), "general"),
-    (PMMM, "ppmm"),
-    (PMMM[:3, :3], "pmmm"),
-    (np.diag([1.0, -1.0, -1.0, np.nan]), "pmmm"),
-    (PMMM + 1e-15, "pmmm"),
-    (np.eye(4), "pmmm"),  # det +1
-])
-def test_metric_refuses_other_pairs(matrix, signature):
+@pytest.mark.parametrize("signature", ["general", "ppmm", "PMMM", "", None])
+def test_metric_refuses_other_signatures(signature):
     with pytest.raises(InvalidMetricError):
-        Metric(matrix, signature)
+        Metric(signature)
+
+
+def test_metric_takes_no_matrix():
+    # The signature fixes the matrix; there is no other one to pass.
+    with pytest.raises(TypeError):
+        Metric("pmmm", np.diag(SIGNATURES["pmmm"]))
+    with pytest.raises(TypeError):
+        Metric(matrix=np.diag(SIGNATURES["pmmm"]), signature="pmmm")
