@@ -20,11 +20,6 @@ from .bivector import (
     wedge_factors,
 )
 from .clifford import (
-    CliffordElement,
-    Representation,
-    blade_mask,
-    blade_name,
-    clifford_mul,
     lie_bracket_check,
     representation,
     spin_rep,
@@ -46,7 +41,6 @@ from .errors import (
     TracelessSimpleError,
 )
 from .expmap import (
-    ExpCoefficients,
     exp_coefficients,
     exp_spin,
     exp_spin_factored,
@@ -56,7 +50,6 @@ from .expmap import (
     sinh_ratio,
 )
 from .group_lift import (
-    FactorPair,
     LorentzTransformation,
     factor_transform,
     is_simple_transform,
@@ -87,11 +80,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bivector",
-    "CliffordElement",
     "DegenerateDenominatorError",
     "DegeneratePlaneError",
-    "ExpCoefficients",
-    "FactorPair",
     "InvalidBivectorError",
     "InvalidMetricError",
     "InvalidTransformationError",
@@ -102,15 +92,11 @@ __all__ = [
     "NegativeDiscriminantError",
     "NotNonsimpleError",
     "NotSimpleError",
-    "Representation",
     "SimpleInputError",
     "SimpleTransformError",
     "SingularSigmaError",
     "SpinLiftError",
     "TracelessSimpleError",
-    "blade_mask",
-    "blade_name",
-    "clifford_mul",
     "cross_trace_check",
     "det_bivector",
     "exp_coefficients",

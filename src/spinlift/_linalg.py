@@ -63,8 +63,8 @@ FACTOR_PIVOT_TOL = 1e-7  # rank of L g^{-1} in wedge_factors; pivot
 SPIN_GAP_TOL = 1e-8
 SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spin; abs
 # mu_plus - mu_minus = 4 |s^2| of a non-simple L in exp_spin, at or below it the
-# label "near-degenerate/series"; rel L^2.  Also the default min_gap of
-# random_nonsimple_bivector, so samples draw the label "nonsimple/polynomial".
+# label "near-degenerate/series"; rel L^2.  Also the gap that every
+# random_nonsimple_bivector sample clears, so samples draw "nonsimple/polynomial".
 SERIES_GAP_TOL = 1e-3
 _NULL_TOL = 1e-12  # |tr2 L| of a "simple/null" exp_spin branch; rel L^2
 # ||Lam^T g Lam - g|| and |det Lam - 1| in the LorentzTransformation validator;
@@ -79,12 +79,13 @@ SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
 # bounds both, and each gate keeps the error within _LIFT_TARGET.  Units: rel Lam^2.
 _LIFT_TARGET = 1e-11  # relative forward error of a lift formula at its gate
 TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple above
-# |det A - 1| of lift_simple's block A in lift; abs.  The block is exp(-i phi) times
-# the true one, phi = arg tr A of the spinor, so its error is about |det A - 1| / 2:
-# linear in the small invariant of a Lam the trace gate calls simple (2.7e-6 at
-# rapidity 1e-5 next to angle 1).  Relative to maxabs(A)^2 the bound would let that
-# error grow as e^rapidity; absolute, it sends framed boosts past rapidity ~12, whose
-# computed det A carries u maxabs(A)^2 of rounding, to the spinor map.
+# |det A - 1| of lift_simple's block A; abs.  Past it lift takes the spinor map and
+# lift_simple raises.  The block is exp(-i phi) times the true one, phi = arg tr A
+# of the spinor, so its error is about |det A - 1| / 2: linear in the small
+# invariant of a Lam the trace gate calls simple (2.7e-6 at rapidity 1e-5 next to
+# angle 1).  Relative to maxabs(A)^2 the bound would let that error grow as
+# e^rapidity; absolute, it sends framed boosts past rapidity ~12, whose computed
+# det A carries u maxabs(A)^2 of rounding, to the spinor map.
 BLOCK_DET_TOL = 2.0 * _LIFT_TARGET
 LOG_TRACE_GATE = 1e-9  # tr Lam in log_simple; abs
 PARABOLIC_TOL = 1e-12  # |tr Lam / 2 - 2| for the parabolic simple log; abs

@@ -122,13 +122,20 @@ def _matrix_payload(m) -> list:
 # request parsing
 
 
+def _is_number(x) -> bool:
+    # JSON numbers only: a bool is an int to Python, and a string converts to float
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _parse_matrix(raw) -> np.ndarray:
     try:
         m = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"matrix entries must be numbers: {exc}") from exc
     if m.shape != (4, 4):
         raise MalformedInputError(f"matrix must be 4x4, got shape {m.shape}")
+    if not all(_is_number(x) for row in raw for x in row):
+        raise MalformedInputError("matrix entries must be numbers")
     if not np.isfinite(m).all():
         raise MalformedInputError("matrix entries must be finite")
     return m
@@ -139,8 +146,11 @@ def _load_request(args) -> dict:
     payload: dict = {}
     if args.command != "selftest":
         if args.infile:
-            with open(args.infile, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            try:
+                with open(args.infile, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise MalformedInputError(f"cannot read input file: {exc}") from exc
         else:
             text = sys.stdin.read()
         try:
@@ -164,16 +174,15 @@ def _load_request(args) -> dict:
             request[key] = _DEFAULTS[key]
     request["seed"] = args.seed if args.seed is not None else _DEFAULTS["seed"]
 
-    if request["metric"] not in SIGNATURES:
+    if not isinstance(request["metric"], str) or request["metric"] not in SIGNATURES:
         raise MalformedInputError(f"unknown metric tag {request['metric']!r}")
     if request["rep"] not in ("gamma", "regular"):
         raise MalformedInputError(f"unknown representation {request['rep']!r}")
-    try:
-        request["tol"] = float(request["tol"])
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError("tol must be a number") from exc
-    if not (request["tol"] > 0.0 and math.isfinite(request["tol"])):
+    if not _is_number(request["tol"]):
+        raise MalformedInputError("tol must be a number")
+    if not 0.0 < request["tol"] <= sys.float_info.max:  # float() of a larger int overflows
         raise MalformedInputError("tol must be a positive finite number")
+    request["tol"] = float(request["tol"])
 
     if args.command != "selftest":
         if "matrix" not in payload:

@@ -1,7 +1,7 @@
-"""Clifford algebra Cl(g) over a diagonal Lorentz metric and its representations.
+"""Matrix representations of the Clifford algebra Cl(g) of a Lorentz metric.
 
-Basis blades are indexed by subsets S of {0,1,2,3} encoded as 4-bit masks, so
-an algebra element is a length-16 coefficient vector.  Generators satisfy
+Basis blades are indexed by subsets S of {0,1,2,3} encoded as 4-bit masks, and
+each representation is its table of 16 blade images.  Generators satisfy
 e_a e_b + e_b e_a = 2 g(e_a, e_b); products of basis blades reduce to a sign
 (from counting transpositions) times a metric factor (from contracting
 repeated generators) times the symmetric-difference blade.
@@ -23,7 +23,6 @@ which on a wedge u ^ v reduces to rho(uv - vu)/4.  The commutation identity
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,26 +40,6 @@ VECTOR_MASKS = (1, 2, 4, 8)
 #: Index pairs (a, b) with a < b, in the order used for bivector coefficients.
 PAIR_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_INDEX = tuple(np.array(axis) for axis in zip(*PAIR_INDICES))
-
-_GAMMA_NAMES = ("1", "e0", "e1", "e01", "e2", "e02", "e12", "e012",
-                "e3", "e03", "e13", "e013", "e23", "e023", "e123", "e0123")
-
-
-def blade_mask(indices) -> int:
-    """Bit mask of the blade with the given generator indices."""
-    mask = 0
-    for i in indices:
-        if not 0 <= i <= 3:
-            raise ValueError(f"generator index {i} out of range")
-        if mask & (1 << i):
-            raise ValueError(f"repeated generator index {i}")
-        mask |= 1 << i
-    return mask
-
-
-def blade_name(mask: int) -> str:
-    """Human-readable name of a basis blade ("1", "e0", "e01", ...)."""
-    return _GAMMA_NAMES[mask]
 
 
 def _reorder_sign(a: int, b: int) -> float:
@@ -81,51 +60,6 @@ def _blade_product(a: int, b: int, diag: np.ndarray):
         if common & (1 << i):
             sign *= diag[i]
     return a ^ b, sign
-
-
-@dataclass(frozen=True, eq=False)
-class CliffordElement:
-    """Element of Cl(g) as 16 real coefficients indexed by blade mask."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float)
-        if c.shape != (BLADE_COUNT,):
-            raise ValueError(f"expected {BLADE_COUNT} coefficients, got {c.shape}")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def scalar(cls, value: float) -> "CliffordElement":
-        c = np.zeros(BLADE_COUNT)
-        c[0] = value
-        return cls(c)
-
-    @classmethod
-    def blade(cls, mask: int, value: float = 1.0) -> "CliffordElement":
-        c = np.zeros(BLADE_COUNT)
-        c[mask] = value
-        return cls(c)
-
-    @classmethod
-    def basis_vector(cls, i: int) -> "CliffordElement":
-        return cls.blade(1 << i)
-
-
-def clifford_mul(a: CliffordElement, b: CliffordElement, g: Metric) -> CliffordElement:
-    """Clifford product of two algebra elements over the metric g."""
-    diag = np.diagonal(g.matrix)
-    out = np.zeros(BLADE_COUNT)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0.0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb == 0.0:
-                continue
-            mask, sign = _blade_product(i, j, diag)
-            out[mask] += sign * ca * cb
-    return CliffordElement(out)
 
 
 # Dirac basis for the (+---) signature: gamma^0 = diag(1,1,-1,-1) and
@@ -178,10 +112,6 @@ class Representation:
         a = (_WEYL_U @ blades @ _WEYL_U.T)[:, :2, :2].reshape(BLADE_COUNT, 4)
         pairs = [(1 << i) | (1 << j) for i, j in PAIR_INDICES]
         return 0.25 * a[pairs], 0.25 * np.hstack([a.real, a.imag])
-
-    def of(self, x: CliffordElement) -> np.ndarray:
-        """Matrix image of an algebra element."""
-        return np.dot(x.coeffs.reshape(1, -1), self._blade_rows).reshape(self.dim, -1)
 
     def vector(self, u) -> np.ndarray:
         """Matrix image u^a rho(e_a) of a 4-vector."""

@@ -210,7 +210,8 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
 
         Sigma = (tr Lam I + 2 sigma(Lam - Lam^{-1})) / (2 sqrt(tr Lam)),
 
-    evaluated on the Weyl block of Sigma in SL(2,C).
+    evaluated on the Weyl block of Sigma in SL(2,C).  Raises ``NotSimpleError``
+    for a near-simple Lam, whose block misses det A = 1 by more than BLOCK_DET_TOL.
     """
     t, t2 = lam._traces
     # Its error grows with the simplicity defect: guarded at the default tol.
@@ -218,18 +219,24 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
         raise NotSimpleError("lift_simple requires a simple transformation")
     if t <= min(TRACE_GATE * _floored(lam._maxabs, 2), 4.0):  # lift's gate
         raise TracelessSimpleError("trace too close to zero for lift_simple; use lift")
-    return _even_image(rep, _simple_block(lam, rep, t))
+    a = _simple_block(lam, rep, t)
+    if a is None:
+        raise NotSimpleError("lift_simple's block misses det A = 1; use lift")
+    return _even_image(rep, a)
 
 
 def _simple_block(lam: LorentzTransformation, rep: Representation, t):
     # The Weyl block of lift_simple's Sigma: A = (sqrt(t) / 2) I + X_B / sqrt(t), X_B
     # the block of sigma(B), B = Lam - Lam^{-1}.  With M = Lam g^{-1} = Lam g and
-    # Lam^{-1} = g Lam^T g, B g^{-1} = M - M^T is skew by construction.
+    # Lam^{-1} = g Lam^T g, B g^{-1} = M - M^T is skew by construction.  None when
+    # A misses det A = 1 by more than BLOCK_DET_TOL: Lam is then near-simple, not
+    # simple, and A is off by about |det A - 1| / 2.
     m = lam.matrix @ lam.metric.matrix
     r = math.sqrt(t)
     a = np.dot((m - m.T)[_PAIR_INDEX], rep._weyl_tables[0]) / r
     a[0::3] += 0.5 * r
-    return a
+    x00, x01, x10, x11 = a.tolist()
+    return None if abs(x00 * x11 - x01 * x10 - 1.0) > BLOCK_DET_TOL else a
 
 
 def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
@@ -307,12 +314,10 @@ def lift(
         branch = "simple"
     # Boosts and null rotations have tr Lam >= 4, far from the root's zero;
     # there lift_simple is also more accurate than the spinor map.
+    a = None
     if branch == "simple" and _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         a = _simple_block(lam, rep, t)
-        x00, x01, x10, x11 = a.tolist()
-        if abs(x00 * x11 - x01 * x10 - 1.0) > BLOCK_DET_TOL:
-            a = _spinor(lam.matrix)
-    else:
+    if a is None:
         a = _spinor(lam.matrix)
     out = _even_image(rep, a)
     return (out, branch) if return_branch else out

@@ -22,17 +22,15 @@ from .oracle import _bivector_from_rng, exp_series
 _MAX_DRAWS = 500
 
 
-def random_nonsimple_bivector(
-    g: Metric, seed: int, scale: float = 1.0, min_gap: float = _linalg.SERIES_GAP_TOL
-) -> Bivector:
-    """Random non-simple bivector whose eigenvalue gap exceeds ``min_gap``."""
+def random_nonsimple_bivector(g: Metric, seed: int, scale: float = 1.0) -> Bivector:
+    """Random non-simple bivector whose eigenvalue gap exceeds ``SERIES_GAP_TOL``."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
         L = _bivector_from_rng(rng, g, scale)
         if is_simple(L):
             continue
         mu = mu_roots(L)
-        if mu.mu_plus - mu.mu_minus > min_gap * _linalg._floored(L._maxabs, 2):
+        if mu.mu_plus - mu.mu_minus > _linalg.SERIES_GAP_TOL * _linalg._floored(L._maxabs, 2):
             return L
     raise RuntimeError(f"no non-simple bivector found for seed {seed}")
 
@@ -74,9 +72,9 @@ def random_wedge(g: Metric, seed: int, kind: str = "any", scale: float = 1.0) ->
 
 
 def random_nonsimple_transformation(
-    g: Metric, seed: int, scale: float = 1.0, min_c_gap: float = 0.05
+    g: Metric, seed: int, scale: float = 1.0
 ) -> LorentzTransformation:
-    """Random non-simple transformation with well-separated factor traces."""
+    """Random non-simple transformation with c_+ - c_- = sqrt(Delta) / 2 above 0.05."""
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
         L = _bivector_from_rng(rng, g, scale)
@@ -84,7 +82,7 @@ def random_nonsimple_transformation(
         if is_simple_transform(lam):
             continue
         delta = _linalg.factor_delta(*lam._traces)
-        if delta > 0 and 0.5 * math.sqrt(delta) > min_c_gap:
+        if delta > 0 and 0.5 * math.sqrt(delta) > 0.05:
             return lam
     raise RuntimeError(f"no non-simple transformation found for seed {seed}")
 

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from spinlift import cli, exp_series, make_metric, representation, spin_rep, wedge
+from spinlift import (MalformedInputError, cli, exp_series, make_metric, representation,
+                      spin_rep, wedge)
 from spinlift.cli import main, run_selftest
 
 E = np.eye(4)
@@ -175,23 +176,27 @@ def test_malformed_shape(tmp_path):
     assert json.loads(out)["error"]["code"] == "MalformedInput"
 
 
+def assert_malformed(code, out):
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == MalformedInputError.code
+
+
 def test_malformed_entries(tmp_path):
     bad = [[0.0] * 4 for _ in range(4)]
-    bad[0][1] = "x"
-    code, out = run_cli(["decompose"], tmp_path, {"matrix": bad})
-    assert code == 2
-    bad[0][1] = None
-    code, _ = run_cli(["decompose"], tmp_path, {"matrix": bad})
-    assert code == 2
+    # strings and booleans are not numbers, even where float() would take them
+    for entry in ("x", None, "0", "1", True, False, 10**400):
+        bad[0][1] = entry
+        assert_malformed(*run_cli(["decompose"], tmp_path, {"matrix": bad}))
 
 
 def test_malformed_json(tmp_path):
     infile = tmp_path / "broken.json"
     infile.write_text("{not json")
     outfile = tmp_path / "out.json"
-    code = main(["decompose", "--in", str(infile), "--out", str(outfile)])
-    assert code == 2
-    assert json.loads(outfile.read_text())["error"]["code"] == "MalformedInput"
+    for path in (infile, tmp_path / "missing.json", tmp_path):
+        outfile.unlink(missing_ok=True)
+        code = main(["decompose", "--in", str(path), "--out", str(outfile)])
+        assert_malformed(code, outfile.read_bytes())
 
 
 def test_malformed_missing_matrix(tmp_path):
@@ -209,10 +214,10 @@ def test_malformed_unknown_key(tmp_path):
 def test_malformed_bad_tags(tmp_path):
     g = make_metric()
     matrix = wedge(g, E[0], E[1]).matrix.tolist()
-    code, _ = run_cli(["invariants"], tmp_path, {"matrix": matrix, "metric": "ppmm"})
-    assert code == 2
-    code, _ = run_cli(["invariants"], tmp_path, {"matrix": matrix, "tol": -1.0})
-    assert code == 2
+    for key, value in (("metric", "ppmm"), ("metric", ["pmmm"]), ("metric", {"tag": "pmmm"}),
+                       ("rep", ["gamma"]), ("tol", -1.0), ("tol", "1e-6"), ("tol", True),
+                       ("tol", 10**400)):
+        assert_malformed(*run_cli(["invariants"], tmp_path, {"matrix": matrix, key: value}))
 
 
 def test_unknown_command_usage_error(tmp_path):

@@ -6,11 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from spinlift import (
     Bivector,
-    CliffordElement,
     InvalidBivectorError,
-    blade_mask,
-    blade_name,
-    clifford_mul,
     lie_bracket_check,
     make_metric,
     random_bivector,
@@ -28,62 +24,47 @@ def mabs(m):
     return float(np.abs(np.asarray(m)).max())
 
 
-def test_blade_indexing():
-    assert blade_mask([]) == 0
-    assert blade_mask([0, 1]) == 3
-    assert blade_mask([3]) == 8
-    assert blade_name(0) == "1"
-    assert blade_name(3) == "e01"
-    assert blade_name(15) == "e0123"
-
-
-def test_clifford_mul_generator_examples(g):
-    e0 = CliffordElement.basis_vector(0)
-    e1 = CliffordElement.basis_vector(1)
-    assert clifford_mul(e0, e0, g).coeffs[0] == 1.0  # e0 e0 = g(e0,e0) = +1
-    assert clifford_mul(e1, e1, g).coeffs[0] == -1.0
-    e0e1 = clifford_mul(e0, e1, g)
-    assert e0e1.coeffs[blade_mask([0, 1])] == 1.0
-    e1e0 = clifford_mul(e1, e0, g)
-    assert e1e0.coeffs[blade_mask([0, 1])] == -1.0
+def blade_sign(s, t, diag):
+    """Sign of e_S e_T = sign e_{S xor T}: sort the generator word, contract repeats."""
+    word = [i for i in range(4) if s >> i & 1] + [i for i in range(4) if t >> i & 1]
+    sign = 1.0
+    for end in range(len(word) - 1, 0, -1):  # bubble sort, one flip per swap
+        for k in range(end):
+            if word[k] > word[k + 1]:
+                word[k], word[k + 1] = word[k + 1], word[k]
+                sign = -sign
+    for i in set(word):
+        if word.count(i) == 2:  # adjacent once sorted: e_i e_i = g_ii
+            sign *= diag[i]
+    return sign
 
 
 @pytest.mark.parametrize("tag", ["pmmm", "mppp"])
-def test_clifford_mul_associative(tag):
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_blade_table_is_multiplicative(tag, kind):
+    # rho(e_S) rho(e_T) = sign(S, T) rho(e_{S xor T}) for all 256 blade pairs, exactly
     g = make_metric(tag)
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        a, b, c = (CliffordElement(rng.uniform(-1.0, 1.0, 16)) for _ in range(3))
-        lhs = clifford_mul(clifford_mul(a, b, g), c, g)
-        rhs = clifford_mul(a, clifford_mul(b, c, g), g)
-        assert mabs(lhs.coeffs - rhs.coeffs) < 1e-12
+    blades = representation(kind, g).blades
+    diag = np.diagonal(g.matrix)
+    for s in range(16):
+        for t in range(16):
+            expected = blade_sign(s, t, diag) * blades[s ^ t]
+            assert mabs(blades[s] @ blades[t] - expected) == 0.0
 
 
 def test_regular_rep_scalar_is_identity(g):
     reg = representation("regular", g)
-    assert np.array_equal(reg.of(CliffordElement.scalar(1.0)), np.eye(16))
+    assert np.array_equal(reg.identity, np.eye(16))
 
 
 def test_regular_rep_vector_squares(g):
     reg = representation("regular", g)
-    r0 = reg.of(CliffordElement.basis_vector(0))
-    r1 = reg.of(CliffordElement.basis_vector(1))
+    r0, r1 = reg.vector(E[0]), reg.vector(E[1])
     assert mabs(r0 @ r0 - np.eye(16)) == 0.0
     assert mabs(r1 @ r1 + np.eye(16)) == 0.0
     # signed permutation: one entry of modulus 1 per column
     assert np.array_equal(np.sort(np.abs(r0), axis=0)[-1], np.ones(16))
     assert np.count_nonzero(r0) == 16
-
-
-def test_regular_rep_multiplicative(g):
-    reg = representation("regular", g)
-    rng = np.random.default_rng(22)
-    for _ in range(15):
-        x = CliffordElement(rng.uniform(-1.0, 1.0, 16))
-        y = CliffordElement(rng.uniform(-1.0, 1.0, 16))
-        lhs = reg.of(clifford_mul(x, y, g))
-        rhs = reg.of(x) @ reg.of(y)
-        assert mabs(lhs - rhs) < 1e-12
 
 
 def test_gamma_time_matrix(g):

@@ -334,6 +334,20 @@ def test_lift_near_simple_is_accurate(sig, rep):
         assert err <= 1e-10, (L.matrix[[0, 2], [1, 3]], err)
 
 
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+@pytest.mark.parametrize("rapidity, angle", [(1e-5, 1.0), (1e-6, 2.5), (2.0, 1e-6)])
+def test_lift_simple_refuses_near_simple(sig, rep, rapidity, angle):
+    # The trace criterion calls each Lam simple, but the block misses det A = 1 by
+    # more than BLOCK_DET_TOL, and would miss exp(sigma(L)) by 3.8e-7 to 2.7e-6
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    L = rapidity * wedge(g, E[0], E[1]) + angle * wedge(g, E[2], E[3])
+    lam = LorentzTransformation(exp_series(L.matrix), g)
+    assert is_simple_transform(lam)
+    with pytest.raises(NotSimpleError, match="det A"):
+        lift_simple(lam, rep)
+
+
 def test_lift_special_half_turn(g):
     rep = representation("gamma", g)
     lam = LorentzTransformation(exp_series(wedge(g, E[2], E[3]).matrix * math.pi), g)
