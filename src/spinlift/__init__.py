@@ -31,7 +31,6 @@ from .errors import (
     InvalidMetricError,
     InvalidTransformationError,
     MalformedInputError,
-    NegativeDiscriminantError,
     NotNonsimpleError,
     NotSimpleError,
     SimpleInputError,
@@ -89,7 +88,6 @@ __all__ = [
     "MalformedInputError",
     "Metric",
     "MuPair",
-    "NegativeDiscriminantError",
     "NotNonsimpleError",
     "NotSimpleError",
     "SimpleInputError",

@@ -45,22 +45,19 @@ def factor_delta(t: float, t2: float) -> float:
 
 
 # The gate table: each threshold, the quantity it bounds, where, and its units:
-# "abs" absolute; "rel X^k" relative to scale(X, k); "pivot" relative to the
-# largest pivot of pivot_columns.  Inconsistent units are recorded as they are.
+# "abs" absolute; "rel X^k" relative to scale(X, k) = max(1, maxabs(X))^k; "hom X^k"
+# relative to maxabs(X)^k, homogeneous in X.  Inconsistent units are recorded as
+# they are.
 _UNIT_ROUNDOFF = 2.0 ** -53  # u, of IEEE double precision
 SKEW_TOL = 1e-10  # ||L^T g + g L|| in the Bivector validator; rel L^1
 TRACE_TOL = 1e-12  # |tr L| in the Bivector validator; rel L^1
-# |det L| in is_simple, and its equal 4 (Im s^2)^2 in exp_spin; rel L^4.  Also the
-# default tol of exp_spin and of the CLI, whose one --tol reaches both is_simple
-# and is_simple_transform.
+# |det L| = Pf(L g)^2 in is_simple and orthogonal_decompose, and its equal
+# 4 (Im s^2)^2 in exp_spin; hom L^4.  Also the default tol of exp_spin and of the
+# CLI, whose one --tol reaches both is_simple and is_simple_transform.
 SIMPLE_DET_TOL = 1e-9
-DECOMPOSE_GAP_TOL = 1e-8  # mu_plus - mu_minus in orthogonal_decompose; rel L^2
 PLANE_TOL = 1e-9  # |tr2 L| in plane_projection; rel L^2
-# -(tr2^2 - 4 det L) in mu_roots; relative to max(1, tr2^2), a floor at tr2, not L
-NEGATIVE_DISC_TOL = 1e-9
-FACTOR_PIVOT_TOL = 1e-7  # rank of L g^{-1} in wedge_factors; pivot
-# mu_plus - mu_minus in spin_decompose; abs, while DECOMPOSE_GAP_TOL is rel L^2
-SPIN_GAP_TOL = 1e-8
+FACTOR_PIVOT_TOL = 1e-7  # |Pf(L g)| in wedge_factors; hom L^2
+SPIN_GAP_TOL = 1e-8  # mu_plus - mu_minus in spin_decompose; abs
 SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spin; abs
 # mu_plus - mu_minus = 4 |s^2| of a non-simple L in exp_spin, at or below it the
 # label "near-degenerate/series"; rel L^2.  Also the gap that every
@@ -93,35 +90,9 @@ FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs
 DENOMINATOR_GATE = TRACE_GATE  # lift_denominator in lift_nonsimple; a label in lift
 IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
 SIGN_TOL = 1e-12  # |Re z| of the largest entry in sign_normalize; relative to |z|
-TINY = 1e-300  # floor on the largest pivot, and on the wedge_factors ratio; abs
 SERIES_TERM_TOL = 1e-16  # largest term entry in exp_series; relative to the sum's
 _COND_LIMIT = 1e12  # condition number of a lift in intertwining_defect; abs
 # maxabs(L) of a null wedge in random_wedge; relative to scale^2, for the sampler's
 # scale argument, as L = u ^ v is of degree 2 in it
 NULL_WEDGE_MIN = 1e-6
 
-
-def pivot_columns(m):
-    """Column-pivoted elimination (modified Gram-Schmidt).
-
-    Returns ``(order, pivots)`` where ``order`` lists column indices in
-    decreasing pivot size and ``pivots`` holds the corresponding pivot
-    magnitudes.  The pivot sequence exposes the numerical rank: rank-r input
-    has r pivots well above round-off and the rest near zero.
-    """
-    work = np.array(m, dtype=float)
-    ncols = work.shape[1]
-    order: list[int] = []
-    pivots: list[float] = []
-    remaining = list(range(ncols))
-    for _ in range(ncols):
-        norms = np.sqrt((work * work).sum(axis=0))
-        j = max(remaining, key=lambda c: norms[c])
-        order.append(j)
-        pivots.append(float(norms[j]))
-        remaining.remove(j)
-        if norms[j] > 0.0:
-            q = work[:, j] / norms[j]
-            work -= np.outer(q, q @ work)
-        work[:, j] = 0.0
-    return order, pivots

@@ -2,9 +2,10 @@
 
 A bivector is represented in mixed-index form as a real 4x4 matrix L with
 L^T g + g L = 0.  Its characteristic data are the two scalar invariants
-``tr2`` (the second trace invariant) and ``det``; the roots mu_plus >= 0 >=
-mu_minus of x^2 + tr2*x + det split any non-simple bivector into a commuting
-boost-like plus rotation-like pair spanning orthogonal planes.
+``tr2`` (the second trace invariant) and the Pfaffian Pf of the skew F = L g,
+with det L = -Pf^2; the roots mu_plus >= 0 >= mu_minus of x^2 + tr2*x - Pf^2
+split any non-simple bivector into a commuting boost-like plus rotation-like
+pair spanning orthogonal planes.
 """
 
 from __future__ import annotations
@@ -17,15 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import (
-    DECOMPOSE_GAP_TOL, FACTOR_PIVOT_TOL, NEGATIVE_DISC_TOL, PLANE_TOL, SIMPLE_DET_TOL,
-    SKEW_TOL, TINY, TRACE_TOL, _floored, maxabs, pivot_columns,
+    FACTOR_PIVOT_TOL, PLANE_TOL, SIMPLE_DET_TOL, SKEW_TOL, TRACE_TOL, _floored, maxabs,
 )
 from .errors import (
-    DegeneratePlaneError,
-    InvalidBivectorError,
-    NegativeDiscriminantError,
-    NotSimpleError,
-    SimpleInputError,
+    DegeneratePlaneError, InvalidBivectorError, NotSimpleError, SimpleInputError,
 )
 from .metric import Metric
 
@@ -35,8 +31,9 @@ class Bivector:
     """Mixed-index matrix of an element of the Lorentz Lie algebra so(g).
 
     The validator keeps ``_maxabs`` of the read-only matrix, and every gate
-    reads it instead of re-scanning L.  The invariants ``_tr2`` and ``_det``
-    are taken on first use and kept: ``tr2`` and ``det_bivector`` read them.
+    reads it instead of re-scanning L.  The invariants ``_tr2`` and ``_pf`` are
+    taken on first use and kept: ``tr2``, ``det_bivector`` and ``mu_roots`` read
+    them.
     """
 
     matrix: np.ndarray
@@ -65,8 +62,11 @@ class Bivector:
         return -0.5 * float((m @ m).trace())
 
     @cached_property
-    def _det(self) -> float:
-        return float(np.linalg.det(self.matrix))
+    def _pf(self) -> float:
+        # Pf F = F01 F23 - F02 F13 + F03 F12 of F = L g.  F_ij = L_ij g_jj, and each
+        # product takes g at two spatial columns, whose signs agree: L's entries serve.
+        r = self.matrix.tolist()
+        return r[0][1] * r[2][3] - r[0][2] * r[1][3] + r[0][3] * r[1][2]
 
     def _require_same_metric(self, other: "Bivector"):
         if self.metric.signature != other.metric.signature:
@@ -107,39 +107,32 @@ def tr2(L: Bivector) -> float:
 
 
 def det_bivector(L: Bivector) -> float:
-    """Determinant of the mixed-index matrix (<= 0 for real bivectors)."""
-    return L._det
+    """Determinant of the mixed-index matrix, -Pf(L g)^2 (<= 0 for real bivectors)."""
+    pf = L._pf
+    return 0.0 - pf * pf  # 0.0, not -0.0, for a wedge
 
 
 def mu_roots(L: Bivector) -> MuPair:
-    """Eigenvalue invariants of L, ordered mu_plus >= mu_minus.
+    """Eigenvalue invariants of L, ordered mu_plus >= 0 >= mu_minus.
 
-    The roots satisfy mu_plus + mu_minus = -tr2(L) and
-    mu_plus * mu_minus = det(L).  Small negative discriminants are clamped to
-    zero; discriminants negative beyond round-off raise
-    :class:`NegativeDiscriminantError` since they cannot arise from a real
-    bivector.
+    The roots of x^2 + tr2(L) x - Pf^2 satisfy mu_plus + mu_minus = -tr2(L) and
+    mu_plus * mu_minus = det L = -Pf^2, so the discriminant tr2^2 + 4 Pf^2 is a sum
+    of squares.  The root of larger size comes from it and the other is Pf^2 over
+    that one, which keeps the small root clear of the cancellation in -t + root.
     """
-    return _mu_pair(tr2(L), det_bivector(L))
-
-
-def _mu_pair(t: float, d: float) -> MuPair:  # from t = tr2 L and d = det L
-    disc = t * t - 4.0 * d
-    if disc < -NEGATIVE_DISC_TOL * max(1.0, t * t):
-        raise NegativeDiscriminantError(
-            f"discriminant {disc} is negative; input is not a real Lorentz bivector"
-        )
-    root = math.sqrt(max(disc, 0.0))
-    return MuPair((-t + root) / 2.0, (-t - root) / 2.0)
+    t, pf = L._tr2, L._pf
+    big = 0.5 * (abs(t) + math.hypot(t, 2.0 * pf))
+    small = pf * pf / big if big else 0.0
+    return MuPair(small, -big) if t > 0.0 else MuPair(big, 0.0 - small)
 
 
 def is_simple(L: Bivector, tol: float = SIMPLE_DET_TOL) -> bool:
-    """Whether L is a single wedge u ^ v, detected via det L = 0."""
-    return _is_simple_det(det_bivector(L), _floored(L._maxabs, 1), tol)
+    """Whether L is a single wedge u ^ v: |det L| <= tol maxabs(L)^4."""
+    return _is_simple_det(det_bivector(L), L._maxabs, tol)
 
 
-def _is_simple_det(d: float, norm: float, tol: float) -> bool:  # norm = scale(L, 1)
-    return abs(d) <= tol * norm**4
+def _is_simple_det(d: float, top: float, tol: float) -> bool:  # top = maxabs(L)
+    return abs(d) <= tol * top**4
 
 
 def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
@@ -147,22 +140,16 @@ def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
 
     L_plus is boost-like (tr2 = -mu_plus <= 0) and L_minus rotation-like
     (tr2 = -mu_minus >= 0); the parts annihilate each other and span
-    orthogonal planes.  Raises :class:`SimpleInputError` for simple input or
-    when the eigenvalue gap is too small to separate the parts.
+    orthogonal planes.  Raises :class:`SimpleInputError` for simple input.
     """
     return _decompose(L, tol)[:2]
 
 
 def _decompose(L: Bivector, tol: float):  # (L_plus, L_minus, mu), det L taken once
-    d = det_bivector(L)
-    if _is_simple_det(d, _floored(L._maxabs, 1), tol):
+    if _is_simple_det(det_bivector(L), L._maxabs, tol):
         raise SimpleInputError("simple bivector has no orthogonal decomposition")
-    mu = _mu_pair(tr2(L), d)
-    gap = mu.mu_plus - mu.mu_minus
-    if gap <= DECOMPOSE_GAP_TOL * _floored(L._maxabs, 2):
-        raise SimpleInputError(
-            f"eigenvalue gap {gap} too small to decompose the bivector"
-        )
+    mu = mu_roots(L)
+    gap = mu.mu_plus - mu.mu_minus  # at least 2 |Pf| > 0 past the gate
     m = L.matrix
     cube = m @ m @ m
     plus = (cube - mu.mu_minus * m) / gap
@@ -182,22 +169,16 @@ def plane_projection(L: Bivector) -> np.ndarray:
 def wedge_factors(L: Bivector):
     """Vectors (u, v) with wedge(u, v) equal to the simple input L.
 
-    The columns of L g^{-1} = L g span the plane of a simple bivector; two
-    independent ones are selected by column-pivoted elimination and rescaled
-    so the wedge reproduces L itself.
+    A simple L has F = L g = u v^T - v u^T, so the Pluecker identity
+    F_ij F = F_i F_j^T - F_j F_i^T holds for the columns F_i; at the largest entry
+    F_ij it gives u = F_i / F_ij and v = F_j.  Raises :class:`NotSimpleError` for
+    L = 0 and for |Pf F| > FACTOR_PIVOT_TOL maxabs(L)^2.
     """
-    f = L.matrix @ L.metric.matrix
-    order, pivots = pivot_columns(f)
-    top = max(pivots[0], TINY)
-    if pivots[1] <= FACTOR_PIVOT_TOL * top:
+    top = L._maxabs
+    if top == 0.0:
         raise NotSimpleError("bivector has rank < 2; no wedge factors exist")
-    if pivots[2] > FACTOR_PIVOT_TOL * top:
+    if abs(L._pf) > FACTOR_PIVOT_TOL * top * top:
         raise NotSimpleError("bivector has rank > 2 and is not simple")
-    u = f[:, order[0]].copy()
-    v = f[:, order[1]].copy()
-    w = wedge(L.metric, u, v).matrix
-    k = int(np.argmax(np.abs(L.matrix)))
-    ratio = w.flat[k] / L.matrix.flat[k]
-    if abs(ratio) <= TINY:
-        raise NotSimpleError("degenerate wedge factors")
-    return u / ratio, v
+    f = L.matrix @ L.metric.matrix
+    i, j = divmod(int(np.argmax(np.abs(f))), 4)
+    return f[:, i] / f[i, j], f[:, j]

@@ -555,22 +555,28 @@ def _emit(text: str, outfile):
         sys.stdout.write(text)
 
 
+def _error_document(exc: SpinLiftError) -> str:
+    return render_document({"error": {"code": exc.code, "message": str(exc)}})
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         request = _load_request(args)
         doc = run_request(request)
         text = render_document(doc)
+        failed = request["command"] == "selftest" and not doc["result"]["all_passed"]
+        code = 1 if failed else 0
     except SpinLiftError as exc:
-        _emit(
-            render_document({"error": {"code": exc.code, "message": str(exc)}}),
-            args.outfile,
-        )
-        return 2 if isinstance(exc, MalformedInputError) else 1
-    _emit(text, args.outfile)
-    if request["command"] == "selftest" and not doc["result"]["all_passed"]:
-        return 1
-    return 0
+        text = _error_document(exc)
+        code = 2 if isinstance(exc, MalformedInputError) else 1
+    try:
+        _emit(text, args.outfile)
+    except OSError as exc:  # an unwritable --out, as an unreadable --in: to stdout
+        sys.stdout.write(_error_document(
+            MalformedInputError(f"cannot write output file: {exc}")))
+        return 2
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -19,16 +19,6 @@ class InvalidBivectorError(SpinLiftError):
     code = "InvalidBivector"
 
 
-class NegativeDiscriminantError(SpinLiftError):
-    """The eigenvalue discriminant is negative beyond round-off.
-
-    For a real Lorentz bivector the discriminant is non-negative, so this
-    signals an input that is not a valid real bivector.
-    """
-
-    code = "NegativeDiscriminant"
-
-
 class SimpleInputError(SpinLiftError):
     """An operation that needs a non-simple input received a simple one."""
 

@@ -159,7 +159,7 @@ def exp_spin(
     x00, x01, x10, x11 = np.dot(coeffs, rep._weyl_tables[0])[0].tolist()  # X
     s2 = x01 * x10 - x00 * x11
     t2, norm2 = -4.0 * s2.real, norm**2
-    if _is_simple_det(-4.0 * s2.imag**2, norm, tol):
+    if _is_simple_det(-4.0 * s2.imag**2, L._maxabs, tol):
         if abs(t2) <= _NULL_TOL * norm2:
             branch = "simple/null"
         elif t2 > 0.0:

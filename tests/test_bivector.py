@@ -1,16 +1,19 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlift import (
     Bivector,
     DegeneratePlaneError,
     InvalidBivectorError,
-    NegativeDiscriminantError,
     NotSimpleError,
     SimpleInputError,
+    cli,
     det_bivector,
     inner,
     is_simple,
@@ -189,18 +192,55 @@ def test_mu_roots_solve_quadratic(g):
         assert mu.mu_plus >= 0.0 >= mu.mu_minus
 
 
-def test_mu_roots_negative_discriminant():
-    # companion matrix of x^4 + 1: invariants tr2 = 0, det = 1, so the
-    # discriminant is -4; no real bivector produces this, so the fake skips the
-    # validator, and its lazy invariants are taken from the matrix as for any L
-    companion = np.zeros((4, 4))
-    companion[0, 3] = -1.0
-    companion[1, 0] = companion[2, 1] = companion[3, 2] = 1.0
-    fake = object.__new__(Bivector)
-    object.__setattr__(fake, "matrix", companion)
-    assert (tr2(fake), det_bivector(fake)) == (0.0, 1.0)
-    with pytest.raises(NegativeDiscriminantError):
-        mu_roots(fake)
+def sweeps(g):
+    """b01 + eps b23 and the near-null (b01 + b12) + eps b23, eps in logspace(-12, 0, 25)."""
+    b01, b12, b23 = (wedge(g, E[a], E[b]) for a, b in ((0, 1), (1, 2), (2, 3)))
+    return [base + eps * b23 for base in (b01, b01 + b12)
+            for eps in np.logspace(-12, 0, 25)]
+
+
+def selftest_draws(tag, seed):
+    """Every Bivector the selftest battery builds, its samples and their parts."""
+    drawn = []
+    validate = Bivector.__post_init__
+    Bivector.__post_init__ = lambda self: drawn.append(self) or validate(self)
+    try:
+        cli.run_selftest(tag, seed)
+    finally:
+        Bivector.__post_init__ = validate
+    return drawn
+
+
+def exact_invariants(L):
+    """det L and (mu_plus, mu_minus) of the float matrix L, in 40-digit mpmath."""
+    m = mpmath.matrix(L.matrix.tolist())
+    d = mpmath.det(m)
+    t = -sum((m * m)[i, i] for i in range(4)) / 2
+    root = mpmath.sqrt(t * t - 4 * d)
+    return d, ((-t + root) / 2, (-t - root) / 2)
+
+
+def test_invariants_against_mpmath():
+    # worst errors over both metrics, in units of maxabs(L)^4 and maxabs(L)^2; on
+    # these inputs the LU determinant that -Pf^2 replaced read 7.154e-16 (mppp)
+    # and the roots, whose error is tr2's, 6.622e-16 (pmmm)
+    worst_det = worst_mu = worst_small = 0.0
+    with mpmath.workdps(40):
+        for tag, seed in (("pmmm", 7), ("mppp", 11)):
+            g = make_metric(tag)
+            for L in selftest_draws(tag, seed) + sweeps(g):
+                d, mu = exact_invariants(L)
+                top = L._maxabs
+                worst_det = max(worst_det, float(abs(det_bivector(L) - d)) / top**4)
+                err = max(abs(a - b) for a, b in zip(mu_roots(L), mu))
+                worst_mu = max(worst_mu, float(err) / top**2)
+            for L in sweeps(g)[:25]:  # the small root, Pf^2 over the large one
+                small = min(mu_roots(L), key=abs)
+                exact = min(exact_invariants(L)[1], key=abs)
+                worst_small = max(worst_small, float(abs(small - exact) / abs(exact)))
+    assert worst_det <= 7.16e-16
+    assert worst_mu <= 6.63e-16
+    assert worst_small <= 4 * 2.0**-53
 
 
 def test_is_simple_frozen(g):
@@ -220,6 +260,30 @@ def test_decompose_block_example(g):
 def test_decompose_rejects_simple(g):
     with pytest.raises(SimpleInputError):
         orthogonal_decompose(wedge(g, E[0], E[1]))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-6])
+def test_decompose_small_block(g, c):
+    # the simplicity gate is homogeneous: c (b01 + b23) stays non-simple
+    b01, b23 = wedge(g, E[0], E[1]), wedge(g, E[2], E[3])
+    L = c * (b01 + b23)
+    assert not is_simple(L)
+    l_plus, l_minus = orthogonal_decompose(L)
+    assert mabs(l_plus.matrix - c * b01.matrix) <= 1e-15 * c
+    assert mabs(l_minus.matrix - c * b23.matrix) <= 1e-15 * c
+
+
+@settings(max_examples=150, deadline=None)
+@given(tag=st.sampled_from(["pmmm", "mppp"]), seed=st.integers(0, 500),
+       c=st.floats(1e-6, 1e3))
+def test_classify_and_decompose_scale_with_c(tag, seed, c):
+    g = make_metric(tag)
+    W = random_wedge(g, seed)
+    assert is_simple(c * W) and is_simple(W)
+    L = random_nonsimple_bivector(g, seed)
+    assert not is_simple(c * L) and not is_simple(L)
+    for part, scaled in zip(orthogonal_decompose(L), orthogonal_decompose(c * L)):
+        assert mabs(scaled.matrix - c * part.matrix) <= 1e-13 * c * L._maxabs
 
 
 def test_decompose_properties_random(g):
@@ -308,3 +372,14 @@ def test_wedge_factors_rejects(g):
     zero = Bivector(np.zeros((4, 4)), g)
     with pytest.raises(NotSimpleError):
         wedge_factors(zero)
+
+
+@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
+def test_wedge_factors_threshold(tag):
+    # |Pf(L g)| is gated at FACTOR_PIVOT_TOL = 1e-7 relative to maxabs(L)^2
+    g = make_metric(tag)
+    b01, b23 = wedge(g, E[0], E[1]), wedge(g, E[2], E[3])
+    with pytest.raises(NotSimpleError):
+        wedge_factors(b01 + 1e-6 * b23)
+    u, v = wedge_factors(b01 + 1e-9 * b23)
+    assert mabs(wedge(g, u, v).matrix - b01.matrix) == 0.0

@@ -199,6 +199,17 @@ def test_malformed_json(tmp_path):
         assert_malformed(code, outfile.read_bytes())
 
 
+def test_unwritable_out_file(tmp_path, capsys):
+    # as an unreadable --in: a MalformedInput document on stdout, exit 2
+    request_file, _ = golden_paths("invariants")
+    outfile = tmp_path / "missing" / "out.json"
+    code = main(["invariants", "--in", str(request_file), "--out", str(outfile)])
+    assert_malformed(code, capsys.readouterr().out)
+    assert not outfile.parent.exists()
+    code = main(["invariants", "--in", str(tmp_path / "none.json"), "--out", str(outfile)])
+    assert_malformed(code, capsys.readouterr().out)
+
+
 def test_malformed_missing_matrix(tmp_path):
     code, out = run_cli(["invariants"], tmp_path, {})
     assert code == 2

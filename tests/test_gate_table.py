@@ -53,8 +53,8 @@ def test_no_inline_thresholds():
 #: The named constants each module defined before the table existed, and the
 #: gates added to the table since, under the module that compares them.
 MODULE_CONSTANTS = {
-    "bivector": ["SKEW_TOL", "TRACE_TOL", "SIMPLE_DET_TOL", "DECOMPOSE_GAP_TOL",
-                 "PLANE_TOL", "NEGATIVE_DISC_TOL", "FACTOR_PIVOT_TOL"],
+    "bivector": ["SKEW_TOL", "TRACE_TOL", "SIMPLE_DET_TOL", "PLANE_TOL",
+                 "FACTOR_PIVOT_TOL"],
     "spin": ["SPIN_GAP_TOL"],
     "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL", "_NULL_TOL"],
     "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE", "LOG_TRACE_GATE",

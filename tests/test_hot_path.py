@@ -4,7 +4,7 @@ The spin map and the vector images are compared bit for bit with the
 ``np.tensordot`` form they replace; call counters pin that a dispatcher
 or a decomposition computes its invariants once, that the gates read the
 norm and traces their input's validator measured, that a bivector's tr2 and
-det are taken lazily and at most once, and that the selftest battery draws
+Pfaffian are taken lazily and at most once, and that the selftest battery draws
 each input once.
 """
 
@@ -108,37 +108,32 @@ def test_exp_spin_runs_no_det_or_series(g, rep, monkeypatch):
     assert spinlift.oracle not in map(inspect.getmodule, vars(spinlift.expmap).values())
 
 
-def count_dets(monkeypatch):
-    """Wrap np.linalg.det; returns the list of its arguments, kept alive."""
-    dets = []
-    det = np.linalg.det
-    monkeypatch.setattr(np.linalg, "det", lambda m: dets.append(m) or det(m))
-    return dets
+def count_pfaffians(monkeypatch):
+    """Wrap Bivector._pf; returns the list of bivectors whose Pfaffian was taken."""
+    taken = []
+    pf = Bivector.__dict__["_pf"]  # the cached_property itself, which keeps the value
+    monkeypatch.setattr(pf, "func", lambda self, take=pf.func: taken.append(self) or take(self))
+    return taken
 
 
 def test_exp_spin_takes_no_invariants(g, rep, monkeypatch):
-    # tr2 L and det L are lazy: building a Bivector and exponentiating it, as
-    # exp-mix does, takes neither, and no determinant of L runs at all
-    dets = count_dets(monkeypatch)
+    # tr2 L and Pf(L g) are lazy: building a Bivector and exponentiating it, as
+    # exp-mix does, takes neither
+    taken = count_pfaffians(monkeypatch)
     for branch, L in exp_cases(g).items():
         assert exp_spin(L, rep, return_branch=True)[1] == branch
-        assert "_tr2" not in vars(L) and "_det" not in vars(L), branch
-        assert [m for m in dets if m is L.matrix] == [], branch
+        assert "_tr2" not in vars(L) and "_pf" not in vars(L), branch
+    assert taken == []
 
 
 def test_selftest_takes_each_det_once(monkeypatch):
-    # the battery reads det L of one bivector in several checks; the Bivector
-    # keeps the value, so each one's determinant runs at most once
-    bivectors = []
-    validate = Bivector.__post_init__
-    monkeypatch.setattr(Bivector, "__post_init__",
-                        lambda self: bivectors.append(self) or validate(self))
-    dets = count_dets(monkeypatch)
+    # the battery reads det L and mu of one bivector in several checks; the
+    # Bivector keeps Pf(L g), so each one's Pfaffian is taken at most once
+    taken = count_pfaffians(monkeypatch)
     assert cli.run_selftest("pmmm", 7)["all_passed"]
-    owners = {id(L.matrix): L for L in bivectors}  # all alive: the ids are distinct
-    taken = Counter(id(owners[id(m)]) for m in dets if id(m) in owners)
-    assert len(taken) > 10
-    assert max(taken.values()) == 1
+    counts = Counter(map(id, taken))  # all alive in the list: the ids are distinct
+    assert len(counts) > 10
+    assert max(counts.values()) == 1
 
 
 def test_decompose_computes_det_once(g, rep, monkeypatch):
