@@ -2,9 +2,10 @@
 
 Starting from the 4x4 matrix of a proper orthochronous transformation alone,
 the group-level machinery reads off its invariants, takes principal
-logarithms of simple transformations, factors non-simple ones into commuting
-boost and rotation pieces, and lifts everything to the spin representation --
-all in closed form, with the eigenvalue problem never solved numerically.
+logarithms of simple and non-simple transformations alike, factors non-simple
+ones into commuting boost and rotation pieces, and lifts everything to the
+spin representation -- all in closed form, with the eigenvalue problem never
+solved numerically.
 """
 
 import numpy as np
@@ -18,13 +19,13 @@ from spinlift import (
     is_simple_transform,
     lift,
     lift_nonsimple,
-    log_simple,
+    log,
     make_metric,
     random_transformation,
     representation,
     sign_normalize,
-    simple_log_coefficients,
     spin_rep,
+    tr2,
     tr2_transform,
     wedge,
 )
@@ -48,12 +49,14 @@ for label, lam in [("rotation", rotation), ("boost", boost), ("generic", generic
     print(f"{label:9s} tr = {np.trace(lam.matrix):+8.4f}  "
           f"tr2 = {tr2_transform(lam):+8.4f}  simple: {is_simple_transform(lam)}")
 
-print("\n== principal logarithm of a simple transformation ==")
-for label, lam in [("rotation", rotation), ("boost", boost)]:
-    k, mu, branch = simple_log_coefficients(lam)
-    L = log_simple(lam)
+print("\n== principal logarithm, simple or not ==")
+for label, lam in [("rotation", rotation), ("boost", boost), ("generic", generic)]:
+    L = log(lam)
     roundtrip = np.abs(exp_series(L.matrix) - lam.matrix).max()
-    print(f"{label}: branch {branch}, k = {k:.6f}, roundtrip defect {roundtrip:.2e}")
+    print(f"{label:9s} tr2(log) = {tr2(L):+8.4f}  roundtrip defect {roundtrip:.2e}")
+generator = wedge(g, e[0], e[1]) + wedge(g, e[2], e[3]) * 2.0
+print("log(generic) == its generator, defect:",
+      np.abs(log(generic).matrix - generator.matrix).max())
 
 print("\n== commuting factorization of a non-simple transformation ==")
 pair = factor_transform(generic)

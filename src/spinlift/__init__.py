@@ -55,9 +55,9 @@ from .group_lift import (
     lift,
     lift_nonsimple,
     lift_simple,
+    log,
     log_simple,
     sign_normalize,
-    simple_log_coefficients,
     tr2_transform,
 )
 from .metric import Metric, inner, make_metric
@@ -112,6 +112,7 @@ __all__ = [
     "lift",
     "lift_nonsimple",
     "lift_simple",
+    "log",
     "log_simple",
     "make_metric",
     "mu_roots",
@@ -123,7 +124,6 @@ __all__ = [
     "recover_invariants",
     "representation",
     "sign_normalize",
-    "simple_log_coefficients",
     "sin_ratio",
     "sinh_ratio",
     "spin_cross_product",

@@ -63,7 +63,7 @@ SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spi
 # label "near-degenerate/series"; rel L^2.  Also the gap that every
 # random_nonsimple_bivector sample clears, so samples draw "nonsimple/polynomial".
 SERIES_GAP_TOL = 1e-3
-_NULL_TOL = 1e-12  # |tr2 L| of a "simple/null" exp_spin branch; rel L^2
+_NULL_TOL = 1e-12  # |tr2 L| of the label "simple/null" of exp_spin and log; rel L^2
 # ||Lam^T g Lam - g|| and |det Lam - 1| in the LorentzTransformation validator;
 # rel Lam^2, degree 2 for det Lam too.  Also abs on 1 - Lam^0_0 and on -tr Lam.
 ORTHO_TOL = 1e-9
@@ -84,8 +84,6 @@ TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple ab
 # e^rapidity; absolute, it sends framed boosts past rapidity ~12, whose computed
 # det A carries u maxabs(A)^2 of rounding, to the spinor map.
 BLOCK_DET_TOL = 2.0 * _LIFT_TARGET
-LOG_TRACE_GATE = 1e-9  # tr Lam in log_simple; abs
-PARABOLIC_TOL = 1e-12  # |tr Lam / 2 - 2| for the parabolic simple log; abs
 FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs
 DENOMINATOR_GATE = TRACE_GATE  # lift_denominator in lift_nonsimple; a label in lift
 IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs

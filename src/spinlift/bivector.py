@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import (
-    FACTOR_PIVOT_TOL, PLANE_TOL, SIMPLE_DET_TOL, SKEW_TOL, TRACE_TOL, _floored, maxabs,
+    FACTOR_PIVOT_TOL, PLANE_TOL, SIMPLE_DET_TOL, SKEW_TOL, TRACE_TOL, _NULL_TOL, _floored,
+    maxabs,
 )
 from .errors import (
     DegeneratePlaneError, InvalidBivectorError, NotSimpleError, SimpleInputError,
@@ -133,6 +134,15 @@ def is_simple(L: Bivector, tol: float = SIMPLE_DET_TOL) -> bool:
 
 def _is_simple_det(d: float, top: float, tol: float) -> bool:  # top = maxabs(L)
     return abs(d) <= tol * top**4
+
+
+def _simple_kind(d: float, t2: float, top: float, tol: float):  # det L, tr2 L, maxabs L
+    # "trig", "hyperbolic" or "null" for a simple L, None for a non-simple one
+    if not _is_simple_det(d, top, tol):
+        return None
+    if abs(t2) <= _NULL_TOL * _floored(top, 2):
+        return "null"
+    return "trig" if t2 > 0.0 else "hyperbolic"
 
 
 def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):

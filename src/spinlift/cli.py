@@ -25,6 +25,7 @@ from ._linalg import (
 from .bivector import (
     Bivector,
     MuPair,
+    _simple_kind,
     det_bivector,
     is_simple,
     mu_roots,
@@ -37,12 +38,12 @@ from .expmap import exp_spin, exp_spin_factored, exp_spin_polynomial, exp_spin_s
 from .group_lift import (
     FactorPair,
     LorentzTransformation,
+    _log,
     factor_transform,
     is_simple_transform,
     lift,
     log_simple,
     sign_normalize,
-    simple_log_coefficients,
 )
 from .metric import SIGNATURES, Metric, make_metric
 from .oracle import exp_series, intertwining_defect
@@ -155,7 +156,7 @@ def _load_request(args) -> dict:
             text = sys.stdin.read()
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting
             raise MalformedInputError(f"input is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise MalformedInputError("input document must be a JSON object")
@@ -284,20 +285,20 @@ def _cmd_exp_spin(matrix, g: Metric, rep: Representation, tol: float):
 
 def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
     lam = LorentzTransformation(matrix, g)
-    L = log_simple(lam, tol)
-    k, mu_inv, kind = simple_log_coefficients(lam)
+    L, k = _log(lam, rep)
     result = {"log": _matrix_payload(L.matrix)}
     invariants = {
         **_transform_traces(lam),
         "k_factor": k,
-        "mu": mu_inv,
+        "mu": -tr2(L),
         "tr2_log": tr2(L),
     }
     diagnostics = {
         "roundtrip_defect": _roundtrip_defect(L, lam),
         "simplicity_defect": simplicity_defect(*lam._traces),
     }
-    return f"simple/{kind}", result, invariants, diagnostics
+    kind = _simple_kind(det_bivector(L), tr2(L), L._maxabs, tol)
+    return f"simple/{kind}" if kind else "nonsimple", result, invariants, diagnostics
 
 
 def _cmd_factor(matrix, g: Metric, rep: Representation, tol: float):

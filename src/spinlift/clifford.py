@@ -105,13 +105,14 @@ class Representation:
     def _weyl_tables(self):
         # The even gamma blades over this metric are block-diagonal in the Weyl basis,
         # U rho U^T with U = _WEYL_U / sqrt(2); their upper-left blocks have squared
-        # norm 2, the odd ones' none.  Returns (pairs, even): F's six pair
-        # coefficients -> X, the block of sigma(L), as a (6, 4) complex table, and
-        # (Re A, Im A) of a block A -> even blade coefficients, the transpose over 2.
+        # norm 2, the odd ones' none.  Returns F's six pair coefficients -> X, the block
+        # of sigma(L), a (6, 4) complex table; (Re A, Im A) -> even blade coefficients,
+        # the transpose over 2; and (Re X, Im X) -> F's pairs, exact: Gram matrix I / 2.
         blades = representation("gamma", self.metric).blades
         a = (_WEYL_U @ blades @ _WEYL_U.T)[:, :2, :2].reshape(BLADE_COUNT, 4)
         pairs = [(1 << i) | (1 << j) for i, j in PAIR_INDICES]
-        return 0.25 * a[pairs], 0.25 * np.hstack([a.real, a.imag])
+        even = 0.25 * np.hstack([a.real, a.imag])
+        return 0.25 * a[pairs], even, 2.0 * even[pairs]
 
     def vector(self, u) -> np.ndarray:
         """Matrix image u^a rho(e_a) of a 4-vector."""

@@ -23,26 +23,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _NULL_TOL
-from .bivector import Bivector, MuPair, _decompose, _is_simple_det, is_simple, mu_roots
+from ._linalg import SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL
+from .bivector import Bivector, MuPair, _decompose, _simple_kind, is_simple, mu_roots
 from .clifford import Representation, _even_image, _pair_coefficients, spin_rep
 from .errors import SimpleInputError
 
 
 def sin_ratio(theta: float) -> float:
     """sin(theta)/theta, with a 3-term Taylor fallback near zero."""
-    if abs(theta) < SBAR_TAYLOR_CUTOFF:
-        t2 = theta * theta
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-    return math.sin(theta) / theta
+    return _sinh_ratio_complex(1j * theta, -theta * theta).real
 
 
 def sinh_ratio(theta: float) -> float:
     """sinh(theta)/theta, with a 3-term Taylor fallback near zero."""
-    if abs(theta) < SBAR_TAYLOR_CUTOFF:
-        t2 = theta * theta
-        return 1.0 + t2 / 6.0 + t2 * t2 / 120.0
-    return math.sinh(theta) / theta
+    return _sinh_ratio_complex(theta, theta * theta).real
+
+
+def _sinh_ratio_complex(s: complex, s2: complex) -> complex:
+    # sinh(s)/s, s2 = s^2; for s real or imaginary and s2 real, the real-valued
+    # Taylor sum and quotient carry the bits of their real forms
+    if abs(s) < SBAR_TAYLOR_CUTOFF:
+        return 1.0 + s2 / 6.0 + s2 * s2 / 120.0
+    return cmath.sinh(s) / s
 
 
 @dataclass(frozen=True)
@@ -158,24 +160,15 @@ def exp_spin(
     coeffs, norm = _pair_coefficients(rep, L)
     x00, x01, x10, x11 = np.dot(coeffs, rep._weyl_tables[0])[0].tolist()  # X
     s2 = x01 * x10 - x00 * x11
-    t2, norm2 = -4.0 * s2.real, norm**2
-    if _is_simple_det(-4.0 * s2.imag**2, L._maxabs, tol):
-        if abs(t2) <= _NULL_TOL * norm2:
-            branch = "simple/null"
-        elif t2 > 0.0:
-            branch = "simple/trig"
-        else:
-            branch = "simple/hyperbolic"
-    elif 4.0 * abs(s2) > SERIES_GAP_TOL * norm2:
+    kind = _simple_kind(-4.0 * s2.imag**2, -4.0 * s2.real, L._maxabs, tol)
+    if kind:
+        branch = "simple/" + kind
+    elif 4.0 * abs(s2) > SERIES_GAP_TOL * norm**2:
         branch = "nonsimple/polynomial"
     else:
         branch = "near-degenerate/series"
     s = cmath.sqrt(s2)
-    # sinh(s)/s, with a 3-term Taylor fallback near zero as in sinh_ratio
-    if abs(s) < SBAR_TAYLOR_CUTOFF:
-        h = 1.0 + s2 / 6.0 + s2 * s2 / 120.0
-    else:
-        h = cmath.sinh(s) / s
+    h = _sinh_ratio_complex(s, s2)
     c = cmath.cosh(s)
     out = _even_image(rep, np.array((c + h * x00, h * x01, h * x10, c + h * x11)))
     return (out, branch) if return_branch else out

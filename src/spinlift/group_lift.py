@@ -18,12 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    BLOCK_DET_TOL, DENOMINATOR_GATE, FACTOR_GAP_TOL, LOG_TRACE_GATE, ORTHO_TOL,
-    PARABOLIC_TOL, SIGN_TOL, SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, factor_delta,
-    lift_denominator, maxabs, simplicity_defect, transform_traces,
+    BLOCK_DET_TOL, DENOMINATOR_GATE, FACTOR_GAP_TOL, ORTHO_TOL, SIGN_TOL,
+    SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, factor_delta, lift_denominator, maxabs,
+    simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
-from .clifford import _PAIR_INDEX, _PAULI, Representation, _even_image, spin_rep
+from .clifford import (
+    _PAIR_INDEX, _PAULI, Representation, _even_image, representation, spin_rep,
+)
 from .errors import (
     DegenerateDenominatorError,
     InvalidTransformationError,
@@ -32,6 +34,7 @@ from .errors import (
     SimpleTransformError,
     TracelessSimpleError,
 )
+from .expmap import _sinh_ratio_complex
 from .metric import Metric
 
 
@@ -122,48 +125,47 @@ def _is_simple_traces(t: float, t2: float, tol: float) -> bool:  # tr, tr2 of La
     return simplicity_defect(t, t2) <= tol * max(1.0, t2, t)
 
 
-def simple_log_coefficients(lam: LorentzTransformation):
-    """Multiplier k, invariant mu, and branch name for the simple logarithm.
+def log(lam: LorentzTransformation) -> Bivector:
+    """Principal logarithm L of any proper orthochronous Lam: exp(L) = Lam.
 
-    Writing s = tr Lam / 2 - 1, the branch is elliptic (rotation) for s < 1,
-    hyperbolic (boost) for s > 1, and parabolic (null rotation) at s = 1.
-    The parabolic limit of k = x / sin x (or x / sinh x) is 1.
+    With A in SL(2,C) the Weyl block of ``lift``, signed so that Re tr A >= 0 (Im
+    tr A >= 0 where Re tr A = 0), c = tr A / 2 and s = acosh c, the block of
+    sigma(L) is (s / sinh s)(A - c I) (Penrose & Rindler, vol. 1, sec. 1.2).  On
+    ``lift_simple``'s block it is the paper's L = k (Lam - Lam^{-1}) / 2 with
+    k = 2 (s / sinh s) / sqrt(tr Lam).  A rotation by pi has two logarithms; the
+    sign rule picks one.
     """
-    s = 0.5 * lam._traces[0] - 1.0
-    if abs(s - 1.0) <= PARABOLIC_TOL:
-        return 1.0, 0.0, "parabolic"
-    if s > 1.0:
-        x = math.acosh(s)
-        return x / math.sinh(x), x * x, "hyperbolic"
-    if s < -0.9:
-        # acos amplifies trace round-off by 1/sin(x) near x = pi; recover the
-        # angle from the sine instead: tr2(Lam - Lam^{-1}) = 4 sin^2 x
-        b = lam.matrix - lam.inverse()
-        sin_x = 0.5 * math.sqrt(max(0.0, -0.5 * float((b @ b).trace())))
-        x = math.pi - math.asin(min(sin_x, 1.0))
-    else:
-        x = math.acos(max(s, -1.0))
-    return x / math.sin(x), -x * x, "trig"
+    return _log(lam, representation("gamma", lam.metric))[0]
+
+
+def _log(lam: LorentzTransformation, rep: Representation):
+    # (L, k), k = 2 h / sqrt(tr Lam) where A is lift_simple's block, else None
+    a, _, block = _lift_block(lam, rep, SIMPLE_CRITERION_TOL)
+    c = 0.5 * math.sqrt(lam._traces[0]) if block else 0.5 * complex(a[0] + a[3])
+    if (c.real, c.imag) < (0.0, 0.0):  # Re tr A < 0, or Re tr A = 0 > Im tr A
+        a, c = -a, -c
+    s = cmath.acosh(c)
+    h = 1.0 / _sinh_ratio_complex(s, s * s)
+    if block:  # A - c I = X_B / (2 c), X_B the block of sigma(Lam - Lam^{-1})
+        k = h.real / c
+        return Bivector(0.5 * k * (lam.matrix - lam.inverse()), lam.metric), k
+    x = h * (a - np.array((c, 0.0, 0.0, c)))
+    f = np.zeros((4, 4))
+    f[_PAIR_INDEX] = np.dot(rep._weyl_tables[2], np.concatenate((x.real, x.imag)))
+    return Bivector((f - f.T) @ lam.metric.matrix, lam.metric), None
 
 
 def log_simple(
     lam: LorentzTransformation, tol: float = SIMPLE_CRITERION_TOL
 ) -> Bivector:
-    """Principal logarithm L = k (Lam - Lam^{-1}) / 2 of a simple Lam.
+    """:func:`log` of a Lam that the trace criterion calls simple at ``tol``.
 
-    Requires tr Lam > 0; near-traceless rotations (angle near pi) have an
-    ill-defined principal branch and raise :class:`TracelessSimpleError`.
-    The result satisfies tr2(L) = -mu with mu as returned by
-    :func:`simple_log_coefficients`.
+    Raises :class:`NotSimpleError` for any other Lam; a simple Lam has the
+    paper's logarithm L = k (Lam - Lam^{-1}) / 2.
     """
     if not is_simple_transform(lam, tol):
         raise NotSimpleError("transformation is not simple; no single-plane logarithm")
-    if lam._traces[0] <= LOG_TRACE_GATE:
-        raise TracelessSimpleError(
-            "trace too close to zero for the simple logarithm branch"
-        )
-    k, _, _ = simple_log_coefficients(lam)
-    return Bivector(0.5 * k * (lam.matrix - lam.inverse()), lam.metric)
+    return log(lam)
 
 
 def factor_transform(
@@ -213,30 +215,12 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
     evaluated on the Weyl block of Sigma in SL(2,C).  Raises ``NotSimpleError``
     for a near-simple Lam, whose block misses det A = 1 by more than BLOCK_DET_TOL.
     """
-    t, t2 = lam._traces
     # Its error grows with the simplicity defect: guarded at the default tol.
-    if not _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
-        raise NotSimpleError("lift_simple requires a simple transformation")
-    if t <= min(TRACE_GATE * _floored(lam._maxabs, 2), 4.0):  # lift's gate
-        raise TracelessSimpleError("trace too close to zero for lift_simple; use lift")
-    a = _simple_block(lam, rep, t)
-    if a is None:
-        raise NotSimpleError("lift_simple's block misses det A = 1; use lift")
+    a, branch, block = _lift_block(lam, rep, SIMPLE_CRITERION_TOL)
+    if not block:
+        error = TracelessSimpleError if branch == "special/traceless" else NotSimpleError
+        raise error(f"lift_simple needs its block, with det A = 1; {branch} Lam: use lift")
     return _even_image(rep, a)
-
-
-def _simple_block(lam: LorentzTransformation, rep: Representation, t):
-    # The Weyl block of lift_simple's Sigma: A = (sqrt(t) / 2) I + X_B / sqrt(t), X_B
-    # the block of sigma(B), B = Lam - Lam^{-1}.  With M = Lam g^{-1} = Lam g and
-    # Lam^{-1} = g Lam^T g, B g^{-1} = M - M^T is skew by construction.  None when
-    # A misses det A = 1 by more than BLOCK_DET_TOL: Lam is then near-simple, not
-    # simple, and A is off by about |det A - 1| / 2.
-    m = lam.matrix @ lam.metric.matrix
-    r = math.sqrt(t)
-    a = np.dot((m - m.T)[_PAIR_INDEX], rep._weyl_tables[0]) / r
-    a[0::3] += 0.5 * r
-    x00, x01, x10, x11 = a.tolist()
-    return None if abs(x00 * x11 - x01 * x10 - 1.0) > BLOCK_DET_TOL else a
 
 
 def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
@@ -303,6 +287,13 @@ def lift(
     ``tol`` than the default, or when the block misses det A = 1 by more than
     ``BLOCK_DET_TOL``.  With ``return_branch=True`` returns ``(Sigma, branch)``.
     """
+    a, branch, _ = _lift_block(lam, rep, tol)
+    out = _even_image(rep, a)
+    return (out, branch) if return_branch else out
+
+
+def _lift_block(lam: LorentzTransformation, rep: Representation, tol: float):
+    # (A row-major, lift's branch, whether A is lift_simple's block)
     t, t2 = lam._traces
     norm2 = _floored(lam._maxabs, 2)
     if not _is_simple_traces(t, t2, tol):
@@ -312,15 +303,20 @@ def lift(
         branch = "special/traceless"
     else:
         branch = "simple"
-    # Boosts and null rotations have tr Lam >= 4, far from the root's zero;
-    # there lift_simple is also more accurate than the spinor map.
-    a = None
+    # lift_simple's block A = (sqrt(t) / 2) I + X_B / sqrt(t), X_B the block of
+    # sigma(B), B = Lam - Lam^{-1}; with M = Lam g and Lam^{-1} = g Lam^T g,
+    # B g = M - M^T is skew by construction.  Boosts and null rotations have t >= 4,
+    # far from the root's zero, where it is more accurate than the spinor map.  Past
+    # BLOCK_DET_TOL on |det A - 1|, Lam is near-simple and A off by |det A - 1| / 2.
     if branch == "simple" and _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
-        a = _simple_block(lam, rep, t)
-    if a is None:
-        a = _spinor(lam.matrix)
-    out = _even_image(rep, a)
-    return (out, branch) if return_branch else out
+        m = lam.matrix @ lam.metric.matrix
+        r = math.sqrt(t)
+        a = np.dot((m - m.T)[_PAIR_INDEX], rep._weyl_tables[0]) / r
+        a[0::3] += 0.5 * r
+        x00, x01, x10, x11 = a.tolist()
+        if abs(x00 * x11 - x01 * x10 - 1.0) <= BLOCK_DET_TOL:
+            return a, branch, True
+    return _spinor(lam.matrix).ravel(), branch, False
 
 
 def sign_normalize(m) -> np.ndarray:

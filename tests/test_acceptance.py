@@ -27,7 +27,7 @@ from spinlift import (
     lift,
     lift_nonsimple,
     lift_simple,
-    log_simple,
+    log,
     make_metric,
     mu_roots,
     orthogonal_decompose,
@@ -213,16 +213,15 @@ def test_criterion_07_simple_logarithm():
     for eps in (1e-3, 1e-4, 1e-5):
         W = random_wedge(g, 73000, kind="rotation")
         cases.append(W * ((math.pi - eps) / math.sqrt(tr2(W))))
-    for L in cases:
-        lam = LorentzTransformation(exp_series(L.matrix), g)
-        if float(np.trace(lam.matrix)) <= 1e-9:
-            continue
-        recovered = log_simple(lam)
+    lams = [LorentzTransformation(exp_series(L.matrix), g) for L in cases]
+    lams += [random_nonsimple_transformation(g, 74000 + i) for i in range(100)]
+    for lam in lams:
+        recovered = log(lam)
         worst = max(
             worst,
             mabs(exp_series(recovered.matrix) - lam.matrix) / max(1.0, mabs(lam.matrix)),
         )
-    report(7, "exp(log Lam) = Lam across trig/hyperbolic/parabolic branches", worst, 1e-8)
+    report(7, "exp(log Lam) = Lam for simple and non-simple Lam", worst, 1e-8)
 
 
 def test_criterion_08_factorization():

@@ -130,11 +130,9 @@ def test_rank_deficiency_exit_code(tmp_path):
         assert min(np.abs(sigma - ref).max(), np.abs(sigma + ref).max()) <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="log_simple answers near a rotation by pi with "
-                   "the log of another transformation; ROADMAP's SL(2,C) log mends it")
 def test_log_near_pi_rotation_is_accurate(tmp_path):
-    # is_simple_transform's quadratic gate calls this Lam simple, and the log exits
-    # 0 with branch simple/trig, 1.0e-3 from L relative to |L|
+    # is_simple_transform's quadratic gate calls this Lam simple; the log of the
+    # simple formula, k (Lam - Lam^{-1}) / 2, was 1.0e-3 from L relative to |L|
     g = make_metric()
     L = 1e-6 * wedge(g, E[0], E[1]).matrix + (math.pi - 1e-3) * wedge(g, E[2], E[3]).matrix
     code, out = run_cli(["log"], tmp_path, {"matrix": exp_series(L).tolist()})
@@ -152,14 +150,31 @@ def test_exp_spin_tol_flag(tmp_path):
     assert json.loads(out)["branch"] == "nonsimple/polynomial"
 
 
-def test_non_finite_output_exit_code(tmp_path):
-    # At --tol 1e-6 log accepts this non-simple Lam (tr Lam = 1e-8) and returns
-    # a logarithm of norm 2.6e12, whose roundtrip diagnostic overflows to NaN.
-    g = make_metric()
-    L = 1e-4 * wedge(g, E[0], E[1]) + math.pi * wedge(g, E[2], E[3])
-    payload = {"matrix": exp_series(L.matrix).tolist()}
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run_cli(["log", "--tol", "1e-6"], tmp_path, payload)
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_log_next_to_half_turn(sig, tmp_path):
+    # tr Lam = 1e-8: at --tol 1e-6 the trace criterion calls this non-simple Lam
+    # simple, and the simple formula's k = x / sin x = 2.6e16 made a NaN roundtrip.
+    # --tol names the label only, in the units of the bivector gate: L is simple
+    # there, |det L| <= 1e-6 maxabs(L)^4.  The block is the spinor map's: no k.
+    g = make_metric(sig)
+    L = 1e-4 * wedge(g, E[0], E[1]).matrix + math.pi * wedge(g, E[2], E[3]).matrix
+    payload = {"matrix": exp_series(L).tolist()}
+    code, out = run_cli(["log", "--metric", sig, "--tol", "1e-6"], tmp_path, payload)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["branch"] == "simple/trig"
+    assert doc["invariants"]["k_factor"] is None
+    assert np.abs(np.array(doc["result"]["log"]) - L).max() <= 1e-14 * math.pi
+    assert doc["diagnostics"]["roundtrip_defect"] <= 1e-14
+
+
+def test_non_finite_output_exit_code(monkeypatch, tmp_path):
+    # a command body whose diagnostic is NaN: the renderer refuses it, exit 1
+    def body(matrix, g, rep, tol):
+        return "nonsimple", {}, {}, {"defect": math.nan}
+
+    monkeypatch.setitem(cli._COMMAND_BODIES, "log", body)
+    code, out = run_cli(["log"], tmp_path, {"matrix": np.eye(4).tolist()})
     assert code == 1
     assert json.loads(out)["error"]["code"] == "NonFiniteOutput"
 
@@ -197,6 +212,15 @@ def test_malformed_json(tmp_path):
         outfile.unlink(missing_ok=True)
         code = main(["decompose", "--in", str(path), "--out", str(outfile)])
         assert_malformed(code, outfile.read_bytes())
+
+
+def test_malformed_deep_json(tmp_path):
+    # json.loads recurses once per array level
+    infile = tmp_path / "deep.json"
+    infile.write_text("[" * 100_000 + "]" * 100_000)
+    outfile = tmp_path / "out.json"
+    code = main(["decompose", "--in", str(infile), "--out", str(outfile)])
+    assert_malformed(code, outfile.read_bytes())
 
 
 def test_unwritable_out_file(tmp_path, capsys):

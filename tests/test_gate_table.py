@@ -54,12 +54,11 @@ def test_no_inline_thresholds():
 #: gates added to the table since, under the module that compares them.
 MODULE_CONSTANTS = {
     "bivector": ["SKEW_TOL", "TRACE_TOL", "SIMPLE_DET_TOL", "PLANE_TOL",
-                 "FACTOR_PIVOT_TOL"],
+                 "FACTOR_PIVOT_TOL", "_NULL_TOL"],
     "spin": ["SPIN_GAP_TOL"],
-    "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL", "_NULL_TOL"],
-    "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE", "LOG_TRACE_GATE",
-                   "PARABOLIC_TOL", "FACTOR_GAP_TOL", "DENOMINATOR_GATE",
-                   "BLOCK_DET_TOL"],
+    "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL"],
+    "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE", "FACTOR_GAP_TOL",
+                   "DENOMINATOR_GATE", "BLOCK_DET_TOL"],
     "oracle": ["_COND_LIMIT"],
 }
 

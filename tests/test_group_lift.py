@@ -20,18 +20,19 @@ from spinlift import (
     lift,
     lift_nonsimple,
     lift_simple,
+    log,
     log_simple,
     make_metric,
     random_bivector,
     random_transformation,
     representation,
     sign_normalize,
-    simple_log_coefficients,
     spin_rep,
     tr2,
     tr2_transform,
     wedge,
 )
+from spinlift.cli import run_request
 from spinlift.group_lift import SIMPLE_CRITERION_TOL, _spinor
 from spinlift.sampling import (
     degenerate_denominator_transformation,
@@ -107,23 +108,31 @@ def test_is_simple_transform_frozen(g):
     assert not is_simple_transform(block_transform(g))
 
 
+def log_response(lam):
+    request = {"command": "log", "metric": lam.metric.signature, "rep": "gamma",
+               "tol": SIMPLE_CRITERION_TOL, "matrix": lam.matrix}
+    return run_request(request)
+
+
 def test_log_coefficient_branches(g):
+    # the CLI's k_factor, mu and branch for the paper's three simple regimes
     rot = LorentzTransformation(exp_series(wedge(g, E[2], E[3]).matrix), g)
-    k, mu, kind = simple_log_coefficients(rot)
-    assert kind == "trig"
-    assert k == pytest.approx(1.0 / math.sin(1.0), abs=1e-12)
-    assert mu == pytest.approx(-1.0, abs=1e-12)
+    doc = log_response(rot)
+    assert doc["branch"] == "simple/trig"
+    assert doc["invariants"]["k_factor"] == pytest.approx(1.0 / math.sin(1.0), abs=1e-12)
+    assert doc["invariants"]["mu"] == pytest.approx(-1.0, abs=1e-12)
 
     boost = LorentzTransformation(exp_series(wedge(g, E[0], E[1]).matrix), g)
-    k, mu, kind = simple_log_coefficients(boost)
-    assert kind == "hyperbolic"
-    assert k == pytest.approx(1.0 / math.sinh(1.0), abs=1e-12)
-    assert mu == pytest.approx(1.0, abs=1e-12)
+    doc = log_response(boost)
+    assert doc["branch"] == "simple/hyperbolic"
+    assert doc["invariants"]["k_factor"] == pytest.approx(1.0 / math.sinh(1.0), abs=1e-12)
+    assert doc["invariants"]["mu"] == pytest.approx(1.0, abs=1e-12)
 
     null = LorentzTransformation(exp_series(wedge(g, E[0] + E[3], E[1]).matrix), g)
-    k, mu, kind = simple_log_coefficients(null)
-    assert kind == "parabolic"
-    assert (k, mu) == (1.0, 0.0)
+    doc = log_response(null)
+    assert doc["branch"] == "simple/null"
+    assert doc["invariants"]["k_factor"] == pytest.approx(1.0, abs=1e-12)
+    assert doc["invariants"]["mu"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_simple_roundtrips(g):
@@ -137,13 +146,9 @@ def test_log_simple_roundtrips(g):
         lam = LorentzTransformation(exp_series(L.matrix), g)
         recovered = log_simple(lam)
         assert mabs(exp_series(recovered.matrix) - lam.matrix) < 1e-8
-    # away from the angle cut the bivector itself comes back
-    for L in cases[:3]:
-        lam = LorentzTransformation(exp_series(L.matrix), g)
-        recovered = log_simple(lam)
+        # away from the angle cut the bivector itself comes back
         assert mabs(recovered.matrix - L.matrix) < 1e-9
-        _, mu, _ = simple_log_coefficients(lam)
-        assert tr2(recovered) == pytest.approx(-mu, abs=1e-9)
+        assert tr2(recovered) == pytest.approx(tr2(L), abs=1e-9)
 
 
 def test_log_identity_is_zero(g):
@@ -153,11 +158,74 @@ def test_log_identity_is_zero(g):
 def test_log_rejections(g):
     with pytest.raises(NotSimpleError):
         log_simple(block_transform(g))
-    half_turn = LorentzTransformation(
-        exp_series(wedge(g, E[2], E[3]).matrix * math.pi), g
-    )
-    with pytest.raises(TracelessSimpleError):
-        log_simple(half_turn)
+
+
+def assert_log_is(L, rel):
+    lam = LorentzTransformation(exp_series(L.matrix), L.metric)
+    assert is_simple_transform(lam)
+    err = mabs(log(lam).matrix - L.matrix) / mabs(L.matrix)
+    assert err <= rel, err
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_log_near_simple(sig):
+    # the trace criterion calls both Lam simple, where the simple formula missed L
+    # by 5.0e-8 and 1.0e-3 relative; the log is each generator
+    g = make_metric(sig)
+    b01, b23 = wedge(g, E[0], E[1]), wedge(g, E[2], E[3])
+    assert_log_is(0.3 * b01 + 1e-6 * b23, 1e-10)
+    assert_log_is(1e-6 * b01 + (math.pi - 1e-3) * b23, 1e-10)
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_log_rapidity_next_to_half_turn(sig):
+    # a rotation by exactly pi next to a tiny boost: no traceless refusal
+    g = make_metric(sig)
+    L = 1e-5 * wedge(g, E[0], E[1]) + math.pi * wedge(g, E[2], E[3])
+    lam = LorentzTransformation(exp_series(L.matrix), g)
+    assert is_simple_transform(lam)
+    with pytest.raises(SimpleTransformError):  # factor's half of the same Lam
+        factor_transform(lam)
+    recovered = log_simple(lam)
+    assert mabs(exp_series(recovered.matrix) - lam.matrix) <= 1e-14
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_log_exact_half_turn(sig):
+    # tr A = 0: the two logarithms +/- pi b23 have Re tr A = 0 and Im tr A = 0,
+    # and the sign rule keeps the spinor map's pick, s = i pi / 2
+    g = make_metric(sig)
+    lam = LorentzTransformation(np.diag([1.0, 1.0, -1.0, -1.0]), g)
+    L = log(lam)
+    assert mabs(exp_series(L.matrix) - lam.matrix) <= 1e-14
+    assert L.matrix[2, 3] == pytest.approx(-math.pi, abs=1e-15)
+    assert tr2(L) == pytest.approx(math.pi**2, abs=1e-14)
+    assert mabs(L.matrix[:2]) == 0.0
+
+
+def log_grid(g):
+    """exp of rapidity b01 + angle b23, bare and in two random frames."""
+    b01, b23 = wedge(g, E[0], E[1]), wedge(g, E[2], E[3])
+    frames = [np.eye(4)] + [random_transformation(g, seed, 0.5).matrix for seed in (1, 2)]
+    for rapidity in (0.0, 1e-6, 1e-3, 0.5, 2.0, 8.0, 16.0, 20.0):
+        for angle in (0.0, 1e-6, 1e-3, 1.0, 2.5, math.pi - 1e-3, math.pi - 1e-6):
+            L = rapidity * b01 + angle * b23
+            for q in frames:
+                yield Bivector(q @ L.matrix @ np.linalg.inv(q), g)
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_log_grid_backward_error(sig):
+    # every Lam answers, and exp(log Lam) is Lam to the bound; the worst reading
+    # over both metrics is 2.6e-14, at rapidity 20 and angle 1e-3 in a frame
+    g = make_metric(sig)
+    count = 0
+    for L in log_grid(g):
+        lam = LorentzTransformation(exp_series(L.matrix), g)
+        back = exp_series(log(lam).matrix)
+        assert mabs(back - lam.matrix) <= 5e-13 * mabs(lam.matrix), L.matrix
+        count += 1
+    assert count == 168
 
 
 def test_factor_block_example(g):
