@@ -57,7 +57,7 @@ TRACE_TOL = 1e-12  # |tr L| in the Bivector validator; rel L^1
 SIMPLE_DET_TOL = 1e-9
 PLANE_TOL = 1e-9  # |tr2 L| in plane_projection; rel L^2
 FACTOR_PIVOT_TOL = 1e-7  # |Pf(L g)| in wedge_factors; hom L^2
-SPIN_GAP_TOL = 1e-8  # mu_plus - mu_minus in spin_decompose; abs
+SPIN_GAP_TOL = 1e-8  # mu_plus - mu_minus in spin_decompose; hom S^2, S = sigma(L)
 SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spin; abs
 # mu_plus - mu_minus = 4 |s^2| of a non-simple L in exp_spin, at or below it the
 # label "near-degenerate/series"; rel L^2.  Also the gap that every

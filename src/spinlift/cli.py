@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 domain error (machine-readable ``{code, message}``),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -357,29 +358,34 @@ _COMMAND_BODIES = {
 
 # ---------------------------------------------------------------------------
 # selftest battery: each check draws each input once and yields one relative
-# defect per case and representation, in an order their maximum ignores.
+# defect per case and representation, in an order their maximum ignores.  Trial i
+# draws at scales[i % len(scales)], the samplers' scale; selftest keeps 1.0.
 
 
-def _check_decomposition(g, reps, seed, trials):
-    for i in range(trials):
-        L = random_nonsimple_bivector(g, seed + i)
+def _trials(trials, scales):
+    return zip(range(trials), itertools.cycle(scales))
+
+
+def _check_decomposition(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        L = random_nonsimple_bivector(g, seed + i, c)
         l_plus, l_minus = orthogonal_decompose(L)
         defects = _decomposition_defects(L, l_plus, l_minus, mu_roots(L))
         degrees = (1, 2, 4, 4, 2, 2)  # of each defect in L, in the order of the keys
         yield max(d / _floored(L._maxabs, k) for d, k in zip(defects.values(), degrees))
 
 
-def _check_spin_square(g, reps, seed, trials):
-    for i in range(trials):
-        W = random_wedge(g, seed + i, kind="any")
+def _check_spin_square(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        W = random_wedge(g, seed + i, kind="any", scale=c)
         for rep in reps:
             s = spin_rep(rep, W)
             yield maxabs(s @ s + 0.25 * tr2(W) * rep.identity) / _floored(W._maxabs, 2)
 
 
-def _check_spin_decompose(g, reps, seed, trials):
-    for i in range(trials):
-        L = random_nonsimple_bivector(g, seed + i)
+def _check_spin_decompose(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        L = random_nonsimple_bivector(g, seed + i, c)
         l_plus, l_minus = orthogonal_decompose(L)
         mu, norm2 = mu_roots(L), _floored(L._maxabs, 2)
         for rep in reps:
@@ -390,9 +396,9 @@ def _check_spin_decompose(g, reps, seed, trials):
             )
 
 
-def _check_cross_product(g, reps, seed, trials):
-    for i in range(trials):
-        L = random_nonsimple_bivector(g, seed + i)
+def _check_cross_product(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        L = random_nonsimple_bivector(g, seed + i, c)
         l_plus, l_minus = orthogonal_decompose(L)
         t2, norm2 = tr2(L), _floored(L._maxabs, 2)
         for rep in reps:
@@ -404,18 +410,18 @@ def _check_cross_product(g, reps, seed, trials):
             )
 
 
-def _check_recovery(g, reps, seed, trials):
-    for i in range(trials):
-        L = random_nonsimple_bivector(g, seed + i)
+def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        L = random_nonsimple_bivector(g, seed + i, c)
         norm2 = _floored(L._maxabs, 2)  # squared for det L: scale(L, 4) rounds apart
         for rep in reps:
             _, defects = _recovery_defects(L, rep)
             yield max(d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
-def _check_exp_agreement(g, reps, seed, trials):
-    for i in range(trials):
-        L = random_nonsimple_bivector(g, seed + i)
+def _check_exp_agreement(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        L = random_nonsimple_bivector(g, seed + i, c)
         for rep in reps:
             series = exp_series(spin_rep(rep, L))
             norm = scale(series, 1)
@@ -431,29 +437,34 @@ def _check_exp_agreement(g, reps, seed, trials):
             yield maxabs(exp_spin_simple(s, tr2(W)) - series) / scale(series, 1)
 
 
-def _check_log_roundtrip(g, reps, seed, trials):
+def _check_log_roundtrip(g, reps, seed, trials, scales=(1.0,)):
     kinds = ("rotation", "boost", "null")
-    for i in range(trials):
-        W = random_wedge(g, seed + i, kind=kinds[i % 3])
+    for i, c in _trials(trials, scales):
+        W = random_wedge(g, seed + i, kind=kinds[i % 3], scale=c)
         lam = LorentzTransformation(exp_series(W.matrix), g)
         yield _roundtrip_defect(log_simple(lam), lam) / _floored(lam._maxabs, 1)
 
 
-def _check_factor(g, reps, seed, trials):
-    for i in range(trials):
-        lam = random_nonsimple_transformation(g, seed + i)
-        defects = _factor_defects(lam, factor_transform(lam))
+def _check_factor(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        lam = random_nonsimple_transformation(g, seed + i, c)
+        pair = factor_transform(lam)
+        defects = _factor_defects(lam, pair)
         norm = _floored(lam._maxabs, 1)
         yield max(
             defects["reconstruction_defect"] / norm,
             defects["commutation_defect"] / norm,
+            # each factor's trace criterion, relative to max(1, tr2, tr) of that factor
+            defects["simplicity_defect_plus"] / max(1.0, *pair.lambda_plus._traces),
+            defects["simplicity_defect_minus"] / max(1.0, *pair.lambda_minus._traces),
             defects["trace_identity_defect"] / norm,
             defects["tr2_identity_defect"] / _floored(lam._maxabs, 2),
         )
 
 
-def _check_lift(g, reps, seed, trials):
-    lams = [random_nonsimple_transformation(g, seed + i) for i in range(trials)]
+def _check_lift(g, reps, seed, trials, scales=(1.0,)):
+    lams = [random_nonsimple_transformation(g, seed + i, c)
+            for i, c in _trials(trials, scales)]
     for j, kind in enumerate(("rotation", "boost")):
         W = random_wedge(g, seed + 600 + j, kind=kind)
         lams.append(LorentzTransformation(exp_series(W.matrix), g))
@@ -464,18 +475,18 @@ def _check_lift(g, reps, seed, trials):
             yield intertwining_defect(lift(lam, rep), lam, rep)
 
 
-def _check_homomorphism(g, reps, seed, trials):
-    for i in range(trials):
-        lam1 = random_nonsimple_transformation(g, seed + 2 * i)
-        lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1)
+def _check_homomorphism(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        lam1 = random_nonsimple_transformation(g, seed + 2 * i, c)
+        lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1, c)
         for rep in reps:
             sigma = lift(lam1, rep) @ lift(lam2, rep)
             yield intertwining_defect(sigma, lam1 @ lam2, rep)
 
 
-def _check_double_cover(g, reps, seed, trials):
-    for i in range(trials):
-        W = random_wedge(g, seed + i, kind="rotation")
+def _check_double_cover(g, reps, seed, trials, scales=(1.0,)):
+    for i, c in _trials(trials, scales):
+        W = random_wedge(g, seed + i, kind="rotation", scale=c)
         angle = math.sqrt(tr2(W))
         W2 = W * ((angle + 2.0 * math.pi) / angle)
         for rep in reps:

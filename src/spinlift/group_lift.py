@@ -62,7 +62,10 @@ class LorentzTransformation:
         if not math.isfinite(top):
             raise InvalidTransformationError("transformation entries must be finite")
         g = self.metric.matrix
-        norm2 = _floored(top, 2)
+        try:
+            norm2 = _floored(top, 2)
+        except OverflowError:  # maxabs past ~1.3e154: its square leaves the float range
+            raise InvalidTransformationError("transformation entries too large") from None
         if maxabs(m.T @ g @ m - g) > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
         if abs(float(np.linalg.det(m)) - 1.0) > ORTHO_TOL * norm2:

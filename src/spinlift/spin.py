@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import SPIN_GAP_TOL
+from ._linalg import SPIN_GAP_TOL, maxabs
 from .bivector import Bivector, MuPair, orthogonal_decompose
 from .clifford import Representation, spin_rep
 from .errors import SimpleInputError
@@ -30,10 +30,10 @@ def spin_decompose(s, mu: MuPair):
 
     valid whenever the root gap is nonzero (non-simple L).
     """
-    gap = mu.mu_plus - mu.mu_minus
-    if gap <= SPIN_GAP_TOL:
-        raise SimpleInputError(f"eigenvalue gap {gap} too small to split sigma")
     s = np.asarray(s)
+    gap, top = mu.mu_plus - mu.mu_minus, maxabs(s)
+    if gap <= SPIN_GAP_TOL * top * top:  # both of degree 2 in L
+        raise SimpleInputError(f"eigenvalue gap {gap} too small to split sigma")
     s3 = s @ s @ s
     n = 2.0 / gap
     s_plus = n * (0.25 * (mu.mu_minus + 3.0 * mu.mu_plus) * s - s3)

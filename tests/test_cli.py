@@ -114,6 +114,22 @@ def test_domain_error_exit_code(tmp_path):
     assert doc["error"]["code"] == "SimpleInput"
 
 
+def test_transformation_overflow_exit_code(tmp_path):
+    # exp-spin answers 500 b01, but its diagnostic validates Lam = exp(L), whose
+    # entries of ~1e217 square past the float range: a typed error, no traceback
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    request = {"matrix": (500.0 * wedge(make_metric(), E[0], E[1]).matrix).tolist()}
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinlift.cli", "exp-spin"],
+        input=json.dumps(request), capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"]["code"] == "InvalidTransformation"
+
+
 def test_rank_deficiency_exit_code(tmp_path):
     # rotations by pi times boosts of rapidity 1e-5 and 1e-4: see
     # test_group_lift.py::test_lift_rank_deficiency

@@ -123,15 +123,13 @@ def test_exp_polynomial_rejects_simple(g, rep):
 
 
 def test_three_way_agreement_random(g, rep):
+    # each closed form against the series is the exp-agreement selftest row, at
+    # 1e-9; the two closed forms agree to 1e-10
     for seed in range(40):
         L = random_nonsimple_bivector(g, seed)
-        series = exp_series(spin_rep(rep, L))
-        scale = max(1.0, mabs(series))
         factored = exp_spin_factored(L, rep)
         poly = exp_spin_polynomial(L, rep)
-        assert mabs(factored - series) < 1e-9 * scale
-        assert mabs(poly - series) < 1e-9 * scale
-        assert mabs(factored - poly) < 1e-10 * scale
+        assert mabs(factored - poly) < 1e-10 * max(1.0, mabs(factored))
 
 
 def test_exp_spin_branch_routing(g, rep):

@@ -32,7 +32,7 @@ from spinlift import (
     tr2_transform,
     wedge,
 )
-from spinlift.cli import run_request
+from spinlift.cli import _check_homomorphism, run_request
 from spinlift.group_lift import SIMPLE_CRITERION_TOL, _spinor
 from spinlift.sampling import (
     degenerate_denominator_transformation,
@@ -238,6 +238,8 @@ def test_factor_block_example(g):
 
 
 def test_factor_identities_random(g):
+    # the factor-properties selftest row checks the product, the commutator and
+    # the factors' simplicity, and both trace identities at 1e-8; these at 1e-9
     for seed in range(40):
         lam = random_nonsimple_transformation(g, seed)
         pair = factor_transform(lam)
@@ -245,10 +247,6 @@ def test_factor_identities_random(g):
         t = float(np.trace(lam.matrix))
         t2 = tr2_transform(lam)
         scale = max(1.0, mabs(lam.matrix))
-        assert mabs(mp @ mm - lam.matrix) < 1e-8 * scale
-        assert mabs(mp @ mm - mm @ mp) < 1e-8 * scale
-        assert is_simple_transform(pair.lambda_plus, 1e-7)
-        assert is_simple_transform(pair.lambda_minus, 1e-7)
         assert abs(t - 2.0 * (pair.c_plus + pair.c_minus)) < 1e-9 * scale
         assert abs(t2 - (4.0 * pair.c_plus * pair.c_minus + 2.0)) < 1e-9 * scale**2
         assert pair.c_plus >= 1.0 - 1e-9
@@ -570,11 +568,8 @@ def test_spinor_roundtrip(seed):
 
 
 def test_lift_homomorphism_pairs(g, rep):
-    for seed in range(10):
-        lam1 = random_nonsimple_transformation(g, 2 * seed)
-        lam2 = random_nonsimple_transformation(g, 2 * seed + 1)
-        sigma = lift(lam1, rep) @ lift(lam2, rep)
-        assert intertwining_defect(sigma, lam1 @ lam2, rep) < 1e-7
+    # the homomorphism-pairs selftest row on ten pairs in one representation
+    assert max(_check_homomorphism(g, (rep,), 0, 10)) < 1e-7
 
 
 def test_sign_normalize():

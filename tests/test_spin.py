@@ -5,12 +5,13 @@ from spinlift import (
     MuPair,
     SimpleInputError,
     cross_trace_check,
-    det_bivector,
     inner,
+    make_metric,
     mu_roots,
     orthogonal_decompose,
     quad_trace_identity_check,
     recover_invariants,
+    representation,
     spin_cross_product,
     spin_decompose,
     spin_rep,
@@ -18,6 +19,7 @@ from spinlift import (
     wedge,
     wedge_factors,
 )
+from spinlift.cli import _check_recovery, _check_spin_decompose
 from spinlift.sampling import random_nonsimple_bivector
 
 E = np.eye(4)
@@ -35,13 +37,8 @@ def test_spin_decompose_block_example(g, rep):
 
 
 def test_spin_decompose_matches_matrix_level(g, rep):
-    for seed in range(40):
-        L = random_nonsimple_bivector(g, seed)
-        l_plus, l_minus = orthogonal_decompose(L)
-        s_plus, s_minus = spin_decompose(spin_rep(rep, L), mu_roots(L))
-        scale = max(1.0, mabs(L.matrix) ** 2)
-        assert mabs(s_plus - spin_rep(rep, l_plus)) < 1e-9 * scale
-        assert mabs(s_minus - spin_rep(rep, l_minus)) < 1e-9 * scale
+    # the spin-decompose selftest row on seeds 0..39 in one representation
+    assert max(_check_spin_decompose(g, (rep,), 0, 40)) < 1e-9
 
 
 def test_spin_decompose_parts_sum(g, rep):
@@ -57,16 +54,30 @@ def test_spin_decompose_rejects_closed_gap(g, rep):
         spin_decompose(s, MuPair(0.5, 0.5))
 
 
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_spin_decompose_small_scale(sig, kind):
+    # the gap gate is relative to maxabs(S)^2, so 1e-5 (b01 + b23), whose gap
+    # 2e-10 is below the bare 1e-8, splits as orthogonal_decompose does
+    g = make_metric(sig)
+    rep = representation(kind, g)
+    L = 1e-5 * (wedge(g, E[0], E[1]) + wedge(g, E[2], E[3]))
+    s = spin_rep(rep, L)
+    s_plus, s_minus = spin_decompose(s, mu_roots(L))
+    l_plus, l_minus = orthogonal_decompose(L)
+    assert mabs(s_plus - spin_rep(rep, l_plus)) <= 1e-15 * mabs(s)
+    assert mabs(s_minus - spin_rep(rep, l_minus)) <= 1e-15 * mabs(s)
+
+
 def test_cross_product_matches_direct(g, rep):
+    # the spin-cross-product selftest row bounds both defects at 1e-9; the
+    # commutator is held to 1e-10 here
     for seed in range(40):
         L = random_nonsimple_bivector(g, seed)
         l_plus, l_minus = orthogonal_decompose(L)
         sp = spin_rep(rep, l_plus)
         sm = spin_rep(rep, l_minus)
-        predicted = spin_cross_product(spin_rep(rep, L), tr2(L), rep)
-        scale = max(1.0, mabs(L.matrix) ** 2)
-        assert mabs(predicted - sp @ sm) < 1e-9 * scale
-        assert mabs(sp @ sm - sm @ sp) < 1e-10 * scale
+        assert mabs(sp @ sm - sm @ sp) < 1e-10 * max(1.0, mabs(L.matrix) ** 2)
 
 
 def test_cross_product_vanishes_for_simple(g, rep):
@@ -88,15 +99,12 @@ def test_recover_invariants_frozen(g, rep):
 
 
 def test_recover_invariants_random(g, rep):
-    for seed in range(40):
-        L = random_nonsimple_bivector(g, seed)
-        rec_tr2, rec_det = recover_invariants(spin_rep(rep, L), rep)
-        scale = max(1.0, mabs(L.matrix) ** 2)
-        assert abs(rec_tr2 - tr2(L)) < 1e-8 * scale
-        assert abs(rec_det - det_bivector(L)) < 1e-8 * scale**2
+    # the invariant-recovery selftest row on seeds 0..39 in one representation
+    assert max(_check_recovery(g, (rep,), 0, 40)) < 1e-8
 
 
 def test_cross_trace_vanishes(g, rep):
+    # tighter than the invariant-recovery selftest row's 1e-8
     block = wedge(g, E[0], E[1]) + wedge(g, E[2], E[3])
     assert cross_trace_check(rep, block) < 1e-12
     for seed in range(30):

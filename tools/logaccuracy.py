@@ -5,9 +5,10 @@ Usage (from the repository root):
     PYTHONPATH=src python3 tools/logaccuracy.py
 
 Put another checkout's ``src/`` on ``PYTHONPATH`` to measure that one.  For
-each metric and selftest seed 0-29 it rebuilds the ten Lam of the
-``log-roundtrip`` check, takes ``log_simple`` of each, and compares it with the
-real part of mpmath's ``logm`` at 40 digits, relative to its maxabs.  Prints one
+each metric and selftest seed 0-29 it runs the ``log-roundtrip`` check as
+selftest does, records the ten Lam it draws and the ``log_simple`` of each, and
+compares that log with the real part of mpmath's ``logm`` at 40 digits,
+relative to its maxabs.  Prints one
 line per battery: the check's defect, the forward error on the draw that sets
 that defect, and the worst forward error over the ten draws; then the worst
 over all batteries.  Needs mpmath.
@@ -15,16 +16,15 @@ over all batteries.  Needs mpmath.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import mpmath as mp
 import numpy as np
 
-from spinlift import LorentzTransformation, exp_series, log_simple, make_metric
-from spinlift.cli import _SELFTEST_CHECKS, _SELFTEST_TRIALS, _roundtrip_defect
-from spinlift.sampling import random_wedge
+from spinlift import LorentzTransformation, cli, make_metric, representation
 
 SEEDS = range(30)
-KINDS = ("rotation", "boost", "null")  # the order the check cycles through
-CHECK_INDEX = [name for name, _, _ in _SELFTEST_CHECKS].index("log-roundtrip")
+CHECK_INDEX = [name for name, _, _ in cli._SELFTEST_CHECKS].index("log-roundtrip")
 
 
 def forward_error(lam: LorentzTransformation, log) -> float:
@@ -34,16 +34,19 @@ def forward_error(lam: LorentzTransformation, log) -> float:
 
 
 def battery(sig: str, seed: int):
+    """(defect, forward error) of each draw of the check, as selftest runs it."""
     g = make_metric(sig)
-    base = seed + 1000 * CHECK_INDEX
-    rows = []
-    for i in range(_SELFTEST_TRIALS):
-        W = random_wedge(g, base + i, kind=KINDS[i % 3])
-        lam = LorentzTransformation(exp_series(W.matrix), g)
-        L = log_simple(lam)
-        rows.append((_roundtrip_defect(L, lam) / max(1.0, lam._maxabs),
-                     forward_error(lam, L.matrix)))
-    return rows
+    reps = (representation("gamma", g), representation("regular", g))
+    _, check, _ = cli._SELFTEST_CHECKS[CHECK_INDEX]
+    logs, log_simple = [], cli.log_simple
+
+    def recorded(lam: LorentzTransformation):
+        logs.append((lam, log_simple(lam)))
+        return logs[-1][1]
+
+    with mock.patch.object(cli, "log_simple", recorded):
+        defects = list(check(g, reps, seed + 1000 * CHECK_INDEX, cli._SELFTEST_TRIALS))
+    return [(d, forward_error(lam, L.matrix)) for d, (lam, L) in zip(defects, logs)]
 
 
 def main():
