@@ -39,11 +39,6 @@ def lift_denominator(t: float, t2: float) -> float:
     return 2.0 + 2.0 * t + t2
 
 
-def factor_delta(t: float, t2: float) -> float:
-    """Delta = (tr Lam)^2 - 4 tr2 Lam + 8, whose root separates the factor traces."""
-    return t * t - 4.0 * t2 + 8.0
-
-
 # The gate table: each threshold, the quantity it bounds, where, and its units:
 # "abs" absolute; "rel X^k" relative to scale(X, k) = max(1, maxabs(X))^k; "hom X^k"
 # relative to maxabs(X)^k, homogeneous in X.  Inconsistent units are recorded as
@@ -60,8 +55,7 @@ FACTOR_PIVOT_TOL = 1e-7  # |Pf(L g)| in wedge_factors; hom L^2
 SPIN_GAP_TOL = 1e-8  # mu_plus - mu_minus in spin_decompose; hom S^2, S = sigma(L)
 SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spin; abs
 # mu_plus - mu_minus = 4 |s^2| of a non-simple L in exp_spin, at or below it the
-# label "near-degenerate/series"; rel L^2.  Also the gap that every
-# random_nonsimple_bivector sample clears, so samples draw "nonsimple/polynomial".
+# label "near-degenerate/series"; rel L^2
 SERIES_GAP_TOL = 1e-3
 _NULL_TOL = 1e-12  # |tr2 L| of the label "simple/null" of exp_spin and log; rel L^2
 # ||Lam^T g Lam - g|| and |det Lam - 1| in the LorentzTransformation validator;
@@ -90,7 +84,4 @@ IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
 SIGN_TOL = 1e-12  # |Re z| of the largest entry in sign_normalize; relative to |z|
 SERIES_TERM_TOL = 1e-16  # largest term entry in exp_series; relative to the sum's
 _COND_LIMIT = 1e12  # condition number of a lift in intertwining_defect; abs
-# maxabs(L) of a null wedge in random_wedge; relative to scale^2, for the sampler's
-# scale argument, as L = u ^ v is of degree 2 in it
-NULL_WEDGE_MIN = 1e-6
 

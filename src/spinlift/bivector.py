@@ -47,6 +47,8 @@ class Bivector:
         top = maxabs(m)  # NaN and +/-inf entries carry through to it
         if not math.isfinite(top):
             raise InvalidBivectorError("bivector entries must be finite")
+        if top * top * top * top == math.inf:  # maxabs^4, the degree of is_simple's gate
+            raise InvalidBivectorError("bivector entries too large")
         g = self.metric.matrix
         norm = _floored(top, 1)
         if maxabs(m.T @ g + g @ m) > SKEW_TOL * norm:

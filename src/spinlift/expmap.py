@@ -26,7 +26,7 @@ import numpy as np
 from ._linalg import SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL
 from .bivector import Bivector, MuPair, _decompose, _simple_kind, is_simple, mu_roots
 from .clifford import Representation, _even_image, _pair_coefficients, spin_rep
-from .errors import SimpleInputError
+from .errors import NonFiniteOutputError, SimpleInputError
 
 
 def sin_ratio(theta: float) -> float:
@@ -168,7 +168,9 @@ def exp_spin(
     else:
         branch = "near-degenerate/series"
     s = cmath.sqrt(s2)
-    h = _sinh_ratio_complex(s, s2)
-    c = cmath.cosh(s)
+    try:
+        h, c = _sinh_ratio_complex(s, s2), cmath.cosh(s)
+    except OverflowError:  # |Re s| past ~710, a rapidity past ~1420
+        raise NonFiniteOutputError(f"cosh s overflows at s = {s}") from None
     out = _even_image(rep, np.array((c + h * x00, h * x01, h * x10, c + h * x11)))
     return (out, branch) if return_branch else out

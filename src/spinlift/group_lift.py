@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import (
     BLOCK_DET_TOL, DENOMINATOR_GATE, FACTOR_GAP_TOL, ORTHO_TOL, SIGN_TOL,
-    SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, factor_delta, lift_denominator, maxabs,
+    SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, lift_denominator, maxabs,
     simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
@@ -186,7 +186,7 @@ def factor_transform(
         raise SimpleTransformError("simple transformation does not factor further")
     m = lam.matrix
     t, t2 = lam._traces
-    delta = factor_delta(t, t2)
+    delta = t * t - 4.0 * t2 + 8.0
     root = math.sqrt(max(delta, 0.0))
     c_plus = 0.25 * (t + root)
     c_minus = 0.25 * (t - root)

@@ -64,18 +64,14 @@ def exp_series(m) -> np.ndarray:
     return total
 
 
-def _bivector_from_rng(rng: np.random.Generator, g: Metric, scale: float) -> Bivector:
+def random_bivector(g: Metric, seed: int, scale: float = 1.0) -> Bivector:
+    """Seeded random bivector with coefficients uniform in [-scale, scale]."""
     # L = F g with antisymmetric F satisfies L^T g + g L = 0 identically.  The mask
     # leaves signed zeros below the diagonal, which f - f^T cancels to the bits of
     # np.triu(draw, 1) minus its transpose.
-    f = rng.uniform(-scale, scale, size=(4, 4)) * _STRICT_UPPER
+    f = np.random.default_rng(seed).uniform(-scale, scale, size=(4, 4)) * _STRICT_UPPER
     f = f - f.T
     return Bivector(f @ g.matrix, g)
-
-
-def random_bivector(g: Metric, seed: int, scale: float = 1.0) -> Bivector:
-    """Seeded random bivector with coefficients uniform in [-scale, scale]."""
-    return _bivector_from_rng(np.random.default_rng(seed), g, scale)
 
 
 def random_transformation(

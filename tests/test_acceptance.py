@@ -45,7 +45,7 @@ CRITERIA = {
     "invariant-recovery": (5, 50000, 200, SCALES[:3]),
     "exp-agreement": (6, 60000, 250, SCALES[:3]),
     "log-roundtrip": (7, 70000, 150, SCALES[:3]),
-    "factor-properties": (8, 80000, 250, SCALES[:3]),
+    "factor-properties": (8, 80000, 250, SCALES),
     "lift-intertwining": (9, 90000, 250, SCALES[:3]),
     "homomorphism-pairs": (10, 100000, 100, SCALES[:3]),
     "double-cover-sign": (11, 110000, 50, SCALES[:3]),

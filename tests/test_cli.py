@@ -114,20 +114,41 @@ def test_domain_error_exit_code(tmp_path):
     assert doc["error"]["code"] == "SimpleInput"
 
 
-def test_transformation_overflow_exit_code(tmp_path):
-    # exp-spin answers 500 b01, but its diagnostic validates Lam = exp(L), whose
-    # entries of ~1e217 square past the float range: a typed error, no traceback
+def assert_typed_error(command, matrix, code, tmp_path):
+    """A child ``spinlift <command>`` exits 1 with one JSON error and empty stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
     )
-    request = {"matrix": (500.0 * wedge(make_metric(), E[0], E[1]).matrix).tolist()}
     proc = subprocess.run(
-        [sys.executable, "-m", "spinlift.cli", "exp-spin"],
-        input=json.dumps(request), capture_output=True, text=True, env=env, cwd=tmp_path,
+        [sys.executable, "-m", "spinlift.cli", command],
+        input=json.dumps({"matrix": matrix.tolist()}), capture_output=True, text=True,
+        env=env, cwd=tmp_path,
     )
     assert (proc.returncode, proc.stderr) == (1, "")
-    assert json.loads(proc.stdout)["error"]["code"] == "InvalidTransformation"
+    assert json.loads(proc.stdout)["error"]["code"] == code
+
+
+def test_transformation_overflow_exit_code(tmp_path):
+    # exp-spin answers 500 b01, but its diagnostic validates Lam = exp(L), whose
+    # entries of ~1e217 square past the float range: a typed error, no traceback
+    b01 = wedge(make_metric(), E[0], E[1]).matrix
+    assert_typed_error("exp-spin", 500.0 * b01, "InvalidTransformation", tmp_path)
+
+
+@pytest.mark.parametrize("command, coefficients, code", [
+    ("exp-spin", (1e100, 1e100), "InvalidBivector"),
+    ("decompose", (1e100, 1e100), "InvalidBivector"),
+    ("invariants", (1e100, 1e100), "InvalidBivector"),
+    ("exp-spin", (1500.0, 0.0), "NonFiniteOutput"),
+])
+def test_bivector_overflow_exit_code(command, coefficients, code, tmp_path):
+    # maxabs^4 of 1e100 (b01 + b23), the degree of is_simple's gate, leaves the float
+    # range in the Bivector validator; cosh s at rapidity 1500 does in exp_spin
+    g = make_metric()
+    c01, c23 = coefficients
+    matrix = c01 * wedge(g, E[0], E[1]).matrix + c23 * wedge(g, E[2], E[3]).matrix
+    assert_typed_error(command, matrix, code, tmp_path)
 
 
 def test_rank_deficiency_exit_code(tmp_path):

@@ -255,6 +255,20 @@ def test_factor_identities_random(g):
         assert np.trace(mm) == pytest.approx(2.0 * (1.0 + pair.c_minus), abs=1e-8)
 
 
+@pytest.mark.xfail(strict=True, reason="the cubic's rotation factor carries about u "
+                   "e^rapidity of error on its own scale, and its validator refuses it")
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_factor_at_rapidity_16(sig):
+    # rapidity 15 still answers; at 16 factor_transform raises InvalidTransformation
+    # ("matrix does not preserve the metric") on a valid non-simple Lam
+    g = make_metric(sig)
+    block = 16.0 * wedge(g, E[0], E[1]) + wedge(g, E[2], E[3])
+    lam = LorentzTransformation(exp_series(block.matrix), g)
+    pair = factor_transform(lam)
+    product = pair.lambda_plus.matrix @ pair.lambda_minus.matrix
+    assert mabs(product - lam.matrix) <= 1e-13 * lam._maxabs
+
+
 def test_factor_rejects_simple(g):
     rot = LorentzTransformation(exp_series(wedge(g, E[2], E[3]).matrix), g)
     with pytest.raises(SimpleTransformError):
@@ -312,8 +326,15 @@ def test_lift_nonsimple_block_against_exp_spin(g, rep):
     assert mabs(lifted - direct) < 1e-8
 
 
+# pmmm draws whose regular-rep lift has its largest modulus at 16 entries of both
+# signs, so that the last bit of each decides the sign sign_normalize picks
+SIGN_TIES = {("regular", 8), ("regular", 12)}
+
+
 def test_lift_nonsimple_product_structure(g, rep):
     for seed in range(20):
+        if (rep.kind, seed) in SIGN_TIES:
+            continue  # pinned by test_lift_nonsimple_product_sign_tie
         lam = random_nonsimple_transformation(g, seed)
         pair = factor_transform(lam)
         whole = sign_normalize(lift_nonsimple(lam, rep))
@@ -321,6 +342,22 @@ def test_lift_nonsimple_product_structure(g, rep):
             lift_simple(pair.lambda_plus, rep) @ lift_simple(pair.lambda_minus, rep)
         )
         assert mabs(whole - split) < 1e-8 * max(1.0, mabs(whole))
+
+
+@pytest.mark.xfail(strict=True, reason="sign_normalize picks the sign at the first entry "
+                   "of largest modulus, which rounding moves between tied entries")
+@pytest.mark.parametrize("kind, seed", sorted(SIGN_TIES))
+def test_lift_nonsimple_product_sign_tie(g, kind, seed):
+    # the lift and the product of the factor lifts agree up to the global sign, yet
+    # sign_normalize sends them to opposite signs
+    rep = representation(kind, g)
+    lam = random_nonsimple_transformation(g, seed)
+    pair = factor_transform(lam)
+    whole = sign_normalize(lift_nonsimple(lam, rep))
+    split = sign_normalize(
+        lift_simple(pair.lambda_plus, rep) @ lift_simple(pair.lambda_minus, rep)
+    )
+    assert mabs(whole - split) < 1e-8 * max(1.0, mabs(whole))
 
 
 def test_lift_nonsimple_gates(g, rep):

@@ -17,7 +17,8 @@ the same inputs:
   ``exp-mix`` bivector L and c in {1e-3, 0.3, 1, 8}; and of
   ``intertwining_defect(exp_series(sigma(L)), expm(L), rep)`` for every
   ``lift-mix`` generator L;
-* ``selftest``: the ``run_selftest`` report for both metrics, seeds 0-29;
+* ``selftest``: each check of the ``run_selftest`` report, keyed by metric,
+  seed and check name, for both metrics, seeds 0-29;
 * ``cli``: the exit code and the response text of ``spinlift <command>`` for
   each request file in ``tests/golden``.
 
@@ -109,7 +110,8 @@ def collect(job: dict) -> dict:
         rep = reps[key[4], key[5]]
         out[("oracle", *key)] = guarded(partial(referees, key[0], generator, m, rep))
     for sig, seed in job["selftest"]:
-        out[("selftest", sig, seed)] = cli.run_selftest(sig, seed)
+        for check in cli.run_selftest(sig, seed)["checks"]:
+            out[("selftest", sig, seed, check["name"])] = check
     for command, text in job["cli"].items():
         stdin, sys.stdin = sys.stdin, io.StringIO(text)
         try:
