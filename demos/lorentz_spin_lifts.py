@@ -23,7 +23,6 @@ from spinlift import (
     make_metric,
     random_transformation,
     representation,
-    sign_normalize,
     spin_rep,
     tr2,
     tr2_transform,
@@ -84,18 +83,20 @@ for label, lam in [
     sigma, branch = lift(lam, rep, return_branch=True)
     defect = intertwining_defect(sigma, lam, rep)
     print(f"{label:10s} -> branch {branch:18s} intertwining defect {defect:.2e}")
-# lift takes the spinor map for every non-simple Lam; the paper's formula agrees
+# lift takes the spinor map for every non-simple Lam; the paper's formula agrees,
+# sign included: both give the principal lift, Re tr A >= 0 on the SL(2,C) block
 paper, sigma = lift_nonsimple(generic, rep), lift(generic, rep)
-print("paper's non-simple formula == +/- lift, defect:",
-      min(np.abs(sigma - paper).max(), np.abs(sigma + paper).max()))
+print("paper's non-simple formula == lift, defect:", np.abs(sigma - paper).max())
 
-print("\n== the lift inverts the exponential, up to the double-cover sign ==")
+print("\n== the lift inverts the exponential: the principal lift ==")
 W = wedge(g, e[0], e[2]) * 0.7 + wedge(g, e[1], e[3]) * 1.3
 U = exp_spin(W, rep)
 lam = transform_of(W)
 sigma = lift(lam, rep)
-agree = min(np.abs(sigma - U).max(), np.abs(sigma + U).max())
-print("lift(exp L) == +/- exp(sigma(L)), defect:", agree)
+print("lift(exp L) == exp(sigma(L)) for a rotation angle below pi, defect:",
+      np.abs(sigma - U).max())
+print("lift(Lam) == exp(sigma(log Lam)), defect:",
+      np.abs(sigma - exp_spin(log(lam), rep)).max())
 
 # Shifting a rotation angle by 2 pi returns the same Lorentz matrix but the
 # opposite spin element: the double cover is genuinely two-sheeted.
@@ -104,11 +105,17 @@ U1 = exp_spin(wedge(g, e[2], e[3]) * theta, rep)
 U2 = exp_spin(wedge(g, e[2], e[3]) * (theta + 2.0 * np.pi), rep)
 print("angle + 2 pi flips the lift's sign:", np.abs(U1 + U2).max() < 1e-12)
 
-print("\n== homomorphism up to sign ==")
-a = random_transformation(g, seed=5)
-b = random_transformation(g, seed=6)
-ab = LorentzTransformation(a.matrix @ b.matrix, g)
-product_lift = sign_normalize(lift(a, rep) @ lift(b, rep))
-direct_lift = sign_normalize(lift(ab, rep))
-print("lift(a) lift(b) == +/- lift(a b), defect:",
-      np.abs(product_lift - direct_lift).max())
+print("\n== homomorphism up to the double-cover sign ==")
+# principal lifts multiply to the principal lift of the product or to its
+# negative: two rotations by 2 in one plane make a rotation by 4 > pi, whose
+# principal lift lies on the other sheet
+turn = transform_of(wedge(g, e[2], e[3]) * 2.0)
+pairs = [(random_transformation(g, seed=5), random_transformation(g, seed=6)),
+         (turn, turn)]
+for label, (a, b) in zip(("random pair", "two turns by 2"), pairs):
+    ab = LorentzTransformation(a.matrix @ b.matrix, g)
+    product_lift = lift(a, rep) @ lift(b, rep)
+    direct_lift = lift(ab, rep)
+    eps = 1 if np.abs(product_lift - direct_lift).max() < 1.0 else -1
+    print(f"{label:14s} lift(a) lift(b) == eps lift(a b) with eps = {eps:+d}, defect:",
+          np.abs(product_lift - eps * direct_lift).max())

@@ -57,7 +57,6 @@ from .group_lift import (
     lift_simple,
     log,
     log_simple,
-    sign_normalize,
     tr2_transform,
 )
 from .metric import Metric, inner, make_metric
@@ -123,7 +122,6 @@ __all__ = [
     "random_transformation",
     "recover_invariants",
     "representation",
-    "sign_normalize",
     "sin_ratio",
     "sinh_ratio",
     "spin_cross_product",

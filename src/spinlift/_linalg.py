@@ -59,7 +59,8 @@ SBAR_TAYLOR_CUTOFF = 1e-4  # half-angle of sin_ratio, sinh_ratio; |s| in exp_spi
 SERIES_GAP_TOL = 1e-3
 _NULL_TOL = 1e-12  # |tr2 L| of the label "simple/null" of exp_spin and log; rel L^2
 # ||Lam^T g Lam - g|| and |det Lam - 1| in the LorentzTransformation validator;
-# rel Lam^2, degree 2 for det Lam too.  Also abs on 1 - Lam^0_0 and on -tr Lam.
+# rel Lam^2, det Lam taken by a cofactor whose rounding is of degree 2 too.  Also abs
+# on 1 - Lam^0_0 and on -tr Lam.
 ORTHO_TOL = 1e-9
 # simplicity_defect in is_simple_transform; relative to max(1, tr2 Lam, tr Lam)
 SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
@@ -81,7 +82,6 @@ BLOCK_DET_TOL = 2.0 * _LIFT_TARGET
 FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs
 DENOMINATOR_GATE = TRACE_GATE  # lift_denominator in lift_nonsimple; a label in lift
 IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
-SIGN_TOL = 1e-12  # |Re z| of the largest entry in sign_normalize; relative to |z|
 SERIES_TERM_TOL = 1e-16  # largest term entry in exp_series; relative to the sum's
 _COND_LIMIT = 1e12  # condition number of a lift in intertwining_defect; abs
 

@@ -44,7 +44,6 @@ from .group_lift import (
     is_simple_transform,
     lift,
     log_simple,
-    sign_normalize,
 )
 from .metric import SIGNATURES, Metric, make_metric
 from .oracle import exp_series, intertwining_defect
@@ -326,7 +325,6 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
     sigma, branch = lift(lam, rep, tol, return_branch=True)
     if branch == "simple" and maxabs(lam.matrix - np.eye(4)) <= IDENTITY_TOL:
         branch = "simple/identity"
-    sigma = sign_normalize(sigma)
     result = {"sigma": _matrix_payload(sigma)}
     invariants = {
         **_transform_traces(lam),

@@ -4,9 +4,12 @@ The trace pair (tr Lam, tr2 Lam) classifies a transformation: simple ones
 (single boost or rotation plane) satisfy tr2 Lam = 2 (tr Lam - 1), and every
 non-simple one factors into a commuting boost times rotation.  Each regime
 admits a closed-form lift Sigma(Lam) into a spin representation, determined
-up to global sign and characterized by the intertwining relation
+up to global sign by the intertwining relation
 
     Sigma rho(u) Sigma^{-1} = rho(Lam u).
+
+Every lift here is the principal one, exp sigma(log Lam): the image of the A in
+SL(2,C) with Re tr A >= 0 (Im tr A >= 0 where Re tr A = 0).
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    BLOCK_DET_TOL, DENOMINATOR_GATE, FACTOR_GAP_TOL, ORTHO_TOL, SIGN_TOL,
-    SIMPLE_CRITERION_TOL, TRACE_GATE, _floored, lift_denominator, maxabs,
-    simplicity_defect, transform_traces,
+    BLOCK_DET_TOL, DENOMINATOR_GATE, FACTOR_GAP_TOL, ORTHO_TOL, SIMPLE_CRITERION_TOL,
+    TRACE_GATE, _floored, lift_denominator, maxabs, simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
 from .clifford import (
@@ -29,6 +31,7 @@ from .clifford import (
 from .errors import (
     DegenerateDenominatorError,
     InvalidTransformationError,
+    NonFiniteOutputError,
     NotNonsimpleError,
     NotSimpleError,
     SimpleTransformError,
@@ -68,10 +71,16 @@ class LorentzTransformation:
             raise InvalidTransformationError("transformation entries too large") from None
         if maxabs(m.T @ g @ m - g) > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
-        if abs(float(np.linalg.det(m)) - 1.0) > ORTHO_TOL * norm2:
-            raise InvalidTransformationError("matrix is not proper (det != 1)")
-        if m[0, 0] < 1.0 - ORTHO_TOL:
+        (m00, *_), (_, a, b, c), (_, d, e, f), (_, p, q, r) = m.tolist()
+        if m00 < 1.0 - ORTHO_TOL:
             raise InvalidTransformationError("matrix is not orthochronous")
+        # det Lam = det(spatial block) / Lam^0_0, the (0, 0) cofactor of Lam^{-1} =
+        # g Lam^T g: its rounding is of degree 2 in maxabs(Lam), as is the bound.
+        # Dividing the first row first keeps every product of degree 2, in range.
+        a, b, c = a / m00, b / m00, c / m00
+        det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
+        if not abs(det - 1.0) <= ORTHO_TOL * norm2:  # NaN where a difference overflows
+            raise InvalidTransformationError("matrix is not proper (det != 1)")
         traces = transform_traces(m)
         if traces[0] < -ORTHO_TOL:
             raise InvalidTransformationError(
@@ -131,7 +140,7 @@ def _is_simple_traces(t: float, t2: float, tol: float) -> bool:  # tr, tr2 of La
 def log(lam: LorentzTransformation) -> Bivector:
     """Principal logarithm L of any proper orthochronous Lam: exp(L) = Lam.
 
-    With A in SL(2,C) the Weyl block of ``lift``, signed so that Re tr A >= 0 (Im
+    With A in SL(2,C) the principal Weyl block of ``lift`` (Re tr A >= 0, and Im
     tr A >= 0 where Re tr A = 0), c = tr A / 2 and s = acosh c, the block of
     sigma(L) is (s / sinh s)(A - c I) (Penrose & Rindler, vol. 1, sec. 1.2).  On
     ``lift_simple``'s block it is the paper's L = k (Lam - Lam^{-1}) / 2 with
@@ -145,8 +154,6 @@ def _log(lam: LorentzTransformation, rep: Representation):
     # (L, k), k = 2 h / sqrt(tr Lam) where A is lift_simple's block, else None
     a, _, block = _lift_block(lam, rep, SIMPLE_CRITERION_TOL)
     c = 0.5 * math.sqrt(lam._traces[0]) if block else 0.5 * complex(a[0] + a[3])
-    if (c.real, c.imag) < (0.0, 0.0):  # Re tr A < 0, or Re tr A = 0 > Im tr A
-        a, c = -a, -c
     s = cmath.acosh(c)
     h = 1.0 / _sinh_ratio_complex(s, s * s)
     if block:  # A - c I = X_B / (2 c), X_B the block of sigma(Lam - Lam^{-1})
@@ -211,12 +218,13 @@ def factor_transform(
 
 
 def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
-    """Spin lift of a simple Lam with tr Lam above lift's gate (up to global sign):
+    """Principal spin lift of a simple Lam with tr Lam above lift's gate:
 
         Sigma = (tr Lam I + 2 sigma(Lam - Lam^{-1})) / (2 sqrt(tr Lam)),
 
-    evaluated on the Weyl block of Sigma in SL(2,C).  Raises ``NotSimpleError``
-    for a near-simple Lam, whose block misses det A = 1 by more than BLOCK_DET_TOL.
+    evaluated on the Weyl block A of Sigma in SL(2,C), whose tr A = sqrt(tr Lam)
+    is positive.  Raises ``NotSimpleError`` for a near-simple Lam, whose block
+    misses det A = 1 by more than BLOCK_DET_TOL.
     """
     # Its error grows with the simplicity defect: guarded at the default tol.
     a, branch, block = _lift_block(lam, rep, SIMPLE_CRITERION_TOL)
@@ -227,7 +235,7 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
 
 
 def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
-    """Spin lift of a non-simple Lam away from the degenerate denominator.
+    """Principal spin lift of a non-simple Lam away from the degenerate denominator.
 
     With t = tr Lam, t2 = tr2 Lam, B1 = Lam - Lam^{-1}, B2 = Lam^2 - Lam^{-2}:
 
@@ -258,13 +266,20 @@ _SPINOR_H = 0.5 * np.einsum("mil,nkj->ijlkmn", _S, _S).reshape(16, 16)
 
 
 def _spinor(m) -> np.ndarray:
-    # +/-A of Lam = m: the column of H with the largest diagonal (>= 1/2, as
-    # det A = 1) is A times a phase, and the phase of det A alone fixes it.
+    # The principal A of Lam = m: the column of H with the largest diagonal (>= 1/2,
+    # as det A = 1) is A times a phase, the phase of det A fixes it up to sign, and
+    # the sign gives Re tr A >= 0 (Im tr A >= 0 where Re tr A = 0).  det A carries
+    # u maxabs(A)^2 of rounding: where it rounds to 0 no phase is left.
     h = (_SPINOR_H @ m.ravel()).reshape(4, 4)
     c = int(h.diagonal().real.argmax())
     a = (h[:, c] / math.sqrt(h[c, c].real)).reshape(2, 2)
     d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return a / cmath.sqrt(d / abs(d))
+    r = abs(d)
+    if not 0.0 < r < math.inf:
+        raise NonFiniteOutputError(f"spinor map: det A = {d} fixes no phase")
+    a = a / cmath.sqrt(d / r)
+    t = complex(a[0, 0] + a[1, 1])
+    return -a if (t.real, t.imag) < (0.0, 0.0) else a
 
 
 def lift(
@@ -273,7 +288,7 @@ def lift(
     tol: float = SIMPLE_CRITERION_TOL,
     return_branch: bool = False,
 ):
-    """Spin lift of any proper orthochronous Lam, up to global sign.
+    """Principal spin lift of any proper orthochronous Lam: exp_spin(log(Lam), rep).
 
     Classifies on the trace criterion and the two divisor gates:
 
@@ -283,9 +298,16 @@ def lift(
     * non-simple, denominator at or below it -> the spinor map     ("nonsimple/special")
 
     Each branch forms A in SL(2,C), the Weyl block of Sigma, and one map takes
-    A to ``rep``.  The spinor map Lam -> +/-A (Shepperd's largest-diagonal
+    A to ``rep``.  The spinor map Lam -> A (Shepperd's largest-diagonal
     extraction) has no gate; the denominator gate only names the non-simple
-    regime.  A "simple" Lam keeps its label but takes the spinor map where
+    regime.  Both blocks are principal: the spinor map signs A by the module's
+    rule, and ``lift_simple``'s block has tr A > 0.  Where Lam holds a rotation by
+    pi, Re tr A = 0 and both signs are principal; no continuous choice exists on
+    the double cover there, and the rule keeps the sign it computes.  Raises
+    ``NonFiniteOutputError`` where the spinor map's det A rounds to 0 or
+    overflows, leaving no phase.
+
+    A "simple" Lam keeps its label but takes the spinor map where
     ``lift_simple`` would lose accuracy: when it is simple only under a looser
     ``tol`` than the default, or when the block misses det A = 1 by more than
     ``BLOCK_DET_TOL``.  With ``return_branch=True`` returns ``(Sigma, branch)``.
@@ -320,24 +342,3 @@ def _lift_block(lam: LorentzTransformation, rep: Representation, tol: float):
         if abs(x00 * x11 - x01 * x10 - 1.0) <= BLOCK_DET_TOL:
             return a, branch, True
     return _spinor(lam.matrix).ravel(), branch, False
-
-
-def sign_normalize(m) -> np.ndarray:
-    """Fix the global sign of a matrix defined only up to +/-1.
-
-    The first entry (row-major) of largest modulus is made to have positive
-    real part; if its real part vanishes, positive imaginary part.
-    """
-    m = np.asarray(m)
-    if m.size == 0:
-        return m
-    flat = m.ravel()
-    idx = int(np.argmax(np.abs(flat)))
-    z = complex(flat[idx])
-    if abs(z) == 0.0:
-        return m
-    if abs(z.real) > SIGN_TOL * abs(z):
-        flip = z.real < 0.0
-    else:
-        flip = z.imag < 0.0
-    return -m if flip else m

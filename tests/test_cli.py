@@ -11,6 +11,7 @@ import pytest
 from spinlift import (MalformedInputError, cli, exp_series, make_metric, representation,
                       spin_rep, wedge)
 from spinlift.cli import main, run_selftest
+from spinlift.sampling import _transformation
 
 E = np.eye(4)
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -149,6 +150,14 @@ def test_bivector_overflow_exit_code(command, coefficients, code, tmp_path):
     c01, c23 = coefficients
     matrix = c01 * wedge(g, E[0], E[1]).matrix + c23 * wedge(g, E[2], E[3]).matrix
     assert_typed_error(command, matrix, code, tmp_path)
+
+
+@pytest.mark.parametrize("command", ["lift", "log"])
+def test_lost_spinor_phase_exit_code(command, tmp_path):
+    # a framed boost of rapidity 50 whose spinor det A rounds to 0, which leaves no
+    # phase: see test_group_lift.py::test_spinor_refuses_lost_phase
+    lam = _transformation(make_metric(), np.random.default_rng(3), rapidity=50.0)
+    assert_typed_error(command, lam.matrix, "NonFiniteOutput", tmp_path)
 
 
 def test_rank_deficiency_exit_code(tmp_path):

@@ -26,9 +26,11 @@ The spin images of the ``oracle`` group come from each side's ``spin_rep``.
 
 A typed ``SpinLiftError`` is recorded as its class name and message.  The
 inputs come from ``bench/inputs.py`` of CHECKOUT (imported, never changed)
-and are made once, here, so both sides see the same bits.  Prints the number
-of differing entries per group, the first few keys that differ, and the
-total; exits 0 when no entry differs, 1 otherwise.  Needs numpy and scipy.
+and are made once, here, so both sides see the same bits.  Prints per group
+the number of entries that differ and, counted apart, of those ``negated``:
+the same label with every output float the exact negation of the other
+side's, a sign-only move.  Then the first few keys of each, and the totals;
+exits 0 when every entry is bit-identical, 1 otherwise.  Needs numpy and scipy.
 """
 
 from __future__ import annotations
@@ -123,6 +125,17 @@ def collect(job: dict) -> dict:
     return out
 
 
+def is_negation(x, y) -> bool:
+    """Whether two (output bytes, label) entries differ only by the output's sign."""
+    import numpy as np
+
+    if not (isinstance(x, tuple) and isinstance(y, tuple) and len(x) == len(y) == 2
+            and isinstance(x[0], bytes) and isinstance(y[0], bytes) and x[1] == y[1]):
+        return False
+    # float64 and complex128 outputs alike, read as float64 parts
+    return bool(np.array_equal(-np.frombuffer(x[0]), np.frombuffer(y[0])))
+
+
 def run_side(checkout: Path, job_bytes: bytes) -> dict:
     src = (checkout / "src").resolve()
     if not (src / "spinlift").is_dir():
@@ -153,16 +166,21 @@ def main(argv=None) -> int:
         parser.error("OTHER_CHECKOUT is required")
     job_bytes = pickle.dumps(make_job(args.checkout.resolve()))
     a, b = run_side(args.other, job_bytes), run_side(args.checkout, job_bytes)
-    total = 0
+    totals = [0, 0]
     for group in ("lift", "exp", "oracle", "selftest", "cli"):
         keys = sorted(k for k in a.keys() | b.keys() if k[0] == group)
-        differ = [k for k in keys if pickle.dumps(a.get(k)) != pickle.dumps(b.get(k))]
-        total += len(differ)
-        print(f"{group}: {len(differ)} of {len(keys)} entries differ")
+        moved = [k for k in keys if pickle.dumps(a.get(k)) != pickle.dumps(b.get(k))]
+        negated = [k for k in moved if is_negation(a.get(k), b.get(k))]
+        differ = [k for k in moved if k not in negated]
+        totals[0] += len(differ)
+        totals[1] += len(negated)
+        print(f"{group}: {len(differ)} of {len(keys)} entries differ, {len(negated)} negated")
         for key in differ[:SHOWN]:
             print(f"  {key}")
-    print(f"total: {total} differing entries")
-    return 1 if total else 0
+        for key in negated[:SHOWN]:
+            print(f"  negated {key}")
+    print(f"total: {totals[0]} differing entries, {totals[1]} negated")
+    return 1 if any(totals) else 0
 
 
 if __name__ == "__main__":
