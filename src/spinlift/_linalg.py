@@ -83,5 +83,5 @@ FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs
 DENOMINATOR_GATE = TRACE_GATE  # lift_denominator in lift_nonsimple; a label in lift
 IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
 SERIES_TERM_TOL = 1e-16  # largest term entry in exp_series; relative to the sum's
-_COND_LIMIT = 1e12  # condition number of a lift in intertwining_defect; abs
+_COND_LIMIT = 1e12  # cond of a lift in intertwining_defect; abs.  u times it: _spinor
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from ._linalg import (
     BLOCK_DET_TOL, DENOMINATOR_GATE, FACTOR_GAP_TOL, ORTHO_TOL, SIMPLE_CRITERION_TOL,
-    TRACE_GATE, _floored, lift_denominator, maxabs, simplicity_defect, transform_traces,
+    TRACE_GATE, _COND_LIMIT, _UNIT_ROUNDOFF, _floored, lift_denominator, maxabs,
+    simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
 from .clifford import (
@@ -268,15 +269,16 @@ _SPINOR_H = 0.5 * np.einsum("mil,nkj->ijlkmn", _S, _S).reshape(16, 16)
 def _spinor(m) -> np.ndarray:
     # The principal A of Lam = m: the column of H with the largest diagonal (>= 1/2,
     # as det A = 1) is A times a phase, the phase of det A fixes it up to sign, and
-    # the sign gives Re tr A >= 0 (Im tr A >= 0 where Re tr A = 0).  det A carries
-    # u maxabs(A)^2 of rounding: where it rounds to 0 no phase is left.
+    # the sign gives Re tr A >= 0 (Im tr A >= 0 where Re tr A = 0).  |det A| = 1 carries
+    # rounding of u maxabs(A)^2 <= u cond(A), as does the phase: past u _COND_LIMIT,
+    # the bound on cond in intertwining_defect, raise (a det A of 0, inf or NaN too).
     h = (_SPINOR_H @ m.ravel()).reshape(4, 4)
     c = int(h.diagonal().real.argmax())
     a = (h[:, c] / math.sqrt(h[c, c].real)).reshape(2, 2)
     d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     r = abs(d)
-    if not 0.0 < r < math.inf:
-        raise NonFiniteOutputError(f"spinor map: det A = {d} fixes no phase")
+    if not abs(r - 1.0) <= _UNIT_ROUNDOFF * _COND_LIMIT:
+        raise NonFiniteOutputError(f"spinor map: |det A| = {r} is not 1: no phase left")
     a = a / cmath.sqrt(d / r)
     t = complex(a[0, 0] + a[1, 1])
     return -a if (t.real, t.imag) < (0.0, 0.0) else a
@@ -299,13 +301,13 @@ def lift(
 
     Each branch forms A in SL(2,C), the Weyl block of Sigma, and one map takes
     A to ``rep``.  The spinor map Lam -> A (Shepperd's largest-diagonal
-    extraction) has no gate; the denominator gate only names the non-simple
+    extraction) has no divisor gate; the denominator gate only names the non-simple
     regime.  Both blocks are principal: the spinor map signs A by the module's
     rule, and ``lift_simple``'s block has tr A > 0.  Where Lam holds a rotation by
     pi, Re tr A = 0 and both signs are principal; no continuous choice exists on
     the double cover there, and the rule keeps the sign it computes.  Raises
-    ``NonFiniteOutputError`` where the spinor map's det A rounds to 0 or
-    overflows, leaving no phase.
+    ``NonFiniteOutputError`` where the spinor map's |det A| misses 1 by more than
+    u ``_COND_LIMIT``, which its rounding passes past rapidity ~30 in a frame.
 
     A "simple" Lam keeps its label but takes the spinor map where
     ``lift_simple`` would lose accuracy: when it is simple only under a looser
