@@ -79,7 +79,6 @@ TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple ab
 # e^rapidity; absolute, it sends framed boosts past rapidity ~12, whose computed
 # det A carries u maxabs(A)^2 of rounding, to the spinor map.
 BLOCK_DET_TOL = 2.0 * _LIFT_TARGET
-FACTOR_GAP_TOL = 1e-8  # c_plus - c_minus in factor_transform; abs
 DENOMINATOR_GATE = TRACE_GATE  # lift_denominator in lift_nonsimple; a label in lift
 IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
 SERIES_TERM_TOL = 1e-16  # largest term entry in exp_series; relative to the sum's

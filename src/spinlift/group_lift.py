@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    BLOCK_DET_TOL, DENOMINATOR_GATE, FACTOR_GAP_TOL, ORTHO_TOL, SIMPLE_CRITERION_TOL,
+    BLOCK_DET_TOL, DENOMINATOR_GATE, ORTHO_TOL, SIMPLE_CRITERION_TOL,
     TRACE_GATE, _COND_LIMIT, _UNIT_ROUNDOFF, _floored, lift_denominator, maxabs,
     simplicity_defect, transform_traces,
 )
@@ -108,8 +108,8 @@ class LorentzTransformation:
 class FactorPair:
     """Commuting factorization Lam = Lam_plus Lam_minus with trace data.
 
-    c_plus = cosh of the boost rapidity half-sum and c_minus = cos of the
-    rotation angle, tied to the factors by tr Lam_+/- = 2 (1 + c_+/-).
+    c_plus = cosh of the boost rapidity and c_minus = cos of the rotation angle,
+    tied to the factors by tr Lam_+/- = 2 (1 + c_+/-).
     """
 
     lambda_plus: LorentzTransformation
@@ -184,37 +184,30 @@ def factor_transform(
 ) -> FactorPair:
     """Split a non-simple Lam into commuting simple factors.
 
-    With Delta = (tr Lam)^2 - 4 tr2 Lam + 8 and c_+/- = (tr Lam +/- sqrt(Delta))/4,
-    each factor is a cubic polynomial in Lam:
-
-        Lam_+/- = +/- ((1 + 2 c_+/-) I - Lam^{-1} - (1 + 2 c_-/+) Lam + Lam^2)
-                  / (2 (c_+ - c_-))
+    With A = cosh(s) I + sinh(s) N the principal Weyl block of ``lift`` (N^2 = I,
+    c = tr A / 2 and s = acosh c as in ``log``), the factors are the images of the
+    commuting A_+ = cosh(Re s) I + sinh(Re s) N and A_- = cos(Im s) I + i sin(Im s) N,
+    so c_+ = cosh(2 Re s), c_- = cos(2 Im s) and delta = 4 (c_+ - c_-)^2, which is
+    (tr Lam)^2 - 4 tr2 Lam + 8.  A null rotation, s = 0, has no N and is simple.
     """
     if is_simple_transform(lam, tol):
         raise SimpleTransformError("simple transformation does not factor further")
-    m = lam.matrix
-    t, t2 = lam._traces
-    delta = t * t - 4.0 * t2 + 8.0
-    root = math.sqrt(max(delta, 0.0))
-    c_plus = 0.25 * (t + root)
-    c_minus = 0.25 * (t - root)
-    if c_plus - c_minus <= FACTOR_GAP_TOL:
-        raise SimpleTransformError(
-            f"factor separation {c_plus - c_minus} too small; "
-            "transformation is numerically simple"
-        )
-    eye = np.eye(4)
-    inv = lam.inverse()
-    sq = m @ m
-    denom = 2.0 * (c_plus - c_minus)
-    plus = ((1.0 + 2.0 * c_plus) * eye - inv - (1.0 + 2.0 * c_minus) * m + sq) / denom
-    minus = -((1.0 + 2.0 * c_minus) * eye - inv - (1.0 + 2.0 * c_plus) * m + sq) / denom
+    a = _spinor(lam.matrix)
+    c = 0.5 * complex(a[0, 0] + a[1, 1])
+    s = cmath.acosh(c)
+    if s == 0.0:
+        raise SimpleTransformError("null rotation (s = 0) does not factor further")
+    n = (a - c * np.eye(2)) / cmath.sinh(s)
+    x, y = s.real, s.imag
+    plus = math.cosh(x) * np.eye(2) + math.sinh(x) * n
+    minus = math.cos(y) * np.eye(2) + 1j * math.sin(y) * n
+    c_plus, c_minus = math.cosh(2.0 * x), math.cos(2.0 * y)
     return FactorPair(
-        LorentzTransformation(plus, lam.metric),
-        LorentzTransformation(minus, lam.metric),
+        LorentzTransformation(_vector_image(plus), lam.metric),
+        LorentzTransformation(_vector_image(minus), lam.metric),
         c_plus,
         c_minus,
-        delta,
+        4.0 * (c_plus - c_minus) ** 2,
     )
 
 
@@ -264,6 +257,13 @@ def lift_nonsimple(lam: LorentzTransformation, rep: Representation) -> np.ndarra
 # closed form: H[i,j,l,k] = sum_mn Lam^m_n s_m[i,l] s_n[k,j] / 2.
 _S = np.stack([np.eye(2, dtype=complex), *_PAULI])
 _SPINOR_H = 0.5 * np.einsum("mil,nkj->ijlkmn", _S, _S).reshape(16, 16)
+
+
+def _vector_image(a) -> np.ndarray:
+    # Lam(A): _SPINOR_H is unitary, so vec Lam = Re(_SPINOR_H^H vec H), which is
+    # Re(vec conj(H) . _SPINOR_H) with conj(H) = conj(vec A) vec(A)^T
+    v = a.ravel()
+    return (np.outer(v.conj(), v).ravel() @ _SPINOR_H).real.reshape(4, 4)
 
 
 def _spinor(m) -> np.ndarray:

@@ -57,7 +57,7 @@ MODULE_CONSTANTS = {
                  "FACTOR_PIVOT_TOL", "_NULL_TOL"],
     "spin": ["SPIN_GAP_TOL"],
     "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL"],
-    "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE", "FACTOR_GAP_TOL",
+    "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE",
                    "DENOMINATOR_GATE", "BLOCK_DET_TOL"],
     "oracle": ["_COND_LIMIT"],
 }

@@ -33,7 +33,8 @@ from spinlift import (
 )
 from spinlift.cli import _check_homomorphism, run_request
 from spinlift.errors import NonFiniteOutputError
-from spinlift.group_lift import SIMPLE_CRITERION_TOL, _spinor
+from spinlift._linalg import simplicity_defect
+from spinlift.group_lift import SIMPLE_CRITERION_TOL, _SPINOR_H, _spinor, _vector_image
 from spinlift.sampling import (
     _frame,
     _transformation,
@@ -263,12 +264,12 @@ def test_log_exact_half_turn(sig):
     assert mabs(L.matrix[:2]) == 0.0
 
 
-def log_grid(g):
-    """exp of rapidity b01 + angle b23, bare and in two random frames."""
+def framed_grid(g, rapidities, angles):
+    """Generators rapidity b01 + angle b23, bare and in two random frames."""
     b01, b23 = wedge(g, E[0], E[1]), wedge(g, E[2], E[3])
     frames = [np.eye(4)] + [random_transformation(g, seed, 0.5).matrix for seed in (1, 2)]
-    for rapidity in (0.0, 1e-6, 1e-3, 0.5, 2.0, 8.0, 16.0, 20.0):
-        for angle in (0.0, 1e-6, 1e-3, 1.0, 2.5, math.pi - 1e-3, math.pi - 1e-6):
+    for rapidity in rapidities:
+        for angle in angles:
             L = rapidity * b01 + angle * b23
             for q in frames:
                 yield Bivector(q @ L.matrix @ np.linalg.inv(q), g)
@@ -280,7 +281,9 @@ def test_log_grid_backward_error(sig):
     # over both metrics is 2.6e-14, at rapidity 20 and angle 1e-3 in a frame
     g = make_metric(sig)
     count = 0
-    for L in log_grid(g):
+    rapidities = (0.0, 1e-6, 1e-3, 0.5, 2.0, 8.0, 16.0, 20.0)
+    angles = (0.0, 1e-6, 1e-3, 1.0, 2.5, math.pi - 1e-3, math.pi - 1e-6)
+    for L in framed_grid(g, rapidities, angles):
         lam = LorentzTransformation(exp_series(L.matrix), g)
         back = exp_series(log(lam).matrix)
         assert mabs(back - lam.matrix) <= 5e-13 * mabs(lam.matrix), L.matrix
@@ -315,18 +318,85 @@ def test_factor_identities_random(g):
         assert np.trace(mm) == pytest.approx(2.0 * (1.0 + pair.c_minus), abs=1e-8)
 
 
-@pytest.mark.xfail(strict=True, reason="the cubic's rotation factor carries about u "
-                   "e^rapidity of error on its own scale, and its validator refuses it")
+def factor_errors(lam, pair):
+    """||Lam+ Lam- - Lam|| and ||Lam+ Lam- - Lam- Lam+||, relative to maxabs(Lam)."""
+    mp, mm = pair.lambda_plus.matrix, pair.lambda_minus.matrix
+    return mabs(mp @ mm - lam.matrix) / lam._maxabs, mabs(mp @ mm - mm @ mp) / lam._maxabs
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sig", ["pmmm", "mppp"])
 def test_factor_at_rapidity_16(sig):
-    # rapidity 15 still answers; at 16 factor_transform raises InvalidTransformation
-    # ("matrix does not preserve the metric") on a valid non-simple Lam
+    # The cubic in Lam missed Lam by up to 1.7e-9 and, from rapidity 16 on, raised
+    # InvalidTransformation on 28 of these 96 valid Lam per metric: its rotation
+    # factor carried about u e^rapidity of error on its own scale.  On the block all
+    # answer but the 3 at rapidity 1e-3, which the trace criterion calls simple; the
+    # worst reading is 3.5e-15.
     g = make_metric(sig)
-    block = 16.0 * wedge(g, E[0], E[1]) + wedge(g, E[2], E[3])
-    lam = LorentzTransformation(exp_series(block.matrix), g)
-    pair = factor_transform(lam)
-    product = pair.lambda_plus.matrix @ pair.lambda_minus.matrix
-    assert mabs(product - lam.matrix) <= 1e-13 * lam._maxabs
+    rapidities = (1e-3, 0.5, 2.0, 8.0, 14.0, 16.0, 20.0, 25.0)
+    answered = 0
+    for L in framed_grid(g, rapidities, (1e-3, 1.0, 2.5, math.pi - 1e-6)):
+        lam = LorentzTransformation(exp_series(L.matrix), g)
+        try:
+            pair = factor_transform(lam)
+        except SimpleTransformError:
+            continue
+        assert max(factor_errors(lam, pair)) <= 1e-14, L.matrix
+        answered += 1
+    assert answered == 93
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_factor_null_rotations(sig):
+    # Exact null rotations at tol = 1e-300, where the trace criterion passes every
+    # computed simplicity defect above 0.  The cubic refused 211 of these 600 as not
+    # metric-preserving.  Each now answers (367; worst readings 8.6e-14 on the
+    # product, 5.3e-12 on the factors' simplicity) or raises SimpleTransformError:
+    # the trace criterion, or s = 0 exactly (8, among them seed 14 at scale 0.5).
+    g = make_metric(sig)
+    answered = 0
+    for seed in range(200):
+        for scale in (0.5, 1.0, 2.0):
+            W = random_wedge(g, seed, kind="null", scale=scale)
+            lam = LorentzTransformation(exp_series(W.matrix), g)
+            try:
+                pair = factor_transform(lam, tol=1e-300)
+            except SimpleTransformError:
+                continue
+            assert max(factor_errors(lam, pair)) <= 1e-12, (seed, scale)
+            for f in (pair.lambda_plus, pair.lambda_minus):
+                assert simplicity_defect(*f._traces) <= 1e-10 * max(1.0, *f._traces)
+            answered += 1
+    assert answered == 367
+    W = random_wedge(g, 14, kind="null", scale=0.5)
+    with pytest.raises(SimpleTransformError, match="s = 0"):
+        factor_transform(LorentzTransformation(exp_series(W.matrix), g), tol=1e-300)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_factor_eps_sweeps(sig):
+    # B + eps C across the simple boundary, with factor's own gap gate gone: each Lam
+    # the trace criterion passes answers.  At the default tol that gate refused none
+    # of these, the trace criterion refusing first; at tol = 1e-300 it refused 2 per
+    # metric, which answer now within 4.2e-16.  The cubic missed (b01 + b12) + eps b23
+    # by up to 8.5e-11 (2.7e-10 at tol = 1e-300); the worst reading now is 2.1e-15.
+    g = make_metric(sig)
+    b01, b12, b23 = wedge(g, E[0], E[1]), wedge(g, E[1], E[2]), wedge(g, E[2], E[3])
+    answered = 0
+    for B in (b01, b23, 2.0 * b01, b01 + b12):
+        for C in (b23, b01):
+            for eps in np.logspace(-12.0, 0.0, 25):
+                lam = LorentzTransformation(exp_series((B + float(eps) * C).matrix), g)
+                for tol in (SIMPLE_CRITERION_TOL, 1e-300):
+                    try:
+                        pair = factor_transform(lam, tol)
+                    except SimpleTransformError:
+                        continue
+                    assert max(factor_errors(lam, pair)) <= 1e-14, (eps, tol)
+                    answered += 1
+    assert answered == 36 + 125
 
 
 def test_factor_rejects_simple(g):
@@ -693,6 +763,19 @@ def test_spinor_roundtrip(seed):
     tr = np.trace(a)
     principal = -a if (tr.real, tr.imag) < (0.0, 0.0) else a
     assert mabs(_spinor(lam) - principal) <= 1e-13 * mabs(a)
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_spinor_inverse_map(sig):
+    # _SPINOR_H is exactly unitary, so Lam(A) = Re(_SPINOR_H^H vec H) inverts the
+    # spinor map; factor_transform maps its blocks back by it.  The worst reading of
+    # |Lam(A(Lam)) - Lam| is 9.3 u maxabs(Lam).
+    g = make_metric(sig)
+    assert np.array_equal(_SPINOR_H.conj().T @ _SPINOR_H, np.eye(16))
+    for scale in (0.5, 1.0, 2.0, 5.0):
+        for seed in range(50):
+            lam = random_nonsimple_transformation(g, seed, scale).matrix
+            assert mabs(_vector_image(_spinor(lam)) - lam) <= 16 * 2.0**-53 * mabs(lam)
 
 
 def test_lift_homomorphism_pairs(g, rep):
