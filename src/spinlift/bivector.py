@@ -27,6 +27,16 @@ from .errors import (
 from .metric import Metric
 
 
+def _measured(m) -> float:
+    """maxabs(m) of a bivector, refused unless finite with a finite 4th power."""
+    top = maxabs(m)  # NaN and +/-inf entries carry through to it
+    if not math.isfinite(top):
+        raise InvalidBivectorError("bivector entries must be finite")
+    if top * top * top * top == math.inf:  # maxabs^4, the degree of is_simple's gate
+        raise InvalidBivectorError("bivector entries too large")
+    return top
+
+
 @dataclass(frozen=True, eq=False)
 class Bivector:
     """Mixed-index matrix of an element of the Lorentz Lie algebra so(g).
@@ -34,7 +44,7 @@ class Bivector:
     The validator keeps ``_maxabs`` of the read-only matrix, and every gate
     reads it instead of re-scanning L.  The invariants ``_tr2`` and ``_pf`` are
     taken on first use and kept: ``tr2``, ``det_bivector`` and ``mu_roots`` read
-    them.
+    them.  ``_of`` builds the library's own results without the checks.
     """
 
     matrix: np.ndarray
@@ -44,20 +54,29 @@ class Bivector:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise InvalidBivectorError(f"bivector must be 4x4, got shape {m.shape}")
-        top = maxabs(m)  # NaN and +/-inf entries carry through to it
-        if not math.isfinite(top):
-            raise InvalidBivectorError("bivector entries must be finite")
-        if top * top * top * top == math.inf:  # maxabs^4, the degree of is_simple's gate
-            raise InvalidBivectorError("bivector entries too large")
-        g = self.metric.matrix
+        top = _measured(m)
+        # (L^T g + g L)_ij = L_ji g_j + g_i L_ij: one rounding per entry, as in the
+        # matmuls, so both defects are theirs bit for bit
+        r, g = m.tolist(), self.metric._diag
         norm = _floored(top, 1)
-        if maxabs(m.T @ g + g @ m) > SKEW_TOL * norm:
+        skew = max([abs(r[j][i] * g[j] + g[i] * r[i][j]) for i in range(4) for j in range(4)])
+        if skew > SKEW_TOL * norm:
             raise InvalidBivectorError("matrix is not skew with respect to the metric")
-        if abs(float(m.trace())) > TRACE_TOL * norm:
+        if abs(r[0][0] + r[1][1] + r[2][2] + r[3][3]) > TRACE_TOL * norm:
             raise InvalidBivectorError("matrix is not traceless")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_maxabs", top)
+
+    @classmethod
+    def _of(cls, m: np.ndarray, metric: Metric) -> "Bivector":
+        # A C-contiguous float64 (4, 4) array that the library built and no caller
+        # keeps, made read-only in place: the validator's maxabs and range refusals,
+        # without its skew and trace checks, which hold by construction
+        m.flags.writeable = False
+        L = object.__new__(cls)
+        vars(L).update(matrix=m, metric=metric, _maxabs=_measured(m))
+        return L
 
     @cached_property
     def _tr2(self) -> float:
@@ -166,7 +185,7 @@ def _decompose(L: Bivector, tol: float):  # (L_plus, L_minus, mu), det L taken o
     cube = m @ m @ m
     plus = (cube - mu.mu_minus * m) / gap
     minus = -(cube - mu.mu_plus * m) / gap
-    return Bivector(plus, L.metric), Bivector(minus, L.metric), mu
+    return Bivector._of(plus, L.metric), Bivector._of(minus, L.metric), mu
 
 
 def plane_projection(L: Bivector) -> np.ndarray:

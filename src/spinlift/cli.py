@@ -26,6 +26,7 @@ from ._linalg import (
 from .bivector import (
     Bivector,
     MuPair,
+    _decompose,
     _simple_kind,
     det_bivector,
     is_simple,
@@ -35,7 +36,7 @@ from .bivector import (
 )
 from .clifford import Representation, representation, spin_rep
 from .errors import MalformedInputError, NonFiniteOutputError, SpinLiftError
-from .expmap import exp_spin, exp_spin_factored, exp_spin_polynomial, exp_spin_simple
+from .expmap import _exp_factored, exp_spin, exp_spin_polynomial, exp_spin_simple
 from .group_lift import (
     FactorPair,
     LorentzTransformation,
@@ -55,7 +56,7 @@ from .sampling import (
     traceless_simple_transformation,
 )
 from .spin import (
-    cross_trace_check,
+    _cross_trace,
     recover_invariants,
     spin_cross_product,
     spin_decompose,
@@ -227,15 +228,16 @@ def _decomposition_defects(
     }
 
 
-def _recovery_defects(L: Bivector, rep: Representation, cross_trace: bool = True):
-    """(tr2 L, det L) recovered from sigma(L), and their defects."""
+def _recovery_defects(L: Bivector, rep: Representation, parts=None):
+    """(tr2 L, det L) recovered from sigma(L), and their defects; given L's parts
+    (L+, L-), also the cross trace |tr(sigma(L+) sigma(L-))|."""
     recovered = recover_invariants(spin_rep(rep, L), rep)
     defects = {
         "tr2_recovery_defect": abs(recovered[0] - tr2(L)),
         "det_recovery_defect": abs(recovered[1] - det_bivector(L)),
     }
-    if cross_trace:
-        defects["cross_trace_defect"] = cross_trace_check(rep, L)
+    if parts:
+        defects["cross_trace_defect"] = _cross_trace(rep, *parts)
     return recovered, defects
 
 
@@ -338,7 +340,8 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
 def _cmd_invariants(matrix, g: Metric, rep: Representation, tol: float):
     L = Bivector(matrix, g)
     simple = is_simple(L, tol)
-    recovered, diagnostics = _recovery_defects(L, rep, cross_trace=not simple)
+    parts = None if simple else orthogonal_decompose(L)
+    recovered, diagnostics = _recovery_defects(L, rep, parts)
     result = {"recovered_tr2": recovered[0], "recovered_det": recovered[1]}
     invariants = _bivector_invariants(L, mu_roots(L))
     return ("simple" if simple else "nonsimple"), result, invariants, diagnostics
@@ -411,20 +414,22 @@ def _check_cross_product(g, reps, seed, trials, scales=(1.0,)):
 def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
     for i, c in _trials(trials, scales):
         L = random_nonsimple_bivector(g, seed + i, c)
+        parts = orthogonal_decompose(L)  # once for both representations
         norm2 = _floored(L._maxabs, 2)  # squared for det L: scale(L, 4) rounds apart
         for rep in reps:
-            _, defects = _recovery_defects(L, rep)
+            _, defects = _recovery_defects(L, rep, parts)
             yield max(d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
 def _check_exp_agreement(g, reps, seed, trials, scales=(1.0,)):
     for i, c in _trials(trials, scales):
         L = random_nonsimple_bivector(g, seed + i, c)
+        parts = _decompose(L, SIMPLE_DET_TOL)  # as exp_spin_factored, once for both
         for rep in reps:
             series = exp_series(spin_rep(rep, L))
             norm = scale(series, 1)
             yield max(
-                maxabs(exp_spin_factored(L, rep) - series) / norm,
+                maxabs(_exp_factored(rep, *parts) - series) / norm,
                 maxabs(exp_spin_polynomial(L, rep) - series) / norm,
             )
     for j, kind in enumerate(("rotation", "boost", "null")):

@@ -117,7 +117,10 @@ def exp_spin_factored(L: Bivector, rep: Representation) -> np.ndarray:
         cbar+ cbar- I + sbar+ cbar- sigma(L+) + cbar+ sbar- sigma(L-)
         + sbar+ sbar- sigma(L+) sigma(L-).
     """
-    l_plus, l_minus, mu = _decompose(L, SIMPLE_DET_TOL)
+    return _exp_factored(rep, *_decompose(L, SIMPLE_DET_TOL))
+
+
+def _exp_factored(rep: Representation, l_plus: Bivector, l_minus: Bivector, mu: MuPair):
     co = exp_coefficients(mu)
     s_plus = spin_rep(rep, l_plus)
     s_minus = spin_rep(rep, l_minus)

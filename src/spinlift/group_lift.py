@@ -42,6 +42,17 @@ from .expmap import _sinh_ratio_complex
 from .metric import Metric
 
 
+def _measured(m):
+    """(maxabs(m), max(1, maxabs(m))^2) of a transformation, refused out of range."""
+    top = maxabs(m)  # NaN and +/-inf entries carry through to it
+    if not math.isfinite(top):
+        raise InvalidTransformationError("transformation entries must be finite")
+    try:
+        return top, _floored(top, 2)
+    except OverflowError:  # maxabs past ~1.3e154: its square leaves the float range
+        raise InvalidTransformationError("transformation entries too large") from None
+
+
 @dataclass(frozen=True, eq=False)
 class LorentzTransformation:
     """Matrix Lam with Lam^T g Lam = g, det Lam = 1, Lam^0_0 >= 1.
@@ -51,6 +62,7 @@ class LorentzTransformation:
     holds throughout the proper orthochronous component.  The validator keeps
     what it measured of the read-only matrix, ``_maxabs`` and ``_traces`` =
     (tr Lam, tr2 Lam), and every gate reads them instead of re-scanning Lam.
+    ``_of`` builds the library's own results without the checks.
     """
 
     matrix: np.ndarray
@@ -62,14 +74,8 @@ class LorentzTransformation:
             raise InvalidTransformationError(
                 f"transformation must be 4x4, got shape {m.shape}"
             )
-        top = maxabs(m)  # NaN and +/-inf entries carry through to it
-        if not math.isfinite(top):
-            raise InvalidTransformationError("transformation entries must be finite")
+        top, norm2 = _measured(m)
         g = self.metric.matrix
-        try:
-            norm2 = _floored(top, 2)
-        except OverflowError:  # maxabs past ~1.3e154: its square leaves the float range
-            raise InvalidTransformationError("transformation entries too large") from None
         if maxabs(m.T @ g @ m - g) > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
         (m00, *_), (_, a, b, c), (_, d, e, f), (_, p, q, r) = m.tolist()
@@ -91,6 +97,17 @@ class LorentzTransformation:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_maxabs", top)
         object.__setattr__(self, "_traces", traces)
+
+    @classmethod
+    def _of(cls, m: np.ndarray, metric: Metric) -> "LorentzTransformation":
+        # As Bivector._of: the validator's maxabs, traces and range refusals for a
+        # C-contiguous float64 (4, 4) result of the library, without its checks of
+        # the metric, time orientation, det and trace, which hold by construction
+        m.flags.writeable = False
+        lam = object.__new__(cls)
+        vars(lam).update(matrix=m, metric=metric, _maxabs=_measured(m)[0],
+                         _traces=transform_traces(m))
+        return lam
 
     def inverse(self) -> np.ndarray:
         """Inverse matrix g^{-1} Lam^T g = g Lam^T g (exact when Lam preserves g)."""
@@ -159,11 +176,11 @@ def _log(lam: LorentzTransformation, rep: Representation):
     h = 1.0 / _sinh_ratio_complex(s, s * s)
     if block:  # A - c I = X_B / (2 c), X_B the block of sigma(Lam - Lam^{-1})
         k = h.real / c
-        return Bivector(0.5 * k * (lam.matrix - lam.inverse()), lam.metric), k
+        return Bivector._of(0.5 * k * (lam.matrix - lam.inverse()), lam.metric), k
     x = h * (a - np.array((c, 0.0, 0.0, c)))
     f = np.zeros((4, 4))
     f[_PAIR_INDEX] = np.dot(rep._weyl_tables[2], np.concatenate((x.real, x.imag)))
-    return Bivector((f - f.T) @ lam.metric.matrix, lam.metric), None
+    return Bivector._of((f - f.T) @ lam.metric.matrix, lam.metric), None
 
 
 def log_simple(
@@ -203,8 +220,8 @@ def factor_transform(
     minus = math.cos(y) * np.eye(2) + 1j * math.sin(y) * n
     c_plus, c_minus = math.cosh(2.0 * x), math.cos(2.0 * y)
     return FactorPair(
-        LorentzTransformation(_vector_image(plus), lam.metric),
-        LorentzTransformation(_vector_image(minus), lam.metric),
+        LorentzTransformation._of(_vector_image(plus), lam.metric),
+        LorentzTransformation._of(_vector_image(minus), lam.metric),
         c_plus,
         c_minus,
         4.0 * (c_plus - c_minus) ** 2,
@@ -261,9 +278,10 @@ _SPINOR_H = 0.5 * np.einsum("mil,nkj->ijlkmn", _S, _S).reshape(16, 16)
 
 def _vector_image(a) -> np.ndarray:
     # Lam(A): _SPINOR_H is unitary, so vec Lam = Re(_SPINOR_H^H vec H), which is
-    # Re(vec conj(H) . _SPINOR_H) with conj(H) = conj(vec A) vec(A)^T
+    # Re(vec conj(H) . _SPINOR_H) with conj(H) = conj(vec A) vec(A)^T, copied out of
+    # the complex product as a C-contiguous array
     v = a.ravel()
-    return (np.outer(v.conj(), v).ravel() @ _SPINOR_H).real.reshape(4, 4)
+    return (np.outer(v.conj(), v).ravel() @ _SPINOR_H).real.reshape(4, 4).copy()
 
 
 def _spinor(m) -> np.ndarray:

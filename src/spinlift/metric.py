@@ -22,7 +22,8 @@ DEFAULT_SIGNATURE = "pmmm"
 class Metric:
     """One of the two orthonormal Lorentz metrics, diag(SIGNATURES[signature]).
 
-    The signature tag alone builds the read-only matrix, so g^{-1} = g.
+    The signature tag alone builds the read-only matrix, so g^{-1} = g, and
+    ``_diag``, the tuple of its diagonal, for scalar code.
     """
 
     signature: str
@@ -36,6 +37,7 @@ class Metric:
         m = np.diag(diag)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_diag", diag)
 
 
 def make_metric(signature: str = DEFAULT_SIGNATURE) -> Metric:

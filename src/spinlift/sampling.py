@@ -47,7 +47,7 @@ def _bivector(g: Metric, q: np.ndarray, rapidity=0.0, angle=0.0, null=0.0) -> Bi
     u = np.zeros((4, 4))
     u[0, 1], u[2, 3], u[0, 2], u[1, 2] = s * rapidity, -s * angle, s * null, s * null
     v = q @ u @ q.T
-    return Bivector((v - v.T) @ g.matrix, g)
+    return Bivector._of((v - v.T) @ g.matrix, g)
 
 
 def _transformation(g: Metric, rng: np.random.Generator, rapidity=0.0, angle=0.0):
@@ -56,7 +56,7 @@ def _transformation(g: Metric, rng: np.random.Generator, rapidity=0.0, angle=0.0
     q = _frame(rng, 2.0)
     ch, sh, c, s = math.cosh(rapidity), math.sinh(rapidity), math.cos(angle), math.sin(angle)
     lam = np.array([[ch, sh, 0, 0], [sh, ch, 0, 0], [0, 0, c, -s], [0, 0, s, c]])
-    return LorentzTransformation(q @ lam @ g.matrix @ q.T @ g.matrix, g)
+    return LorentzTransformation._of(q @ lam @ g.matrix @ q.T @ g.matrix, g)
 
 
 def random_nonsimple_bivector(g: Metric, seed: int, scale: float = 1.0) -> Bivector:

@@ -68,9 +68,11 @@ def recover_invariants(s, rep: Representation):
 
 def cross_trace_check(rep: Representation, L: Bivector) -> float:
     """|tr(sigma(L_plus) sigma(L_minus))| for non-simple L (should vanish)."""
-    l_plus, l_minus = orthogonal_decompose(L)
-    product = spin_rep(rep, l_plus) @ spin_rep(rep, l_minus)
-    return abs(complex(np.trace(product)))
+    return _cross_trace(rep, *orthogonal_decompose(L))
+
+
+def _cross_trace(rep: Representation, l_plus: Bivector, l_minus: Bivector) -> float:
+    return abs(complex(np.trace(spin_rep(rep, l_plus) @ spin_rep(rep, l_minus))))
 
 
 def quad_trace_identity_check(rep: Representation, a, b, u, v) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from spinlift import (
     wedge,
     wedge_factors,
 )
+from spinlift._linalg import SKEW_TOL, TRACE_TOL
 from spinlift.oracle import random_bivector
 from spinlift.sampling import random_nonsimple_bivector, random_wedge
 
@@ -129,6 +131,51 @@ def test_bivector_rejects_non_finite(g, value, entry):
     bad[entry] = value
     with pytest.raises(InvalidBivectorError, match="entries must be finite"):
         Bivector(bad, g)
+
+
+def matmul_decision(m, g):
+    """The refusal, or None, of the Bivector validator's matrix form: maxabs of
+    L^T g + g L against SKEW_TOL, then |tr L| against TRACE_TOL, both rel L^1."""
+    norm = max(1.0, mabs(m))
+    if mabs(m.T @ g.matrix + g.matrix @ m) > SKEW_TOL * norm:
+        return "not skew"
+    if abs(float(m.trace())) > TRACE_TOL * norm:
+        return "not traceless"
+    return None
+
+
+@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
+def test_validator_decision_matches_matmul_form(tag):
+    # The validator takes both defects in scalars from one tolist(); over eps-sweeps
+    # across SKEW_TOL (an off-diagonal entry moved) and TRACE_TOL (a diagonal one)
+    # its decision is that of the matrix form, down to the last bits of the gate.
+    # A diagonal of trace ~0 makes the trace's summation order show; on odd seeds
+    # the moved entry's pair is zeroed first, so the skew defect is eps SKEW_TOL
+    # norm to the last bit.
+    g = make_metric(tag)
+    sweep = [1.0 + k * 2.0**-50 for k in range(-8, 9)] + [0.5, 0.9, 1.1, 2.0]
+    seen = Counter()
+    for c, seed in itertools.product(np.logspace(-3, 3, 7), range(6)):
+        i, j = seed % 4, (seed + 1) % 4
+        base = c * random_bivector(g, seed).matrix
+        if seed % 2:
+            base[i, j] = base[j, i] = 0.0
+        norm = max(1.0, mabs(base))
+        d = np.random.default_rng(seed).uniform(-0.3, 0.3, 3) * TRACE_TOL * norm
+        base += np.diag([*d, -d.sum()])
+        for (entry, tol), eps in itertools.product(
+                (((i, j), SKEW_TOL), ((i, i), TRACE_TOL)), sweep):
+            m = base.copy()
+            m[entry] += eps * tol * norm
+            expected = matmul_decision(m, g)
+            try:
+                Bivector(m, g)
+                got = None
+            except InvalidBivectorError as exc:
+                got = str(exc).removeprefix("matrix is ").split(" with")[0]
+            assert got == expected, (c, seed, entry, eps)
+            seen[got] += 1
+    assert min(seen[None], seen["not skew"], seen["not traceless"]) > 100, seen
 
 
 def test_bivector_metric_mismatch(g, g_alt):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from spinlift import (
     log,
     log_simple,
     make_metric,
+    orthogonal_decompose,
     random_bivector,
     random_transformation,
     representation,
@@ -39,6 +42,7 @@ from spinlift.sampling import (
     _frame,
     _transformation,
     degenerate_denominator_transformation,
+    random_nonsimple_bivector,
     random_nonsimple_transformation,
     random_wedge,
     traceless_simple_transformation,
@@ -275,15 +279,20 @@ def framed_grid(g, rapidities, angles):
                 yield Bivector(q @ L.matrix @ np.linalg.inv(q), g)
 
 
+# (rapidities, angles) of framed_grid for log and for factor_transform
+LOG_GRID = ((0.0, 1e-6, 1e-3, 0.5, 2.0, 8.0, 16.0, 20.0),
+            (0.0, 1e-6, 1e-3, 1.0, 2.5, math.pi - 1e-3, math.pi - 1e-6))
+FACTOR_GRID = ((1e-3, 0.5, 2.0, 8.0, 14.0, 16.0, 20.0, 25.0),
+               (1e-3, 1.0, 2.5, math.pi - 1e-6))
+
+
 @pytest.mark.parametrize("sig", ["pmmm", "mppp"])
 def test_log_grid_backward_error(sig):
     # every Lam answers, and exp(log Lam) is Lam to the bound; the worst reading
     # over both metrics is 2.6e-14, at rapidity 20 and angle 1e-3 in a frame
     g = make_metric(sig)
     count = 0
-    rapidities = (0.0, 1e-6, 1e-3, 0.5, 2.0, 8.0, 16.0, 20.0)
-    angles = (0.0, 1e-6, 1e-3, 1.0, 2.5, math.pi - 1e-3, math.pi - 1e-6)
-    for L in framed_grid(g, rapidities, angles):
+    for L in framed_grid(g, *LOG_GRID):
         lam = LorentzTransformation(exp_series(L.matrix), g)
         back = exp_series(log(lam).matrix)
         assert mabs(back - lam.matrix) <= 5e-13 * mabs(lam.matrix), L.matrix
@@ -333,9 +342,8 @@ def test_factor_at_rapidity_16(sig):
     # answer but the 3 at rapidity 1e-3, which the trace criterion calls simple; the
     # worst reading is 3.5e-15.
     g = make_metric(sig)
-    rapidities = (1e-3, 0.5, 2.0, 8.0, 14.0, 16.0, 20.0, 25.0)
     answered = 0
-    for L in framed_grid(g, rapidities, (1e-3, 1.0, 2.5, math.pi - 1e-6)):
+    for L in framed_grid(g, *FACTOR_GRID):
         lam = LorentzTransformation(exp_series(L.matrix), g)
         try:
             pair = factor_transform(lam)
@@ -344,6 +352,39 @@ def test_factor_at_rapidity_16(sig):
         assert max(factor_errors(lam, pair)) <= 1e-14, L.matrix
         answered += 1
     assert answered == 93
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_of_results_pass_the_validators(sig, monkeypatch):
+    # Bivector._of and LorentzTransformation._of keep the library's own results
+    # without the structural checks.  Rebuilt through the public constructors,
+    # every one of them passes, which measures the same maxabs and traces bit for bit.
+    g = make_metric(sig)
+    made = []
+    for cls in (Bivector, LorentzTransformation):
+        monkeypatch.setattr(cls, "_of", staticmethod(
+            lambda m, metric, of=cls._of: made.append(of(m, metric)) or made[-1]))
+    for seed, c in itertools.product(range(50), (0.3, 1.0, 2.0, 5.0)):
+        orthogonal_decompose(random_nonsimple_bivector(g, seed, c))
+        for kind in ("rotation", "boost", "null"):
+            random_wedge(g, seed, kind, c)
+        random_nonsimple_transformation(g, seed, c)
+        degenerate_denominator_transformation(g, seed, c)
+        traceless_simple_transformation(g, seed)
+    for L in framed_grid(g, *LOG_GRID):
+        log(LorentzTransformation(exp_series(L.matrix), g))
+    for L in framed_grid(g, *FACTOR_GRID):
+        lam = LorentzTransformation(exp_series(L.matrix), g)
+        if not is_simple_transform(lam):
+            factor_transform(lam)
+    kinds = Counter(type(x) for x in made)
+    assert kinds == {Bivector: 200 * 6 + 168, LorentzTransformation: 200 * 3 + 2 * 93}
+    for x in made:
+        y = type(x)(x.matrix, x.metric)
+        assert y.matrix.tobytes() == x.matrix.tobytes()
+        assert y._maxabs.hex() == x._maxabs.hex()
+        if isinstance(x, LorentzTransformation):
+            assert [t.hex() for t in y._traces] == [t.hex() for t in x._traces]
 
 
 @pytest.mark.filterwarnings("error")

@@ -33,7 +33,7 @@ from spinlift import (
     wedge,
 )
 from spinlift._linalg import _floored, maxabs, scale, transform_traces
-from spinlift.bivector import det_bivector
+from spinlift.bivector import _decompose, det_bivector
 from spinlift.clifford import PAIR_INDICES
 from spinlift.oracle import random_bivector
 from spinlift.sampling import (degenerate_denominator_transformation,
@@ -136,6 +136,17 @@ def test_selftest_takes_each_det_once(monkeypatch):
     assert max(counts.values()) == 1
 
 
+@pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
+def test_selftest_decomposes_each_bivector_once(metric_tag, monkeypatch):
+    # the recovery and exp-agreement rows take a draw's parts once and hand them
+    # to both representations
+    calls = count_calls(monkeypatch, _decompose)
+    assert cli.run_selftest(metric_tag, 7)["all_passed"]
+    counts = Counter(id(L) for L, tol in calls)  # all alive in the list: ids distinct
+    assert len(counts) >= 50
+    assert max(counts.values()) == 1
+
+
 def test_decompose_computes_det_once(g, rep, monkeypatch):
     calls = count_calls(monkeypatch, det_bivector)
     L = wedge(g, E[0], E[1]) + 0.7 * wedge(g, E[2], E[3])
@@ -166,25 +177,34 @@ def lift_cases(metric, *labels):
     return {label: cases[label] for label in labels or cases}
 
 
-def assert_lifts_build_no_bivector(rep, cases, monkeypatch):
-    """lift labels each case by its key, validating no Bivector and calling no spin_rep."""
-    spins = count_calls(monkeypatch, spin_rep)
-    bivectors = []
-    validate = Bivector.__post_init__
+def count_bivectors(monkeypatch):
+    """Wrap the Bivector validator and Bivector._of; returns the list of Bivectors built."""
+    built = []
+    validate, of = Bivector.__post_init__, Bivector._of
     monkeypatch.setattr(Bivector, "__post_init__",
-                        lambda self: bivectors.append(self) or validate(self))
-    for branch, lam in cases.items():
+                        lambda self: built.append(self) or validate(self))
+    monkeypatch.setattr(Bivector, "_of",
+                        staticmethod(lambda m, metric: built.append(m) or of(m, metric)))
+    return built
+
+
+def assert_builds_no_bivector(fn, rep, cases, monkeypatch):
+    """fn(x, rep) labels each case x by its key, building no Bivector, validated or
+    by _of, and calling no spin_rep."""
+    spins = count_calls(monkeypatch, spin_rep)
+    built = count_bivectors(monkeypatch)
+    for branch, x in cases.items():
         spins.clear()
-        bivectors.clear()
-        assert lift(lam, rep, return_branch=True)[1] == branch
-        assert (len(spins), len(bivectors)) == (0, 0), branch
+        built.clear()
+        assert fn(x, rep, return_branch=True)[1] == branch
+        assert (len(spins), len(built)) == (0, 0), branch
 
 
 @pytest.mark.parametrize("kind", ["gamma", "regular"])
 def test_nonsimple_lift_builds_no_bivector(metric, kind, monkeypatch):
     # Both non-simple regimes take the spinor map, which has no intermediate
     # bivector to validate or map through spin_rep.
-    assert_lifts_build_no_bivector(representation(kind, metric), lift_cases(
+    assert_builds_no_bivector(lift, representation(kind, metric), lift_cases(
         metric, "nonsimple", "nonsimple/special"), monkeypatch)
 
 
@@ -192,8 +212,16 @@ def test_nonsimple_lift_builds_no_bivector(metric, kind, monkeypatch):
 def test_simple_lift_builds_no_bivector(metric, kind, monkeypatch):
     # The simple formula runs on the Weyl block, from the pair coefficients of
     # (Lam - Lam^{-1}) g^{-1}; the traceless regime takes the spinor map.
-    assert_lifts_build_no_bivector(representation(kind, metric), lift_cases(
+    assert_builds_no_bivector(lift, representation(kind, metric), lift_cases(
         metric, "simple", "special/traceless"), monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_exp_spin_builds_no_bivector(metric, kind, monkeypatch):
+    # Every label reads s^2 of the Weyl block, built from the pair coefficients of
+    # L g^{-1}: no branch has a bivector to build, validated or not.
+    assert_builds_no_bivector(exp_spin, representation(kind, metric), exp_cases(metric),
+                              monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["gamma", "regular"])
