@@ -1,4 +1,3 @@
-import itertools
 import math
 from collections import Counter
 
@@ -364,13 +363,14 @@ def test_of_results_pass_the_validators(sig, monkeypatch):
     for cls in (Bivector, LorentzTransformation):
         monkeypatch.setattr(cls, "_of", staticmethod(
             lambda m, metric, of=cls._of: made.append(of(m, metric)) or made[-1]))
-    for seed, c in itertools.product(range(50), (0.3, 1.0, 2.0, 5.0)):
-        orthogonal_decompose(random_nonsimple_bivector(g, seed, c))
-        for kind in ("rotation", "boost", "null"):
-            random_wedge(g, seed, kind, c)
-        random_nonsimple_transformation(g, seed, c)
-        degenerate_denominator_transformation(g, seed, c)
+    for seed in range(50):
         traceless_simple_transformation(g, seed)
+        for c in (0.3, 1.0, 2.0, 5.0):
+            orthogonal_decompose(random_nonsimple_bivector(g, seed, c))
+            for kind in ("rotation", "boost", "null"):
+                random_wedge(g, seed, kind, c)
+            random_nonsimple_transformation(g, seed, c)
+            degenerate_denominator_transformation(g, seed, c)
     for L in framed_grid(g, *LOG_GRID):
         log(LorentzTransformation(exp_series(L.matrix), g))
     for L in framed_grid(g, *FACTOR_GRID):
@@ -378,7 +378,7 @@ def test_of_results_pass_the_validators(sig, monkeypatch):
         if not is_simple_transform(lam):
             factor_transform(lam)
     kinds = Counter(type(x) for x in made)
-    assert kinds == {Bivector: 200 * 6 + 168, LorentzTransformation: 200 * 3 + 2 * 93}
+    assert kinds == {Bivector: 200 * 6 + 168, LorentzTransformation: 50 + 200 * 2 + 2 * 93}
     for x in made:
         y = type(x)(x.matrix, x.metric)
         assert y.matrix.tobytes() == x.matrix.tobytes()

@@ -5,7 +5,7 @@ The spin map and the vector images are compared bit for bit with the
 or a decomposition computes its invariants once, that the gates read the
 norm and traces their input's validator measured, that a bivector's tr2 and
 Pfaffian are taken lazily and at most once, and that the selftest battery draws
-each input once.
+each input once and decomposes each bivector once.
 """
 
 import inspect
