@@ -46,6 +46,13 @@ def lift_denominator(t: float, t2: float) -> float:
 _UNIT_ROUNDOFF = 2.0 ** -53  # u, of IEEE double precision
 SKEW_TOL = 1e-10  # ||L^T g + g L|| in the Bivector validator; rel L^1
 TRACE_TOL = 1e-12  # |tr L| in the Bivector validator; rel L^1
+# maxabs(L)^3 / gap of _decompose, at or below which its parts skip the Bivector
+# validator; hom L^1.  (L^3 - mu L) / gap is skew and traceless for any float mu and
+# gap, so a part's defects are rounding: under 200 u maxabs(L)^3 / gap + u maxabs(part)
+# per entry, and its computed trace under 4 times that plus 12 u maxabs(part).  Within
+# the bound that trace is under 0.4 TRACE_TOL + 16 u maxabs(part), and the skew defect
+# under half of it, so the validator would pass the parts.
+_PART_BOUND = TRACE_TOL / (2000.0 * _UNIT_ROUNDOFF)
 # |det L| = Pf(L g)^2 in is_simple and orthogonal_decompose, and its equal
 # 4 (Im s^2)^2 in exp_spin; hom L^4.  Also the default tol of exp_spin and of the
 # CLI, whose one --tol reaches both is_simple and is_simple_transform.

@@ -18,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import (
-    FACTOR_PIVOT_TOL, PLANE_TOL, SIMPLE_DET_TOL, SKEW_TOL, TRACE_TOL, _NULL_TOL, _floored,
-    maxabs,
+    FACTOR_PIVOT_TOL, PLANE_TOL, SIMPLE_DET_TOL, SKEW_TOL, TRACE_TOL, _NULL_TOL,
+    _PART_BOUND, _floored, maxabs,
 )
 from .errors import (
     DegeneratePlaneError, InvalidBivectorError, NotSimpleError, SimpleInputError,
@@ -59,6 +59,8 @@ class Bivector:
         # matmuls, so both defects are theirs bit for bit
         r, g = m.tolist(), self.metric._diag
         norm = _floored(top, 1)
+        # (i, j) and (j, i) round alike, but the 10-entry triangle waits on ROADMAP
+        # item 1: its speed put exp-mix peak RSS at +9.9% (bench/rounds.py's lists)
         skew = max([abs(r[j][i] * g[j] + g[i] * r[i][j]) for i in range(4) for j in range(4)])
         if skew > SKEW_TOL * norm:
             raise InvalidBivectorError("matrix is not skew with respect to the metric")
@@ -72,7 +74,9 @@ class Bivector:
     def _of(cls, m: np.ndarray, metric: Metric) -> "Bivector":
         # A C-contiguous float64 (4, 4) array that the library built and no caller
         # keeps, made read-only in place: the validator's maxabs and range refusals,
-        # without its skew and trace checks, which hold by construction
+        # without its skew and trace checks.  Those hold exactly where entries (i, j)
+        # and (j, i) round alike (the samplers, log) and, within _PART_BOUND, for the
+        # parts of _decompose.
         m.flags.writeable = False
         L = object.__new__(cls)
         vars(L).update(matrix=m, metric=metric, _maxabs=_measured(m))
@@ -185,7 +189,10 @@ def _decompose(L: Bivector, tol: float):  # (L_plus, L_minus, mu), det L taken o
     cube = m @ m @ m
     plus = (cube - mu.mu_minus * m) / gap
     minus = -(cube - mu.mu_plus * m) / gap
-    return Bivector._of(plus, L.metric), Bivector._of(minus, L.metric), mu
+    # past _PART_BOUND, as for a near-null L at a small tol, the validator judges them
+    top = L._maxabs
+    part = Bivector._of if top * top * top <= _PART_BOUND * gap else Bivector
+    return part(plus, L.metric), part(minus, L.metric), mu
 
 
 def plane_projection(L: Bivector) -> np.ndarray:

@@ -26,9 +26,9 @@ from spinlift import (
     wedge,
     wedge_factors,
 )
-from spinlift._linalg import SKEW_TOL, TRACE_TOL
+from spinlift._linalg import SIMPLE_DET_TOL, SKEW_TOL, TRACE_TOL
 from spinlift.oracle import random_bivector
-from spinlift.sampling import random_nonsimple_bivector, random_wedge
+from spinlift.sampling import _bivector, _frame, random_nonsimple_bivector, random_wedge
 
 E = np.eye(4)
 
@@ -358,6 +358,51 @@ def test_decompose_uniqueness(g):
         r_plus, r_minus = orthogonal_decompose(rebuilt)
         assert mabs(r_plus.matrix - a * l_plus.matrix) < 1e-8
         assert mabs(r_minus.matrix - b * l_minus.matrix) < 1e-8
+
+
+@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
+def test_decompose_parts_past_the_bound_are_validated(tag, monkeypatch):
+    # The parts skip the validator only where maxabs(L)^3 / gap is within
+    # _PART_BOUND, and each that does passes it.  Past the bound the validator judges
+    # them.  A null wedge at tol = 1e-300 passes the gate on a rounding-sized Pf, so
+    # its parts are rounding over a gap of that size: refused as not skew.  A rotation
+    # just past the default gate next to a rapidity of 1e4 or 1e6 leaves a part whose
+    # trace rounding, about u rapidity, tops TRACE_TOL: refused as not traceless.  At
+    # rapidity 1 most of the same draws are within the bound.
+    g = make_metric(tag)
+    nulls = [random_wedge(g, seed, "null", scale)
+             for seed in range(50) for scale in (0.5, 1.0, 2.0)]
+    frames = [_frame(np.random.default_rng(seed), 4.5) for seed in range(50)]
+    draws = {b: [_bivector(g, q, rapidity=b, angle=k * math.sqrt(SIMPLE_DET_TOL) * b)
+                 for q in frames for k in (1.5, 3.0, 10.0)] for b in (1.0, 1e4, 1e6)}
+    made = []
+    of = Bivector._of
+    monkeypatch.setattr(Bivector, "_of", staticmethod(
+        lambda m, metric: made.append(of(m, metric)) or made[-1]))
+
+    def outcomes(bivectors, *tol):
+        out = Counter()
+        for L in bivectors:
+            try:
+                orthogonal_decompose(L, *tol)
+                out["answered"] += 1
+            except (InvalidBivectorError, SimpleInputError) as e:
+                out[str(e)] += 1
+        return out
+
+    assert outcomes(nulls, 1e-300) == {
+        "simple bivector has no orthogonal decomposition": 39,
+        "matrix is not skew with respect to the metric": 111}
+    assert outcomes(draws[1e4] + draws[1e6]) == {
+        "simple bivector has no orthogonal decomposition": 102,
+        "answered": 185, "matrix is not traceless": 13}
+    assert made == []
+    assert outcomes(draws[1.0]) == {
+        "simple bivector has no orthogonal decomposition": 51, "answered": 99}
+    assert len(made) == 2 * 86  # the other 13 are past the bound
+    for x in made:
+        y = Bivector(x.matrix, g)
+        assert (y.matrix.tobytes(), y._maxabs.hex()) == (x.matrix.tobytes(), x._maxabs.hex())
 
 
 def test_simple_cube_identity(g):

@@ -353,16 +353,34 @@ def test_factor_at_rapidity_16(sig):
     assert answered == 93
 
 
-@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
-def test_of_results_pass_the_validators(sig, monkeypatch):
-    # Bivector._of and LorentzTransformation._of keep the library's own results
-    # without the structural checks.  Rebuilt through the public constructors,
-    # every one of them passes, which measures the same maxabs and traces bit for bit.
-    g = make_metric(sig)
+def assert_revalidates(x):
+    """x rebuilt through its public constructor passes, with the same matrix,
+    maxabs and traces bit for bit."""
+    y = type(x)(x.matrix, x.metric)
+    assert y.matrix.tobytes() == x.matrix.tobytes()
+    assert y._maxabs.hex() == x._maxabs.hex()
+    if isinstance(x, LorentzTransformation):
+        assert [t.hex() for t in y._traces] == [t.hex() for t in x._traces]
+
+
+def record_of(monkeypatch):
+    """Wrap Bivector._of and LorentzTransformation._of; returns the list of results."""
     made = []
     for cls in (Bivector, LorentzTransformation):
         monkeypatch.setattr(cls, "_of", staticmethod(
             lambda m, metric, of=cls._of: made.append(of(m, metric)) or made[-1]))
+    return made
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_of_results_pass_the_validators(sig, monkeypatch):
+    # Bivector._of and LorentzTransformation._of keep the library's own results
+    # without the structural checks.  Rebuilt through the public constructors, every
+    # one of these passes, which measures the same maxabs and traces bit for bit.
+    # 71 of the 200 decompositions are within _PART_BOUND and build their parts by
+    # _of; the validator judges the others.
+    g = make_metric(sig)
+    made = record_of(monkeypatch)
     for seed in range(50):
         traceless_simple_transformation(g, seed)
         for c in (0.3, 1.0, 2.0, 5.0):
@@ -378,13 +396,10 @@ def test_of_results_pass_the_validators(sig, monkeypatch):
         if not is_simple_transform(lam):
             factor_transform(lam)
     kinds = Counter(type(x) for x in made)
-    assert kinds == {Bivector: 200 * 6 + 168, LorentzTransformation: 50 + 200 * 2 + 2 * 93}
+    assert kinds == {Bivector: 200 * 4 + 168 + 71 * 2,
+                     LorentzTransformation: 50 + 200 * 2 + 2 * 93}
     for x in made:
-        y = type(x)(x.matrix, x.metric)
-        assert y.matrix.tobytes() == x.matrix.tobytes()
-        assert y._maxabs.hex() == x._maxabs.hex()
-        if isinstance(x, LorentzTransformation):
-            assert [t.hex() for t in y._traces] == [t.hex() for t in x._traces]
+        assert_revalidates(x)
 
 
 @pytest.mark.filterwarnings("error")
@@ -408,6 +423,7 @@ def test_factor_null_rotations(sig):
             assert max(factor_errors(lam, pair)) <= 1e-12, (seed, scale)
             for f in (pair.lambda_plus, pair.lambda_minus):
                 assert simplicity_defect(*f._traces) <= 1e-10 * max(1.0, *f._traces)
+                assert_revalidates(f)  # built by _of
             answered += 1
     assert answered == 367
     W = random_wedge(g, 14, kind="null", scale=0.5)
@@ -436,6 +452,8 @@ def test_factor_eps_sweeps(sig):
                     except SimpleTransformError:
                         continue
                     assert max(factor_errors(lam, pair)) <= 1e-14, (eps, tol)
+                    assert_revalidates(pair.lambda_plus)  # both built by _of
+                    assert_revalidates(pair.lambda_minus)
                     answered += 1
     assert answered == 36 + 125
 
