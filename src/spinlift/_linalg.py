@@ -69,6 +69,12 @@ _NULL_TOL = 1e-12  # |tr2 L| of the label "simple/null" of exp_spin and log; rel
 # rel Lam^2, det Lam taken by a cofactor whose rounding is of degree 2 too.  Also abs
 # on 1 - Lam^0_0 and on -tr Lam.
 ORTHO_TOL = 1e-9
+# u scale(Lam, 2), the rounding of that cofactor det Lam, at or below which the
+# validator refuses det Lam <= 0 too; abs.  ORTHO_TOL alone admits det Lam = -1 past
+# maxabs(Lam) ~4.5e4, the gate refuses it up to ~9.5e6.  Over framed proper Lam, seeds
+# 0-39, rapidity 0-18 and both metrics, |det Lam - 1| stayed under 16 u maxabs(Lam)^2,
+# so within the gate a proper Lam reads det Lam >= 0.84.
+DET_SIGN_GATE = 1e-2
 # simplicity_defect in is_simple_transform; relative to max(1, tr2 Lam, tr Lam)
 SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
 # The paper's lift formulas divide by a gate quantity x, tr Lam or the denominator;

@@ -482,9 +482,9 @@ def _check_homomorphism(g, reps, seed, trials, scales=(1.0,)):
     for i, c in _trials(trials, scales):
         lam1 = random_nonsimple_transformation(g, seed + 2 * i, c)
         lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1, c)
+        lam = lam1 @ lam2  # validated once for both representations
         for rep in reps:
-            sigma = lift(lam1, rep) @ lift(lam2, rep)
-            yield intertwining_defect(sigma, lam1 @ lam2, rep)
+            yield intertwining_defect(lift(lam1, rep) @ lift(lam2, rep), lam, rep)
 
 
 def _check_double_cover(g, reps, seed, trials, scales=(1.0,)):
@@ -518,11 +518,17 @@ def run_selftest(metric_tag: str, seed: int, trials: int = _SELFTEST_TRIALS) -> 
     reps = (representation("gamma", g), representation("regular", g))
     checks = []
     for index, (name, check, tol) in enumerate(_SELFTEST_CHECKS):
-        defects = (0.0, *check(g, reps, seed + 1000 * index, trials))
-        # max() would drop a NaN, and the renderer refuses non-finite floats
-        defect = max(defects) if all(map(math.isfinite, defects)) else None
-        checks.append({"name": name, "cases": trials, "max_defect": defect, "tol": tol,
-                       "passed": defect is not None and bool(defect <= tol)})
+        row = {"name": name, "cases": trials, "max_defect": None, "tol": tol,
+               "passed": False}
+        try:
+            defects = (0.0, *check(g, reps, seed + 1000 * index, trials))
+        except SpinLiftError as exc:  # the row fails with its code; the battery goes on
+            row["error"] = exc.code
+        else:  # max() would drop a NaN, and the renderer refuses non-finite floats
+            if all(map(math.isfinite, defects)):
+                row["max_defect"] = max(defects)
+                row["passed"] = bool(row["max_defect"] <= tol)
+        checks.append(row)
     return {"checks": checks, "all_passed": all(c["passed"] for c in checks)}
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    BLOCK_DET_TOL, DENOMINATOR_GATE, ORTHO_TOL, SIMPLE_CRITERION_TOL,
+    BLOCK_DET_TOL, DENOMINATOR_GATE, DET_SIGN_GATE, ORTHO_TOL, SIMPLE_CRITERION_TOL,
     TRACE_GATE, _COND_LIMIT, _UNIT_ROUNDOFF, _floored, lift_denominator, maxabs,
     simplicity_defect, transform_traces,
 )
@@ -86,7 +86,9 @@ class LorentzTransformation:
         # Dividing the first row first keeps every product of degree 2, in range.
         a, b, c = a / m00, b / m00, c / m00
         det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
-        if not abs(det - 1.0) <= ORTHO_TOL * norm2:  # NaN where a difference overflows
+        # NaN where a difference overflows; det <= 0 is no rounding within DET_SIGN_GATE
+        if not abs(det - 1.0) <= ORTHO_TOL * norm2 or (
+                det <= 0.0 and _UNIT_ROUNDOFF * norm2 <= DET_SIGN_GATE):
             raise InvalidTransformationError("matrix is not proper (det != 1)")
         traces = transform_traces(m)
         if traces[0] < -ORTHO_TOL:

@@ -88,7 +88,8 @@ def intertwining_defect(
     """Worst-case defect of Sigma rho(e_a) Sigma^{-1} = rho(Lam e_a).
 
     This is the sign-blind acceptance oracle for spin lifts: it is invariant
-    under Sigma -> -Sigma.
+    under Sigma -> -Sigma.  A Sigma that is not finite, is singular or has
+    cond_2 above ``_COND_LIMIT`` raises :class:`SingularSigmaError`.
     """
     sigma = np.asarray(sigma)
     if not math.isfinite(maxabs(sigma)):  # inv passes NaN through and cond fails on it
@@ -97,9 +98,16 @@ def intertwining_defect(
         inv = np.linalg.inv(sigma)
     except np.linalg.LinAlgError as exc:
         raise SingularSigmaError("candidate lift is singular") from exc
-    cond = float(np.linalg.cond(sigma))
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSigmaError(f"candidate lift is ill-conditioned (cond={cond:g})")
+    # cond_2(Sigma) <= ||Sigma||_F ||Sigma^{-1}||_F (Golub & Van Loan, sec. 2.3), read
+    # here from the computed inverse, whose relative error is about u cond (Higham,
+    # ch. 14): at most 1.1e-4 at _COND_LIMIT.  Where that bound is at most half the
+    # limit, the factor 2 covers this error and the SVD's own rounding, so the SVD
+    # would pass Sigma too.  Elsewhere, NaN and inf included, the SVD decides.
+    squares = float(np.vdot(sigma, sigma).real) * float(np.vdot(inv, inv).real)
+    if not math.sqrt(squares) <= 0.5 * _COND_LIMIT:
+        cond = float(np.linalg.cond(sigma))
+        if not np.isfinite(cond) or cond > _COND_LIMIT:
+            raise SingularSigmaError(f"candidate lift is ill-conditioned (cond={cond:g})")
     # sigma rho(e_a) sigma^{-1} and rho(Lam e_a) for the four a, as (4, d, d) stacks
     lhs = sigma @ rep.vectors @ inv
     rhs = np.dot(lam.matrix.T, rep._vector_rows).reshape(lhs.shape)

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from spinlift import (MalformedInputError, cli, exp_series, make_metric, representation,
-                      spin_rep, wedge)
+from spinlift import (InvalidTransformationError, MalformedInputError, cli, exp_series,
+                      make_metric, representation, spin_rep, wedge)
 from spinlift.cli import main, run_selftest
 from spinlift.sampling import _transformation
 
@@ -350,6 +350,27 @@ def test_selftest_nan_defect_fails(defects, monkeypatch, capsys):
     assert report["all_passed"] is False
     assert report["checks"][0]["max_defect"] is None
     assert report["checks"][0]["passed"] is False
+
+
+def test_selftest_row_that_raises_fails_alone(monkeypatch, capsys):
+    # a row that raises a SpinLiftError reports its code; every other row still runs
+    def raising(g, reps, seed, trials, scales=(1.0,)):
+        yield 1e-17
+        raise InvalidTransformationError("matrix does not preserve the metric")
+
+    rows = list(cli._SELFTEST_CHECKS)
+    name, _, tol = rows[7]
+    rows[7] = (name, raising, tol)
+    monkeypatch.setattr(cli, "_SELFTEST_CHECKS", tuple(rows))
+    assert main(["selftest"]) == 1
+    report = json.loads(capsys.readouterr().out)["result"]
+    assert report["all_passed"] is False
+    assert [c["name"] for c in report["checks"]] == [row[0] for row in rows]
+    failed = report["checks"].pop(7)
+    assert failed == {"name": name, "cases": 10, "max_defect": None, "tol": tol,
+                      "passed": False, "error": "InvalidTransformation"}
+    assert len(report["checks"]) == 10
+    assert all(c["passed"] and "error" not in c for c in report["checks"])
 
 
 def load_pyproject():

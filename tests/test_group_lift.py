@@ -36,7 +36,8 @@ from spinlift import (
 from spinlift.cli import _check_homomorphism, run_request
 from spinlift.errors import NonFiniteOutputError
 from spinlift._linalg import simplicity_defect
-from spinlift.group_lift import SIMPLE_CRITERION_TOL, _SPINOR_H, _spinor, _vector_image
+from spinlift.group_lift import (DET_SIGN_GATE, SIMPLE_CRITERION_TOL, _SPINOR_H, _spinor,
+                                 _vector_image)
 from spinlift.sampling import (
     _frame,
     _transformation,
@@ -76,6 +77,28 @@ def test_validation_rejections(g):
         LorentzTransformation(parity @ boost.matrix, g)  # improper, in a frame
     with pytest.raises(InvalidTransformationError):
         LorentzTransformation(-np.eye(4), g)  # antichronous
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_validation_refuses_det_sign(sig):
+    # diag(1, -1, 1, 1) Lam preserves g and Lam^0_0, and det = -1.  Past maxabs ~4.5e4
+    # |det - 1| = 2 is within ORTHO_TOL maxabs^2; the cofactor still reads det <= 0
+    # while u maxabs^2 <= DET_SIGN_GATE.  At rapidity 11, 13 and 15 the validator
+    # without the sign test accepted 5, 10 and 10 of these 10 reflections; at 18,
+    # past the gate, all are still accepted, with their proper Lam.
+    g = make_metric(sig)
+    reflect = np.diag([1.0, -1.0, 1.0, 1.0])
+    for rapidity in (11.0, 13.0, 15.0, 18.0):
+        for seed in range(10):
+            lam = _transformation(g, np.random.default_rng(seed), rapidity, 1.0)
+            LorentzTransformation(lam.matrix, g)  # the proper one passes
+            within = 2.0**-53 * mabs(lam.matrix) ** 2 <= DET_SIGN_GATE
+            assert within == (rapidity < 18.0), (rapidity, seed)
+            if within:
+                with pytest.raises(InvalidTransformationError, match="not proper"):
+                    LorentzTransformation(reflect @ lam.matrix, g)
+            else:
+                LorentzTransformation(reflect @ lam.matrix, g)
 
 
 def framed_boost(g, seed, rapidity):

@@ -5,7 +5,8 @@ The spin map and the vector images are compared bit for bit with the
 or a decomposition computes its invariants once, that the gates read the
 norm and traces their input's validator measured, that a bivector's tr2 and
 Pfaffian are taken lazily and at most once, and that the selftest battery draws
-each input once and decomposes each bivector once.
+each input once, decomposes each bivector once, validates each transformation
+product once and takes no SVD.
 """
 
 import inspect
@@ -145,6 +146,24 @@ def test_selftest_decomposes_each_bivector_once(metric_tag, monkeypatch):
     counts = Counter(id(L) for L, tol in calls)  # all alive in the list: ids distinct
     assert len(counts) >= 50
     assert max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
+def test_selftest_runs_no_svd_and_validates_22_transformations(metric_tag, seed,
+                                                              monkeypatch):
+    # intertwining_defect clears the cond limit from the Frobenius norms of Sigma and
+    # its inverse, so none of its 48 calls takes an SVD; the homomorphism row forms
+    # each product Lam1 Lam2 once for both representations
+    svd = []
+    monkeypatch.setattr(np.linalg, "cond", lambda *args, cond=np.linalg.cond:
+                        svd.append(args) or cond(*args))
+    validated = []
+    validate = LorentzTransformation.__post_init__
+    monkeypatch.setattr(LorentzTransformation, "__post_init__",
+                        lambda self: validated.append(self) or validate(self))
+    assert cli.run_selftest(metric_tag, seed)["all_passed"]
+    assert (len(svd), len(validated)) == (0, 22)
 
 
 def test_decompose_computes_det_once(g, rep, monkeypatch):

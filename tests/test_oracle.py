@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from spinlift import (
     LorentzTransformation,
     SingularSigmaError,
+    SpinLiftError,
     exp_series,
     intertwining_defect,
     lift,
@@ -19,9 +20,10 @@ from spinlift import (
     spin_rep,
     wedge,
 )
-from spinlift._linalg import SERIES_TERM_TOL, maxabs
+from spinlift._linalg import SERIES_TERM_TOL, _COND_LIMIT, maxabs
 from spinlift.oracle import _SUM_BOUND
-from spinlift.sampling import random_nonsimple_transformation, random_wedge
+from spinlift.sampling import (_transformation, random_nonsimple_transformation,
+                               random_wedge)
 
 E = np.eye(4)
 
@@ -154,8 +156,17 @@ def exp_series_reference(m):
 
 
 def intertwining_reference(sigma, lam, rep):
+    """The earlier form: refusals decided by the SVD's cond, defect image by image."""
     sigma = np.asarray(sigma)
-    inv = np.linalg.inv(sigma)
+    if not math.isfinite(maxabs(sigma)):
+        raise SingularSigmaError("candidate lift has non-finite entries")
+    try:
+        inv = np.linalg.inv(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSigmaError("candidate lift is singular") from exc
+    cond = float(np.linalg.cond(sigma))
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        raise SingularSigmaError(f"candidate lift is ill-conditioned (cond={cond:g})")
     worst = 0.0
     for a in range(4):
         lhs = sigma @ rep.vectors[a] @ inv
@@ -238,6 +249,99 @@ def test_intertwining_bits_match_reference(g, g_alt, rep):
                 new = intertwining_defect(sigma, target, image_rep)
                 old = intertwining_reference(sigma, target, image_rep)
                 assert np.float64(new).tobytes() == np.float64(old).tobytes()
+
+
+def intertwining_outcome(defect, sigma, lam, rep):
+    """The defect's bytes, or the class and message of its refusal."""
+    try:
+        return np.float64(defect(sigma, lam, rep)).tobytes()
+    except SingularSigmaError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_outcome(sigma, lam, rep):
+    new = intertwining_outcome(intertwining_defect, sigma, lam, rep)
+    assert new == intertwining_outcome(intertwining_reference, sigma, lam, rep)
+    return new
+
+
+def conditioned(rep, seed, cond, size):
+    """size U diag(s) V^H of rep's shape and dtype, U and V unitary; s runs from 1 to
+    1 / cond through cond^-1/2, so ||Sigma||_F ||Sigma^-1||_F = cond (1 + O(d / cond))."""
+    rng = np.random.default_rng(seed)
+    d = rep.identity.shape[0]
+    complex_ = np.iscomplexobj(rep.identity)
+
+    def unitary():
+        z = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_ else 0.0)
+        return np.linalg.qr(z)[0]
+
+    s = np.full(d, cond ** -0.5)
+    s[0], s[-1] = 1.0, 1.0 / cond
+    return size * (unitary() * s) @ unitary().conj().T
+
+
+CONDS = (1e11, 4.9e11, 5.1e11, 1e12 * (1.0 - 1e-6), 1e12 * (1.0 + 1e-6), 2e12)
+SIZES = (2.0**-540, 2.0**-500, 1.0, 2.0**500)  # 2^-540: ||Sigma||_F^2 underflows
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_intertwining_matches_svd_form_near_the_limit(sig, rep, monkeypatch):
+    # every decision and every returned bit of the SVD form, on both sides of the
+    # Frobenius bound's switch at _COND_LIMIT / 2 and of the limit itself
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    lam = random_nonsimple_transformation(g, 3)
+    svd = []
+    monkeypatch.setattr(np.linalg, "cond", lambda m, cond=np.linalg.cond: svd.append(m)
+                        or cond(m))
+    for cond in CONDS:
+        for size in SIZES:
+            for seed in range(4):
+                svd.clear()
+                out = assert_same_outcome(conditioned(rep, seed, cond, size), lam, rep)
+                # the reference's own SVD, and the oracle's where it takes one
+                fast = len(svd) == 1
+                assert fast == (cond < 5e11 and size >= 1.0), (cond, size, seed)
+                # at 1e12 (1 +- 1e-6) the SVD's rounding decides, in both forms alike
+                if abs(cond - 1e12) > 1e11:
+                    assert isinstance(out, bytes) == (cond < 1e12), (cond, size, seed)
+
+
+def test_intertwining_matches_svd_form_singular_and_non_finite(g, g_alt, rep):
+    for metric in (g, g_alt):
+        image_rep = representation(rep.kind, metric)
+        lam = LorentzTransformation(np.eye(4), metric)
+        d = image_rep.identity.shape[0]
+        rank_deficient = conditioned(image_rep, 0, 1.0, 1.0)
+        rank_deficient[:, -1] = rank_deficient[:, 0]  # equal columns
+        cases = [np.zeros((d, d)), np.diag([1.0] * (d - 1) + [0.0]), rank_deficient]
+        for bad in (math.nan, math.inf, -math.inf):
+            sigma = np.array(image_rep.identity)
+            sigma[0, 1] = bad
+            cases.append(sigma)
+        outcomes = [assert_same_outcome(sigma, lam, image_rep) for sigma in cases]
+        assert not any(isinstance(out, bytes) for out in outcomes)
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_intertwining_matches_svd_form_on_large_rapidities(sig, rep):
+    # framed Lam of rapidity 24-30 and angle 1, where cond Sigma ~ e^rapidity passes
+    # _COND_LIMIT: lift answers up to rapidity 28, and the oracle refuses some of them
+    g = make_metric(sig)
+    rep = representation(rep.kind, g)
+    outcomes = {}
+    for rapidity in range(24, 31):
+        for seed in range(10):
+            lam = _transformation(g, np.random.default_rng(seed), float(rapidity), 1.0)
+            try:
+                sigma = lift(lam, rep)
+            except SpinLiftError:
+                continue
+            outcomes[rapidity, seed] = assert_same_outcome(sigma, lam, rep)
+    refused = {key for key, out in outcomes.items() if not isinstance(out, bytes)}
+    assert {(28, seed) for seed in range(10)} <= refused
+    assert {(24, seed) for seed in range(10)}.isdisjoint(refused)
 
 
 def test_random_bivector_bits_match_triu_form(g, g_alt):

@@ -14,9 +14,13 @@ the same inputs:
   seeds 1-20;
 * ``oracle``: the bytes of the referees on fixed families, seeds 1-5: of
   ``exp_series`` of c L and of its spin image sigma(c L), for every
-  ``exp-mix`` bivector L and c in {1e-3, 0.3, 1, 8}; and of
+  ``exp-mix`` bivector L and c in {1e-3, 0.3, 1, 8}; of
   ``intertwining_defect(exp_series(sigma(L)), expm(L), rep)`` for every
-  ``lift-mix`` generator L;
+  ``lift-mix`` generator L; of ``intertwining_defect(Sigma, I, rep)`` for
+  Sigma = size U diag(s) V^H near the cond limit, cond Sigma in
+  {1e11, 4.9e11, 5.1e11, 1e12 (1 -+ 1e-6), 2e12} and size in 2^{-540, -500, 0, 500};
+  and of ``intertwining_defect(lift(Lam), Lam, rep)`` for framed Lam of
+  rapidity 24-30 and angle 1, where cond Sigma passes the limit;
 * ``selftest``: each check of the ``run_selftest`` report, keyed by metric,
   seed and check name, for both metrics, seeds 0-29;
 * ``cli``: the exit code and the response text of ``spinlift <command>`` for
@@ -48,13 +52,34 @@ from pathlib import Path
 SEEDS = range(1, 21)
 ORACLE_SEEDS = range(1, 6)
 ORACLE_SCALES = (1e-3, 0.3, 1.0, 8.0)
+ORACLE_CONDS = (1e11, 4.9e11, 5.1e11, 1e12 * (1.0 - 1e-6), 1e12 * (1.0 + 1e-6), 2e12)
+ORACLE_SIZES = (-540, -500, 0, 500)  # exponents of two
+ORACLE_RAPIDITIES = range(24, 31)
+REP_SHAPES = {"gamma": (4, True), "regular": (16, False)}  # dimension, complex
 SELFTEST_SEEDS = range(30)
 SHOWN = 5
+
+
+def conditioned(seed: int, d: int, complex_: bool, cond: float, e: int):
+    """2^e U diag(s) V^H, U and V unitary, s from 1 to 1 / cond through cond^-1/2."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        z = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_ else 0.0)
+        return np.linalg.qr(z)[0]
+
+    s = np.full(d, cond ** -0.5)
+    s[0], s[-1] = 1.0, 1.0 / cond
+    return 2.0 ** e * (unitary() * s) @ unitary().conj().T
 
 
 def make_job(root: Path) -> dict:
     sys.path.insert(0, str(root / "bench"))
     import inputs
+    import numpy as np
+    from scipy.linalg import expm
 
     job = {"lift": {}, "exp": {}, "oracle": {}, "selftest": [], "cli": {}}
     for group, make in (("lift", inputs.lift_mix), ("exp", inputs.exp_mix)):
@@ -64,6 +89,20 @@ def make_job(root: Path) -> dict:
                 job[group][key] = item["matrix"]
                 if seed in ORACLE_SEEDS:  # (L, Lam) for lift-mix, (L, L) for exp-mix
                     job["oracle"][(group, *key)] = (item["L"], item["matrix"])
+    for sig in inputs.SIGNATURES:
+        g = inputs.metric(sig)
+        for kind, (d, complex_) in REP_SHAPES.items():
+            for seed in ORACLE_SEEDS:
+                for cond in ORACLE_CONDS:
+                    for e in ORACLE_SIZES:
+                        key = ("near-limit", seed, e, f"cond={cond!r}", sig, kind)
+                        sigma = conditioned(seed, d, complex_, cond, e)
+                        job["oracle"][key] = (None, sigma)
+                for rapidity in ORACLE_RAPIDITIES:
+                    q = inputs.random_frame(np.random.default_rng(seed), g, 0.5)
+                    lam = inputs._moved(q, expm(inputs.canonical(g, float(rapidity), 1.0)))
+                    key = ("framed", seed, rapidity, "angle=1", sig, kind)
+                    job["oracle"][key] = (None, lam)
     job["selftest"] = [(sig, seed) for sig in inputs.SIGNATURES for seed in SELFTEST_SEEDS]
     for path in sorted((root / "tests" / "golden").glob("*.request.json")):
         job["cli"][path.name.removesuffix(".request.json")] = path.read_text()
@@ -98,6 +137,12 @@ def collect(job: dict) -> dict:
             sigma = exp_series(spin_rep(rep, Bivector(generator, rep.metric)))
             lam = LorentzTransformation(m, rep.metric)
             return np.float64(intertwining_defect(sigma, lam, rep)), "defect"
+        if family == "near-limit":  # the given Sigma, against Lam = I
+            lam = LorentzTransformation(np.eye(4), rep.metric)
+            return np.float64(intertwining_defect(m, lam, rep)), "defect"
+        if family == "framed":  # lift's own Sigma of a framed Lam of large rapidity
+            lam = LorentzTransformation(m, rep.metric)
+            return np.float64(intertwining_defect(lift(lam, rep), lam, rep)), "defect"
         out = []  # a real piece cast to complex keeps its bits in the real part
         for c in ORACLE_SCALES:
             out.append(exp_series(c * m).ravel())
