@@ -69,12 +69,17 @@ _NULL_TOL = 1e-12  # |tr2 L| of the label "simple/null" of exp_spin and log; rel
 # rel Lam^2, det Lam taken by a cofactor whose rounding is of degree 2 too.  Also abs
 # on 1 - Lam^0_0 and on -tr Lam.
 ORTHO_TOL = 1e-9
-# u scale(Lam, 2), the rounding of that cofactor det Lam, at or below which the
-# validator refuses det Lam <= 0 too; abs.  ORTHO_TOL alone admits det Lam = -1 past
-# maxabs(Lam) ~4.5e4, the gate refuses it up to ~9.5e6.  Over framed proper Lam, seeds
-# 0-39, rapidity 0-18 and both metrics, |det Lam - 1| stayed under 16 u maxabs(Lam)^2,
-# so within the gate a proper Lam reads det Lam >= 0.84.
-DET_SIGN_GATE = 1e-2
+# det Lam <= 0 in that validator, refused only where the cofactor cannot misread the
+# sign of a det Lam > 0; abs, proven rather than tuned.  With E = Lam^T g Lam - g, its
+# maxabs D and e = 4 D >= ||g E||_2: det Lam^2 = det(I + g E), so |det Lam| >=
+# (1 - e)^2, and the cofactor is det Lam (1 + eta), |eta| <= 2 rho e / (1 - e) for
+# rho = maxabs(Lam) / Lam^0_0 >= 1.  Its rounding is under 37 u rho maxabs(Lam)^2, and
+# D under (1 + u) times the computed D plus 16.001 u scale(Lam, 2).  A det Lam > 0
+# thus reads a positive cofactor while 2 e + |eta| + rounding < 1, which holds while
+# rho (19 D + 328 u scale(Lam, 2)) < 1, D as computed (then D < 1 / 19).  ORTHO_TOL
+# alone admits det Lam = -1 past maxabs(Lam) ~4.5e4; framed parity-reflected Lam read
+# D under 9 u maxabs(Lam)^2, so the sign test refuses them up to about rapidity 15.
+DET_SIGN_DEFECT, DET_SIGN_ROUNDING = 19.0, 328.0
 # simplicity_defect in is_simple_transform; relative to max(1, tr2 Lam, tr Lam)
 SIMPLE_CRITERION_TOL = SIMPLE_DET_TOL
 # The paper's lift formulas divide by a gate quantity x, tr Lam or the denominator;

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import (
-    BLOCK_DET_TOL, DENOMINATOR_GATE, DET_SIGN_GATE, ORTHO_TOL, SIMPLE_CRITERION_TOL,
+    BLOCK_DET_TOL, DENOMINATOR_GATE, DET_SIGN_DEFECT, DET_SIGN_ROUNDING, ORTHO_TOL, SIMPLE_CRITERION_TOL,
     TRACE_GATE, _COND_LIMIT, _UNIT_ROUNDOFF, _floored, lift_denominator, maxabs,
     simplicity_defect, transform_traces,
 )
@@ -76,7 +76,8 @@ class LorentzTransformation:
             )
         top, norm2 = _measured(m)
         g = self.metric.matrix
-        if maxabs(m.T @ g @ m - g) > ORTHO_TOL * norm2:
+        defect = maxabs(m.T @ g @ m - g)
+        if defect > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
         (m00, *_), (_, a, b, c), (_, d, e, f), (_, p, q, r) = m.tolist()
         if m00 < 1.0 - ORTHO_TOL:
@@ -86,9 +87,10 @@ class LorentzTransformation:
         # Dividing the first row first keeps every product of degree 2, in range.
         a, b, c = a / m00, b / m00, c / m00
         det = a * (e * r - f * q) - b * (d * r - f * p) + c * (d * q - e * p)
-        # NaN where a difference overflows; det <= 0 is no rounding within DET_SIGN_GATE
-        if not abs(det - 1.0) <= ORTHO_TOL * norm2 or (
-                det <= 0.0 and _UNIT_ROUNDOFF * norm2 <= DET_SIGN_GATE):
+        # NaN where a difference overflows.  det <= 0 is an improper Lam, no misreading
+        # of a proper one, within the bound of DET_SIGN_DEFECT and DET_SIGN_ROUNDING
+        if not abs(det - 1.0) <= ORTHO_TOL * norm2 or (det <= 0.0 and top * (
+                DET_SIGN_DEFECT * defect + DET_SIGN_ROUNDING * _UNIT_ROUNDOFF * norm2) < m00):
             raise InvalidTransformationError("matrix is not proper (det != 1)")
         traces = transform_traces(m)
         if traces[0] < -ORTHO_TOL:

@@ -58,7 +58,8 @@ MODULE_CONSTANTS = {
     "spin": ["SPIN_GAP_TOL"],
     "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL"],
     "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE",
-                   "DENOMINATOR_GATE", "BLOCK_DET_TOL", "DET_SIGN_GATE"],
+                   "DENOMINATOR_GATE", "BLOCK_DET_TOL", "DET_SIGN_DEFECT",
+                   "DET_SIGN_ROUNDING"],
     "oracle": ["_COND_LIMIT"],
 }
 

@@ -36,7 +36,7 @@ from spinlift import (
 from spinlift.cli import _check_homomorphism, run_request
 from spinlift.errors import NonFiniteOutputError
 from spinlift._linalg import simplicity_defect
-from spinlift.group_lift import (DET_SIGN_GATE, SIMPLE_CRITERION_TOL, _SPINOR_H, _spinor,
+from spinlift.group_lift import (SIMPLE_CRITERION_TOL, _SPINOR_H, _spinor,
                                  _vector_image)
 from spinlift.sampling import (
     _frame,
@@ -82,23 +82,72 @@ def test_validation_rejections(g):
 @pytest.mark.parametrize("sig", ["pmmm", "mppp"])
 def test_validation_refuses_det_sign(sig):
     # diag(1, -1, 1, 1) Lam preserves g and Lam^0_0, and det = -1.  Past maxabs ~4.5e4
-    # |det - 1| = 2 is within ORTHO_TOL maxabs^2; the cofactor still reads det <= 0
-    # while u maxabs^2 <= DET_SIGN_GATE.  At rapidity 11, 13 and 15 the validator
-    # without the sign test accepted 5, 10 and 10 of these 10 reflections; at 18,
-    # past the gate, all are still accepted, with their proper Lam.
+    # |det - 1| = 2 is within ORTHO_TOL maxabs^2; the cofactor still reads det <= 0,
+    # and the validator refuses it while its proven bound holds.  At rapidity 11, 13
+    # and 15 the validator without the sign test accepted 5, 10 and 10 of these 10
+    # reflections; at 18, past the bound, all are still accepted, with their proper Lam.
     g = make_metric(sig)
     reflect = np.diag([1.0, -1.0, 1.0, 1.0])
     for rapidity in (11.0, 13.0, 15.0, 18.0):
         for seed in range(10):
             lam = _transformation(g, np.random.default_rng(seed), rapidity, 1.0)
             LorentzTransformation(lam.matrix, g)  # the proper one passes
-            within = 2.0**-53 * mabs(lam.matrix) ** 2 <= DET_SIGN_GATE
-            assert within == (rapidity < 18.0), (rapidity, seed)
-            if within:
+            if rapidity < 18.0:
                 with pytest.raises(InvalidTransformationError, match="not proper"):
                     LorentzTransformation(reflect @ lam.matrix, g)
             else:
                 LorentzTransformation(reflect @ lam.matrix, g)
+
+
+def boost_along(rapidity, theta):
+    """The boost by rapidity along (cos theta, sin theta, 0), in either metric."""
+    ch, sh = math.cosh(rapidity), math.sinh(rapidity)
+    n = np.array([math.cos(theta), math.sin(theta), 0.0])
+    b = np.eye(4)
+    b[0, 0], b[0, 1:], b[1:, 0] = ch, sh * n, sh * n
+    b[1:, 1:] += (ch - 1.0) * np.outer(n, n)
+    return b
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_validation_keeps_inexact_proper_lam(sig):
+    # The sign test refuses only where a det Lam > 0 cannot read det <= 0: proper Lam
+    # whose metric defect is far above rounding are accepted as without it.  Framed Lam
+    # of rapidity 11-17 written with 12 significant digits carry defects up to ~1e3;
+    # a product of two rapidity-12.5 boosts 3e-3 or 1e-2 apart, of rapidity 12-15,
+    # carries the rounding of its factors' entries, u maxabs^2 ~1e-5 per entry.
+    g = make_metric(sig)
+    for rapidity in range(11, 18):
+        for seed in range(10):
+            lam = _transformation(g, np.random.default_rng(seed), float(rapidity), 1.0)
+            LorentzTransformation(np.vectorize(lambda x: float(f"{x:.11e}"))(lam.matrix), g)
+    for seed in range(10):
+        q = _frame(np.random.default_rng(seed), 2.0)
+        frame = LorentzTransformation(q, g)
+        for theta in (3e-3, 1e-2):
+            lam1 = LorentzTransformation(q @ boost_along(12.5, 0.0) @ frame.inverse(), g)
+            lam2 = LorentzTransformation(q @ boost_along(12.5, theta) @ frame.inverse(), g)
+            product = lam1 @ LorentzTransformation(lam2.inverse(), g)
+            assert 11.5 < math.acosh(product.matrix[0, 0]) < 15.5
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+def test_validation_keeps_det_one_with_misread_sign(sig):
+    # Lam P, P = I - s e_0 w^T with w_0 = 0, has det 1, the Lam^0_0 of Lam and a
+    # metric defect of order s^2, within ORTHO_TOL maxabs^2 at rapidity 13.  With w
+    # orthogonal to Lam's spatial column 0 it keeps tr Lam, and with s chosen so that
+    # (P^{-1} Lam^{-1})_00 = -Lam^0_0 its cofactor det reads -1: a gate on u maxabs^2
+    # alone refused all 10 as improper; the defect puts them past the sign test's bound.
+    g = make_metric(sig)
+    G = g.matrix
+    for seed in range(10):
+        lam = _transformation(g, np.random.default_rng(seed), 13.0, 1.0).matrix
+        col, row = lam[1:, 0], G[0, 0] * np.diag(G)[1:] * lam[0, 1:]
+        w = row - (row @ col) / (col @ col) * col
+        s = -2.0 * lam[0, 0] / (w @ row)
+        sheared = lam @ (np.eye(4) - s * np.outer(E[0], np.r_[0.0, w]))
+        assert np.linalg.det(sheared) > 0.5
+        LorentzTransformation(sheared, g)
 
 
 def framed_boost(g, seed, rapidity):

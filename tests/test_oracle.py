@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,13 @@ from spinlift.sampling import (_transformation, random_nonsimple_transformation,
                                random_wedge)
 
 E = np.eye(4)
+
+# tools/bitcompare.py's near-limit Sigma family, shared so that its parity run and
+# these identity tests cover the same matrices
+_spec = importlib.util.spec_from_file_location(
+    "bitcompare", Path(__file__).resolve().parents[1] / "tools" / "bitcompare.py")
+bitcompare = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bitcompare)
 
 
 def mabs(m):
@@ -265,24 +274,10 @@ def assert_same_outcome(sigma, lam, rep):
     return new
 
 
-def conditioned(rep, seed, cond, size):
-    """size U diag(s) V^H of rep's shape and dtype, U and V unitary; s runs from 1 to
-    1 / cond through cond^-1/2, so ||Sigma||_F ||Sigma^-1||_F = cond (1 + O(d / cond))."""
-    rng = np.random.default_rng(seed)
-    d = rep.identity.shape[0]
-    complex_ = np.iscomplexobj(rep.identity)
-
-    def unitary():
-        z = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_ else 0.0)
-        return np.linalg.qr(z)[0]
-
-    s = np.full(d, cond ** -0.5)
-    s[0], s[-1] = 1.0, 1.0 / cond
-    return size * (unitary() * s) @ unitary().conj().T
-
-
-CONDS = (1e11, 4.9e11, 5.1e11, 1e12 * (1.0 - 1e-6), 1e12 * (1.0 + 1e-6), 2e12)
-SIZES = (2.0**-540, 2.0**-500, 1.0, 2.0**500)  # 2^-540: ||Sigma||_F^2 underflows
+def near_limit(rep, seed, cond, e):
+    """bitcompare's oracle-group Sigma of rep's shape and dtype, scaled by 2^e."""
+    return bitcompare.conditioned(seed, rep.identity.shape[0],
+                                  np.iscomplexobj(rep.identity), cond, e)
 
 
 @pytest.mark.parametrize("sig", ["pmmm", "mppp"])
@@ -295,17 +290,17 @@ def test_intertwining_matches_svd_form_near_the_limit(sig, rep, monkeypatch):
     svd = []
     monkeypatch.setattr(np.linalg, "cond", lambda m, cond=np.linalg.cond: svd.append(m)
                         or cond(m))
-    for cond in CONDS:
-        for size in SIZES:
+    for cond in bitcompare.ORACLE_CONDS:
+        for e in bitcompare.ORACLE_SIZES:
             for seed in range(4):
                 svd.clear()
-                out = assert_same_outcome(conditioned(rep, seed, cond, size), lam, rep)
+                out = assert_same_outcome(near_limit(rep, seed, cond, e), lam, rep)
                 # the reference's own SVD, and the oracle's where it takes one
                 fast = len(svd) == 1
-                assert fast == (cond < 5e11 and size >= 1.0), (cond, size, seed)
+                assert fast == (cond < 5e11 and e >= 0), (cond, e, seed)
                 # at 1e12 (1 +- 1e-6) the SVD's rounding decides, in both forms alike
                 if abs(cond - 1e12) > 1e11:
-                    assert isinstance(out, bytes) == (cond < 1e12), (cond, size, seed)
+                    assert isinstance(out, bytes) == (cond < 1e12), (cond, e, seed)
 
 
 def test_intertwining_matches_svd_form_singular_and_non_finite(g, g_alt, rep):
@@ -313,7 +308,7 @@ def test_intertwining_matches_svd_form_singular_and_non_finite(g, g_alt, rep):
         image_rep = representation(rep.kind, metric)
         lam = LorentzTransformation(np.eye(4), metric)
         d = image_rep.identity.shape[0]
-        rank_deficient = conditioned(image_rep, 0, 1.0, 1.0)
+        rank_deficient = near_limit(image_rep, 0, 1.0, 0)
         rank_deficient[:, -1] = rank_deficient[:, 0]  # equal columns
         cases = [np.zeros((d, d)), np.diag([1.0] * (d - 1) + [0.0]), rank_deficient]
         for bad in (math.nan, math.inf, -math.inf):

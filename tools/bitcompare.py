@@ -53,7 +53,7 @@ SEEDS = range(1, 21)
 ORACLE_SEEDS = range(1, 6)
 ORACLE_SCALES = (1e-3, 0.3, 1.0, 8.0)
 ORACLE_CONDS = (1e11, 4.9e11, 5.1e11, 1e12 * (1.0 - 1e-6), 1e12 * (1.0 + 1e-6), 2e12)
-ORACLE_SIZES = (-540, -500, 0, 500)  # exponents of two
+ORACLE_SIZES = (-540, -500, 0, 500)  # exponents of two; at -540 ||Sigma||_F^2 underflows
 ORACLE_RAPIDITIES = range(24, 31)
 REP_SHAPES = {"gamma": (4, True), "regular": (16, False)}  # dimension, complex
 SELFTEST_SEEDS = range(30)
@@ -61,7 +61,11 @@ SHOWN = 5
 
 
 def conditioned(seed: int, d: int, complex_: bool, cond: float, e: int):
-    """2^e U diag(s) V^H, U and V unitary, s from 1 to 1 / cond through cond^-1/2."""
+    """2^e U diag(s) V^H, U and V unitary, s from 1 to 1 / cond through cond^-1/2.
+
+    So ||Sigma||_F ||Sigma^-1||_F = cond (1 + O(d / cond)), and tests/test_oracle.py
+    takes the same family.
+    """
     import numpy as np
 
     rng = np.random.default_rng(seed)
