@@ -23,10 +23,18 @@ def _floored(top: float, k) -> float:
     return max(1.0, top) ** k
 
 
-def transform_traces(m) -> tuple[float, float]:
-    """(tr Lam, tr2 Lam) of a transformation, tr2 Lam = ((tr Lam)^2 - tr(Lam^2)) / 2."""
-    t = float(m.trace())
-    return t, 0.5 * (t * t - float((m @ m).trace()))
+def transform_traces(m, rows=None) -> tuple[float, float]:
+    """(tr Lam, tr2 Lam) of a transformation, tr2 Lam = ((tr Lam)^2 - tr(Lam^2)) / 2.
+
+    Both traces are read in scalars, from ``rows`` = m.tolist() where the caller
+    has it, bit for bit the ndarray.trace of m and of m @ m.
+    """
+    # ndarray.trace's sum: 0.0 plus the diagonal, left to right (the 0.0 makes an
+    # all -0.0 diagonal sum to +0.0)
+    r = m.tolist() if rows is None else rows
+    t = 0.0 + r[0][0] + r[1][1] + r[2][2] + r[3][3]
+    a, b, c, d = (m @ m).diagonal().tolist()
+    return t, 0.5 * (t * t - (0.0 + a + b + c + d))
 
 
 def simplicity_defect(t: float, t2: float) -> float:

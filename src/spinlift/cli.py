@@ -35,7 +35,9 @@ from .bivector import (
     tr2,
 )
 from .clifford import Representation, representation, spin_rep
-from .errors import MalformedInputError, NonFiniteOutputError, SpinLiftError
+from .errors import (
+    MalformedInputError, NonFiniteOutputError, SingularSigmaError, SpinLiftError,
+)
 from .expmap import _exp_factored, exp_spin, exp_spin_polynomial, exp_spin_simple
 from .group_lift import (
     FactorPair,
@@ -333,7 +335,11 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
         "denominator": lift_denominator(*lam._traces),
         "simple": is_simple_transform(lam, tol),
     }
-    diagnostics = {"intertwining_defect": intertwining_defect(sigma, lam, rep)}
+    try:
+        diagnostics = {"intertwining_defect": intertwining_defect(sigma, lam, rep)}
+    except SingularSigmaError as exc:  # the referee's cond limit, not an error of Sigma
+        diagnostics = {"intertwining_defect": None,
+                       "intertwining_defect_error": {"code": exc.code, "message": str(exc)}}
     return branch, result, invariants, diagnostics
 
 

@@ -79,7 +79,8 @@ class LorentzTransformation:
         defect = maxabs(m.T @ g @ m - g)
         if defect > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
-        (m00, *_), (_, a, b, c), (_, d, e, f), (_, p, q, r) = m.tolist()
+        rows = m.tolist()
+        (m00, *_), (_, a, b, c), (_, d, e, f), (_, p, q, r) = rows
         if m00 < 1.0 - ORTHO_TOL:
             raise InvalidTransformationError("matrix is not orthochronous")
         # det Lam = det(spatial block) / Lam^0_0, the (0, 0) cofactor of Lam^{-1} =
@@ -92,15 +93,13 @@ class LorentzTransformation:
         if not abs(det - 1.0) <= ORTHO_TOL * norm2 or (det <= 0.0 and top * (
                 DET_SIGN_DEFECT * defect + DET_SIGN_ROUNDING * _UNIT_ROUNDOFF * norm2) < m00):
             raise InvalidTransformationError("matrix is not proper (det != 1)")
-        traces = transform_traces(m)
+        traces = transform_traces(m, rows)
         if traces[0] < -ORTHO_TOL:
             raise InvalidTransformationError(
                 "negative trace: matrix is outside the proper orthochronous component"
             )
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_maxabs", top)
-        object.__setattr__(self, "_traces", traces)
+        vars(self).update(matrix=m, _maxabs=top, _traces=traces)
 
     @classmethod
     def _of(cls, m: np.ndarray, metric: Metric) -> "LorentzTransformation":
@@ -295,15 +294,19 @@ def _spinor(m) -> np.ndarray:
     # rounding of u maxabs(A)^2 <= u cond(A), as does the phase: past u _COND_LIMIT,
     # the bound on cond in intertwining_defect, raise (a det A of 0, inf or NaN too).
     h = (_SPINOR_H @ m.ravel()).reshape(4, 4)
-    c = int(h.diagonal().real.argmax())
-    a = (h[:, c] / math.sqrt(h[c, c].real)).reshape(2, 2)
-    d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    diagonal = h.diagonal().real.tolist()  # finite, as m is: max is argmax's pick
+    top = max(diagonal)
+    a = h[:, diagonal.index(top)] / math.sqrt(top)
+    a00, a01, a10, a11 = a.tolist()
+    d = a00 * a11 - a01 * a10  # numpy's complex product and difference, in scalars
     r = abs(d)
     if not abs(r - 1.0) <= _UNIT_ROUNDOFF * _COND_LIMIT:
         raise NonFiniteOutputError(f"spinor map: |det A| = {r} is not 1: no phase left")
-    a = a / cmath.sqrt(d / r)
-    t = complex(a[0, 0] + a[1, 1])
-    return -a if (t.real, t.imag) < (0.0, 0.0) else a
+    # numpy divides complex by real as complex by complex, unlike Python
+    a = a / cmath.sqrt(np.complex128(d) / r)
+    a00, _, _, a11 = a.tolist()
+    t = a00 + a11
+    return (-a if (t.real, t.imag) < (0.0, 0.0) else a).reshape(2, 2)
 
 
 def lift(

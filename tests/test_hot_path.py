@@ -1,7 +1,9 @@
 """The hot paths do each piece of work once and give the bits of the plain forms.
 
 The spin map and the vector images are compared bit for bit with the
-``np.tensordot`` form they replace; call counters pin that a dispatcher
+``np.tensordot`` form they replace, and the transformation traces and the
+spinor map with the numpy reductions and scalars they replace, next to every
+refusal of the validator; call counters pin that a dispatcher
 or a decomposition computes its invariants once, that the gates read the
 norm and traces their input's validator measured, that a bivector's tr2 and
 Pfaffian are taken lazily and at most once, and that the selftest battery draws
@@ -9,7 +11,9 @@ each input once, decomposes each bivector once, validates each transformation
 product once and takes no SVD.
 """
 
+import cmath
 import inspect
+import math
 from collections import Counter
 
 import numpy as np
@@ -18,6 +22,7 @@ import pytest
 import spinlift
 from spinlift import (
     Bivector,
+    InvalidTransformationError,
     LorentzTransformation,
     cli,
     exp_series,
@@ -33,11 +38,14 @@ from spinlift import (
     tr2,
     wedge,
 )
-from spinlift._linalg import _floored, maxabs, scale, transform_traces
+from spinlift._linalg import (_COND_LIMIT, _UNIT_ROUNDOFF, _floored, maxabs, scale,
+                              transform_traces)
 from spinlift.bivector import _decompose, det_bivector
 from spinlift.clifford import PAIR_INDICES
+from spinlift.errors import NonFiniteOutputError, SpinLiftError
+from spinlift.group_lift import _SPINOR_H, _spinor
 from spinlift.oracle import random_bivector
-from spinlift.sampling import (degenerate_denominator_transformation,
+from spinlift.sampling import (_transformation, degenerate_denominator_transformation,
                                random_nonsimple_bivector, random_nonsimple_transformation,
                                random_wedge, traceless_simple_transformation)
 
@@ -82,6 +90,113 @@ def test_images_bit_equal_tensordot(metric, kind):
         for vec in (u, L.matrix[:, seed % 4]):  # contiguous, and a strided column
             expected = np.tensordot(np.asarray(vec, dtype=float), rep.vectors, axes=1)
             assert rep.vector(vec).tobytes() == expected.tobytes()
+
+
+def framed(g, seed, rapidity=0.0, angle=1.0):
+    return _transformation(g, np.random.default_rng(seed), rapidity, angle).matrix
+
+
+def transformations(g):
+    """Framed Lam of rapidity 0 to 28 next to angle 1, framed rotations by pi and by
+    pi - 1e-5, the identity, and the identity and a half-turn with -0.0 entries."""
+    cases = {}
+    for seed in range(3):
+        for rapidity in (0.0, 1e-8, 2.0, 12.0, 20.0, 28.0):
+            cases[f"rapidity={rapidity}, seed={seed}"] = framed(g, seed, rapidity)
+        for angle in (math.pi, math.pi - 1e-5):
+            cases[f"angle={angle}, seed={seed}"] = framed(g, seed, angle=angle)
+    off = np.eye(4) == 0.0
+    cases["identity"] = np.eye(4)
+    cases["identity, -0.0"] = np.where(off, -0.0, 1.0)
+    cases["half-turn, -0.0"] = np.where(off, -0.0, np.diag([1.0, 1.0, -1.0, -1.0]))
+    return cases
+
+
+def test_traces_bit_equal_ndarray_trace(metric):
+    # transform_traces sums both diagonals in scalars, from the caller's rows or
+    # its own: the bits of ndarray.trace, signed zeros included
+    cases = transformations(metric)
+    cases["zero, -0.0"] = np.full((4, 4), -0.0)
+    cases["diagonal -0.0, 1e16"] = np.diag([-0.0, 1e16, 1.0, -1e16])
+    for name, m in cases.items():
+        t = float(m.trace())
+        expected = [t.hex(), (0.5 * (t * t - float((m @ m).trace()))).hex()]
+        for traces in (transform_traces(m), transform_traces(m, m.tolist())):
+            assert [x.hex() for x in traces] == expected, name
+
+
+def spinor_numpy(m):
+    """The spinor map as it read A, det A and tr A on numpy complex scalars."""
+    h = (_SPINOR_H @ m.ravel()).reshape(4, 4)
+    c = int(h.diagonal().real.argmax())
+    a = (h[:, c] / math.sqrt(h[c, c].real)).reshape(2, 2)
+    d = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    r = abs(d)
+    if not abs(r - 1.0) <= _UNIT_ROUNDOFF * _COND_LIMIT:
+        raise NonFiniteOutputError(f"spinor map: |det A| = {r} is not 1: no phase left")
+    a = a / cmath.sqrt(d / r)
+    t = complex(a[0, 0] + a[1, 1])
+    return -a if (t.real, t.imag) < (0.0, 0.0) else a
+
+
+def outcome(fn, *args):
+    """The bytes and shape of fn's array, or the class and message of its refusal."""
+    try:
+        out = fn(*args)
+    except SpinLiftError as exc:
+        return type(exc).__name__, str(exc)
+    return out.tobytes(), out.shape
+
+
+def test_spinor_bit_equal_numpy_scalars(metric):
+    # _spinor takes det A, |det A| and tr A in Python complex arithmetic and keeps
+    # numpy's complex division: A, its sign and every refusal are the numpy form's
+    cases = transformations(metric)
+    cases["rapidity=50"] = framed(metric, 3, 50.0, 0.0)  # det A rounds to 0: refused
+    for name, m in cases.items():
+        assert outcome(_spinor, m) == outcome(spinor_numpy, m), name
+    assert outcome(_spinor, cases["rapidity=50"])[0] == "NonFiniteOutputError"
+
+
+def refusal_grid(g, seed):
+    """Transformations next to and past each refusal of the validator, by name."""
+    lam = framed(g, seed, 2.0)
+    grid = {f"reflected, rapidity {r}": np.diag([1.0, -1.0, 1.0, 1.0]) @ framed(g, seed, r)
+            for r in (11.0, 12.0, 13.0, 14.0, 15.0)}
+    nan, inf = lam.copy(), lam.copy()
+    nan[1, 2], inf[2, 3] = math.nan, math.inf
+    grid.update({"scaled": lam * (1.0 + 1e-8), "nan": nan, "inf": inf, "negated": -lam,
+                 "3x3": lam[:3, :3]})
+    return grid
+
+
+REFUSALS = {
+    "reflected": "matrix is not proper (det != 1)",
+    "scaled": "matrix does not preserve the metric",
+    "nan": "transformation entries must be finite",
+    "inf": "transformation entries must be finite",
+    "negated": "matrix is not orthochronous",
+    "3x3": "transformation must be 4x4, got shape (3, 3)",
+}
+SCALED_ACCEPTED = (0, 2, 4, 6, 8, 9)  # seeds whose scaled Lam is within the metric's bound
+
+
+def test_validator_decisions_on_the_refusal_grid(metric):
+    # the validator takes the traces from its own rows and stores what it measured
+    # in one update: it refuses what it refused, with the same message, and keeps
+    # the bits of maxabs and ndarray.trace of what it accepts
+    for seed in range(10):
+        for name, m in refusal_grid(metric, seed).items():
+            accepted = name == "scaled" and seed in SCALED_ACCEPTED
+            try:
+                lam = LorentzTransformation(m, metric)
+            except InvalidTransformationError as exc:
+                assert (accepted, str(exc)) == (False, REFUSALS[name.split(",")[0]])
+                continue
+            assert accepted, (name, seed)
+            t = float(m.trace())
+            assert [lam._maxabs.hex(), *(x.hex() for x in lam._traces)] == [
+                maxabs(m).hex(), t.hex(), (0.5 * (t * t - float((m @ m).trace()))).hex()]
 
 
 def exp_cases(g):

@@ -21,6 +21,13 @@ the same inputs:
   {1e11, 4.9e11, 5.1e11, 1e12 (1 -+ 1e-6), 2e12} and size in 2^{-540, -500, 0, 500};
   and of ``intertwining_defect(lift(Lam), Lam, rep)`` for framed Lam of
   rapidity 24-30 and angle 1, where cond Sigma passes the limit;
+* ``validate``: the bits of the ``_maxabs`` and ``_traces`` that the
+  ``LorentzTransformation`` validator keeps, or its refusal, for every
+  ``lift-mix`` matrix of seeds 1-20 and a refusal grid per metric and seed
+  1-10: framed Lam of rapidity 11-15 and angle 1 reflected by
+  diag(1, -1, 1, 1), framed Lam (rapidity 2, angle 1) times 1 + 1e-8, with a NaN
+  entry, with an inf entry, negated, and cut to 3x3; and the same bits of the
+  ``_of`` results of the samplers' transformations, seeds 0-19;
 * ``selftest``: each check of the ``run_selftest`` report, keyed by metric,
   seed and check name, for both metrics, seeds 0-29;
 * ``cli``: the exit code and the response text of ``spinlift <command>`` for
@@ -55,6 +62,9 @@ ORACLE_SCALES = (1e-3, 0.3, 1.0, 8.0)
 ORACLE_CONDS = (1e11, 4.9e11, 5.1e11, 1e12 * (1.0 - 1e-6), 1e12 * (1.0 + 1e-6), 2e12)
 ORACLE_SIZES = (-540, -500, 0, 500)  # exponents of two; at -540 ||Sigma||_F^2 underflows
 ORACLE_RAPIDITIES = range(24, 31)
+GRID_SEEDS = range(1, 11)
+REFLECTED_RAPIDITIES = range(11, 16)
+SAMPLER_SEEDS = range(20)
 REP_SHAPES = {"gamma": (4, True), "regular": (16, False)}  # dimension, complex
 SELFTEST_SEEDS = range(30)
 SHOWN = 5
@@ -82,15 +92,15 @@ def conditioned(seed: int, d: int, complex_: bool, cond: float, e: int):
 def make_job(root: Path) -> dict:
     sys.path.insert(0, str(root / "bench"))
     import inputs
-    import numpy as np
-    from scipy.linalg import expm
 
-    job = {"lift": {}, "exp": {}, "oracle": {}, "selftest": [], "cli": {}}
+    job = {"lift": {}, "exp": {}, "oracle": {}, "validate": {}, "selftest": [], "cli": {}}
     for group, make in (("lift", inputs.lift_mix), ("exp", inputs.exp_mix)):
         for seed in SEEDS:
             for i, item in enumerate(make(seed)):
                 key = (seed, i, item["category"], item["metric"], item["rep"])
                 job[group][key] = item["matrix"]
+                if group == "lift":
+                    job["validate"][("lift-mix", *key)] = (item["metric"], item["matrix"])
                 if seed in ORACLE_SEEDS:  # (L, Lam) for lift-mix, (L, L) for exp-mix
                     job["oracle"][(group, *key)] = (item["L"], item["matrix"])
     for sig in inputs.SIGNATURES:
@@ -103,14 +113,38 @@ def make_job(root: Path) -> dict:
                         sigma = conditioned(seed, d, complex_, cond, e)
                         job["oracle"][key] = (None, sigma)
                 for rapidity in ORACLE_RAPIDITIES:
-                    q = inputs.random_frame(np.random.default_rng(seed), g, 0.5)
-                    lam = inputs._moved(q, expm(inputs.canonical(g, float(rapidity), 1.0)))
                     key = ("framed", seed, rapidity, "angle=1", sig, kind)
-                    job["oracle"][key] = (None, lam)
+                    job["oracle"][key] = (None, framed(inputs, g, seed, rapidity))
+        for seed in GRID_SEEDS:
+            for key, m in refusal_grid(inputs, g, seed).items():
+                job["validate"][("grid", seed, key, sig)] = (sig, m)
     job["selftest"] = [(sig, seed) for sig in inputs.SIGNATURES for seed in SELFTEST_SEEDS]
     for path in sorted((root / "tests" / "golden").glob("*.request.json")):
         job["cli"][path.name.removesuffix(".request.json")] = path.read_text()
     return job
+
+
+def framed(inputs, g, seed: int, rapidity):
+    """expm of a boost of the rapidity next to a rotation by 1, in a seeded frame."""
+    import numpy as np
+    from scipy.linalg import expm
+
+    q = inputs.random_frame(np.random.default_rng(seed), g, 0.5)
+    return inputs._moved(q, expm(inputs.canonical(g, float(rapidity), 1.0)))
+
+
+def refusal_grid(inputs, g, seed: int) -> dict:
+    """Transformations next to and past each refusal of the validator, by name."""
+    import numpy as np
+
+    grid = {f"reflected-{r}": np.diag([1.0, -1.0, 1.0, 1.0]) @ framed(inputs, g, seed, r)
+            for r in REFLECTED_RAPIDITIES}
+    lam = framed(inputs, g, seed, 2)
+    nan, inf = lam.copy(), lam.copy()
+    nan[1, 2], inf[2, 3] = np.nan, np.inf
+    grid.update({"scaled": lam * (1.0 + 1e-8), "nan": nan, "inf": inf, "negated": -lam,
+                 "3x3": lam[:3, :3]})
+    return grid
 
 
 def collect(job: dict) -> dict:
@@ -119,6 +153,7 @@ def collect(job: dict) -> dict:
 
     from spinlift import Bivector, LorentzTransformation, exp_spin, lift, make_metric
     from spinlift import cli, exp_series, intertwining_defect, representation, spin_rep
+    from spinlift import sampling
     from spinlift.errors import SpinLiftError
 
     def guarded(op):
@@ -153,7 +188,22 @@ def collect(job: dict) -> dict:
             out.append(exp_series(spin_rep(rep, Bivector(c * m, rep.metric))).ravel())
         return np.concatenate(out), "exp_series"
 
+    def measured(lam):  # what the validator, or _of, keeps of Lam
+        return np.array([lam._maxabs, *lam._traces]), "measured"
+
+    samplers = (sampling.random_nonsimple_transformation,
+                sampling.traceless_simple_transformation,
+                sampling.degenerate_denominator_transformation)
     out = {}
+    for key, (sig, m) in job["validate"].items():
+        validate = partial(LorentzTransformation, m, make_metric(sig))
+        out[("validate", *key)] = guarded(lambda: measured(validate()))
+    for sig in ("pmmm", "mppp"):
+        for sampler in samplers:
+            for seed in SAMPLER_SEEDS:
+                draw = partial(sampler, make_metric(sig), seed)
+                key = ("validate", "sampler", sampler.__name__, seed, sig)
+                out[key] = guarded(lambda: measured(draw()))
     for group, op in ops.items():
         for key, m in job[group].items():
             out[(group, *key)] = guarded(partial(op, m, reps[key[3], key[4]]))
@@ -216,7 +266,7 @@ def main(argv=None) -> int:
     job_bytes = pickle.dumps(make_job(args.checkout.resolve()))
     a, b = run_side(args.other, job_bytes), run_side(args.checkout, job_bytes)
     totals = [0, 0]
-    for group in ("lift", "exp", "oracle", "selftest", "cli"):
+    for group in ("lift", "exp", "oracle", "validate", "selftest", "cli"):
         keys = sorted(k for k in a.keys() | b.keys() if k[0] == group)
         moved = [k for k in keys if pickle.dumps(a.get(k)) != pickle.dumps(b.get(k))]
         negated = [k for k in moved if is_negation(a.get(k), b.get(k))]
