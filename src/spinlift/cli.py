@@ -34,15 +34,17 @@ from .bivector import (
     orthogonal_decompose,
     tr2,
 )
-from .clifford import Representation, representation, spin_rep
-from .errors import (
-    MalformedInputError, NonFiniteOutputError, SingularSigmaError, SpinLiftError,
+from .clifford import Representation, _even_image, representation, spin_rep
+from .errors import MalformedInputError, NonFiniteOutputError, SpinLiftError
+from .expmap import (
+    _exp_block, _exp_factored, exp_spin, exp_spin_polynomial, exp_spin_simple,
 )
-from .expmap import _exp_factored, exp_spin, exp_spin_polynomial, exp_spin_simple
 from .group_lift import (
     FactorPair,
     LorentzTransformation,
+    _lift_block,
     _log,
+    _vector_image,
     factor_transform,
     is_simple_transform,
     lift,
@@ -243,9 +245,15 @@ def _recovery_defects(L: Bivector, rep: Representation, parts=None):
     return recovered, defects
 
 
-def _roundtrip_defect(L: Bivector, lam: LorentzTransformation) -> float:
-    """Defect of exp(L) = Lam for a logarithm L of Lam."""
-    return maxabs(exp_series(L.matrix) - lam.matrix)
+def _block_defects(a, lam=None) -> dict:
+    """Defects of a Weyl block A, row-major: given Lam, maxabs(Lam(A) - Lam) / maxabs(Lam);
+    |det A - 1| / maxabs(A)^2, as |det(A/m) - 1/m^2| with m = maxabs(A), in range."""
+    m = maxabs(a)
+    a00, a01, a10, a11 = (a / m).tolist()
+    defects = {} if lam is None else {
+        "backward_error": maxabs(_vector_image(a) - lam.matrix) / lam._maxabs}
+    defects["det_defect"] = abs(a00 * a11 - a01 * a10 - 1.0 / m / m)
+    return defects
 
 
 def _factor_defects(lam: LorentzTransformation, pair: FactorPair) -> dict:
@@ -276,15 +284,9 @@ def _cmd_decompose(matrix, g: Metric, rep: Representation, tol: float):
 
 def _cmd_exp_spin(matrix, g: Metric, rep: Representation, tol: float):
     L = Bivector(matrix, g)
-    out, branch = exp_spin(L, rep, tol, return_branch=True)
-    series = exp_series(spin_rep(rep, L))
-    lam = LorentzTransformation(exp_series(L.matrix), g)
-    result = {"exp_spin": _matrix_payload(out)}
-    diagnostics = {
-        "series_defect": maxabs(out - series),
-        "intertwining_defect": intertwining_defect(out, lam, rep),
-    }
-    return branch, result, _bivector_invariants(L, mu_roots(L)), diagnostics
+    a, branch = _exp_block(L, rep, tol)
+    result = {"exp_spin": _matrix_payload(_even_image(rep, a))}
+    return branch, result, _bivector_invariants(L, mu_roots(L)), _block_defects(a)
 
 
 def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
@@ -297,8 +299,8 @@ def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
         "mu": -tr2(L),
         "tr2_log": tr2(L),
     }
-    diagnostics = {
-        "roundtrip_defect": _roundtrip_defect(L, lam),
+    diagnostics = {  # of exp(L)'s block
+        **_block_defects(_exp_block(L, rep)[0], lam),
         "simplicity_defect": simplicity_defect(*lam._traces),
     }
     kind = _simple_kind(det_bivector(L), tr2(L), L._maxabs, tol)
@@ -326,21 +328,16 @@ def _cmd_factor(matrix, g: Metric, rep: Representation, tol: float):
 
 def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
     lam = LorentzTransformation(matrix, g)
-    sigma, branch = lift(lam, rep, tol, return_branch=True)
+    a, branch, _ = _lift_block(lam, rep, tol)  # lift's two steps
     if branch == "simple" and maxabs(lam.matrix - np.eye(4)) <= IDENTITY_TOL:
         branch = "simple/identity"
-    result = {"sigma": _matrix_payload(sigma)}
+    result = {"sigma": _matrix_payload(_even_image(rep, a))}
     invariants = {
         **_transform_traces(lam),
         "denominator": lift_denominator(*lam._traces),
         "simple": is_simple_transform(lam, tol),
     }
-    try:
-        diagnostics = {"intertwining_defect": intertwining_defect(sigma, lam, rep)}
-    except SingularSigmaError as exc:  # the referee's cond limit, not an error of Sigma
-        diagnostics = {"intertwining_defect": None,
-                       "intertwining_defect_error": {"code": exc.code, "message": str(exc)}}
-    return branch, result, invariants, diagnostics
+    return branch, result, invariants, _block_defects(a, lam)
 
 
 def _cmd_invariants(matrix, g: Metric, rep: Representation, tol: float):
@@ -437,13 +434,15 @@ def _check_exp_agreement(g, reps, seed, trials, scales=(1.0,)):
             yield max(
                 maxabs(_exp_factored(rep, *parts) - series) / norm,
                 maxabs(exp_spin_polynomial(L, rep) - series) / norm,
+                maxabs(exp_spin(L, rep) - series) / norm,  # the dispatcher itself
             )
     for j, kind in enumerate(("rotation", "boost", "null")):
         W = random_wedge(g, seed + 500 + j, kind=kind)
         for rep in reps:
             s = spin_rep(rep, W)
             series = exp_series(s)
-            yield maxabs(exp_spin_simple(s, tr2(W)) - series) / scale(series, 1)
+            yield max(maxabs(exp_spin_simple(s, tr2(W)) - series),
+                      maxabs(exp_spin(W, rep) - series)) / scale(series, 1)
 
 
 def _check_log_roundtrip(g, reps, seed, trials, scales=(1.0,)):
@@ -451,7 +450,8 @@ def _check_log_roundtrip(g, reps, seed, trials, scales=(1.0,)):
     for i, c in _trials(trials, scales):
         W = random_wedge(g, seed + i, kind=kinds[i % 3], scale=c)
         lam = LorentzTransformation(exp_series(W.matrix), g)
-        yield _roundtrip_defect(log_simple(lam), lam) / _floored(lam._maxabs, 1)
+        roundtrip = exp_series(log_simple(lam).matrix)
+        yield maxabs(roundtrip - lam.matrix) / _floored(lam._maxabs, 1)
 
 
 def _check_factor(g, reps, seed, trials, scales=(1.0,)):

@@ -160,6 +160,13 @@ def exp_spin(
     eigenvalue gap 4 |s^2| at or below its gate.  With ``return_branch=True``
     returns ``(matrix, branch)``.
     """
+    a, branch = _exp_block(L, rep, tol)
+    out = _even_image(rep, a)
+    return (out, branch) if return_branch else out
+
+
+def _exp_block(L: Bivector, rep: Representation, tol: float = SIMPLE_DET_TOL):
+    # (exp X row-major, exp_spin's branch), X the Weyl block of sigma(L)
     coeffs, norm = _pair_coefficients(rep, L)
     x00, x01, x10, x11 = np.dot(coeffs, rep._weyl_tables[0])[0].tolist()  # X
     s2 = x01 * x10 - x00 * x11
@@ -175,5 +182,4 @@ def exp_spin(
         h, c = _sinh_ratio_complex(s, s2), cmath.cosh(s)
     except OverflowError:  # |Re s| past ~710, a rapidity past ~1420
         raise NonFiniteOutputError(f"cosh s overflows at s = {s}") from None
-    out = _even_image(rep, np.array((c + h * x00, h * x01, h * x10, c + h * x11)))
-    return (out, branch) if return_branch else out
+    return np.array((c + h * x00, h * x01, h * x10, c + h * x11)), branch

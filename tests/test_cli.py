@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from spinlift import (InvalidTransformationError, MalformedInputError, cli, exp_series,
-                      lift, make_metric, representation, spin_rep, wedge)
+from spinlift import (Bivector, InvalidTransformationError, MalformedInputError, cli,
+                      exp_series, exp_spin_simple, lift, make_metric, representation,
+                      spin_rep, tr2, wedge)
 from spinlift.cli import main, run_selftest
 from spinlift.sampling import _transformation
 
@@ -137,8 +138,8 @@ def assert_typed_error(command, matrix, code, tmp_path):
 
 def test_lift_answers_past_the_referee_cond_limit(tmp_path):
     # framed Lam of rapidity 28: cond Sigma ~ e^28 passes the referee's limit, so
-    # intertwining_defect cannot judge the library's Sigma.  The answer stands: the
-    # diagnostic reads null and says why, and the exit code is 0.
+    # intertwining_defect cannot judge the library's Sigma.  The diagnostics read
+    # lift's own block A, whose image Lam(A) is Lam to a backward error of ~u.
     g = make_metric()
     rep = representation("gamma", g)
     for seed in range(10):
@@ -148,17 +149,76 @@ def test_lift_answers_past_the_referee_cond_limit(tmp_path):
         doc = json.loads(proc.stdout)
         pairs = np.array(doc["result"]["sigma"])  # [re, im] per entry, 17 digits
         assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], lift(lam, rep)), seed
-        diagnostics = doc["diagnostics"]
-        assert diagnostics["intertwining_defect"] is None
-        assert diagnostics["intertwining_defect_error"]["code"] == "SingularSigma"
-        assert "ill-conditioned" in diagnostics["intertwining_defect_error"]["message"]
+        assert list(doc["diagnostics"]) == ["backward_error", "det_defect"], seed
+        assert doc["diagnostics"]["backward_error"] <= 1e-13, seed
 
 
 def test_transformation_overflow_exit_code(tmp_path):
-    # exp-spin answers 500 b01, but its diagnostic validates Lam = exp(L), whose
-    # entries of ~1e217 square past the float range: a typed error, no traceback
-    b01 = wedge(make_metric(), E[0], E[1]).matrix
-    assert_typed_error("exp-spin", 500.0 * b01, "InvalidTransformation", tmp_path)
+    # exp(500 b01) has entries of ~1e217, whose squares leave the float range.  The
+    # diagnostics read exp-spin's block, never a Lam = exp(L): exit 0, the answer
+    # cosh 250 I + (sinh 250 / 250) sigma(500 b01), no warning
+    g = make_metric()
+    L = 500.0 * wedge(g, E[0], E[1])
+    proc = run_child("exp-spin", L.matrix, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pairs = np.array(json.loads(proc.stdout)["result"]["exp_spin"])
+    expected = (math.cosh(250.0) * np.eye(4)
+                + math.sinh(250.0) / 250.0 * spin_rep(representation("gamma", g), L))
+    error = np.abs(pairs[..., 0] + 1j * pairs[..., 1] - expected).max()
+    assert error <= 1e-15 * math.cosh(250.0)
+
+
+def golden_exp_spin_request(rapidity):
+    """The exp-spin golden's b01 + b23 with its boost part at the given rapidity."""
+    matrix = np.array(json.loads(golden_paths("exp-spin")[0].read_text())["matrix"])
+    matrix[0, 1] = matrix[1, 0] = rapidity
+    return matrix
+
+
+@pytest.mark.parametrize("rapidity", [20.0, 30.0, 700.0, 800.0, 1400.0])
+def test_exp_spin_answers_large_rapidity(rapidity, tmp_path):
+    # a boost of the rapidity next to a rotation by 1: cond Sigma ~ e^rapidity passes
+    # the referee's limit, and Lam = exp(L) is too large to validate past ~355.  The
+    # block's det defect stays at the rounding level, and the answer is the product
+    # of the two parts' two-term exponentials
+    g = make_metric()
+    rep = representation("gamma", g)
+    matrix = golden_exp_spin_request(rapidity)
+    proc = run_child("exp-spin", matrix, tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert list(doc["diagnostics"]) == ["det_defect"]
+    assert doc["diagnostics"]["det_defect"] <= 2e-15
+    boost = np.where(np.abs(matrix) == rapidity, matrix, 0.0)
+    parts = [Bivector(m, g) for m in (boost, matrix - boost)]
+    expected = np.linalg.multi_dot(
+        [exp_spin_simple(spin_rep(rep, W), tr2(W)) for W in parts])
+    pairs = np.array(doc["result"]["exp_spin"])
+    error = np.abs(pairs[..., 0] + 1j * pairs[..., 1] - expected).max()
+    assert error <= 1e-15 * np.abs(expected).max()
+
+
+def test_exp_spin_overflow_past_rapidity_1420(tmp_path):
+    # cosh s itself overflows at s = 750 - i/2: exp_spin's own typed error stays
+    assert_typed_error("exp-spin", golden_exp_spin_request(1500.0), "NonFiniteOutput",
+                       tmp_path)
+
+
+@pytest.mark.parametrize("sig", ["pmmm", "mppp"])
+@pytest.mark.parametrize("command", ["lift", "log"])
+def test_backward_error_at_rapidity_28(command, sig, tmp_path):
+    # framed Lam of rapidity 28 and angle 1: Lam(A) of the block each request built,
+    # lift's A or the block of exp(L) for log, is Lam to 1e-13 relative
+    g = make_metric(sig)
+    for seed in range(10):
+        lam = _transformation(g, np.random.default_rng(seed), 28.0, 1.0)
+        for kind in ("gamma", "regular"):
+            payload = {"matrix": lam.matrix.tolist(), "metric": sig, "rep": kind}
+            code, out = run_cli([command], tmp_path, payload)
+            assert code == 0, (seed, kind)
+            diagnostics = json.loads(out)["diagnostics"]
+            assert diagnostics["backward_error"] <= 1e-13, (seed, kind)
+            assert diagnostics["det_defect"] <= 2e-15, (seed, kind)
 
 
 @pytest.mark.parametrize("command, coefficients, code", [
@@ -235,7 +295,7 @@ def test_log_next_to_half_turn(sig, tmp_path):
     assert doc["branch"] == "simple/trig"
     assert doc["invariants"]["k_factor"] is None
     assert np.abs(np.array(doc["result"]["log"]) - L).max() <= 1e-14 * math.pi
-    assert doc["diagnostics"]["roundtrip_defect"] <= 1e-14
+    assert doc["diagnostics"]["backward_error"] <= 1e-14
 
 
 def test_non_finite_output_exit_code(monkeypatch, tmp_path):

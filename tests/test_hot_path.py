@@ -8,12 +8,14 @@ or a decomposition computes its invariants once, that the gates read the
 norm and traces their input's validator measured, that a bivector's tr2 and
 Pfaffian are taken lazily and at most once, and that the selftest battery draws
 each input once, decomposes each bivector once, validates each transformation
-product once and takes no SVD.
+product once and takes no SVD; the request commands run no referee.
 """
 
 import cmath
 import inspect
+import json
 import math
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -28,6 +30,7 @@ from spinlift import (
     exp_series,
     exp_spin,
     exp_spin_factored,
+    intertwining_defect,
     lift,
     make_metric,
     is_simple,
@@ -50,6 +53,7 @@ from spinlift.sampling import (_transformation, degenerate_denominator_transform
                                random_wedge, traceless_simple_transformation)
 
 E = np.eye(4)
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 MODULES = [getattr(spinlift, name) for name in (
     "_linalg", "bivector", "clifford", "cli", "expmap", "group_lift", "oracle",
     "sampling", "spin",
@@ -427,3 +431,24 @@ def test_selftest_draws_each_input_once(metric_tag, monkeypatch):
     assert report["all_passed"]
     assert set(name for name, *_ in draws) == set(SAMPLERS)
     assert [key for key, n in draws.items() if n != 1] == []
+
+
+def test_requests_run_no_referee(monkeypatch, tmp_path):
+    # each request reports the defects of the block it built: exp_series and
+    # intertwining_defect are referees of selftest and the tests only
+    referees = [count_calls(monkeypatch, fn) for fn in (exp_series, intertwining_defect)]
+    requests = [(path.name.removesuffix(".request.json"), path)
+                for path in sorted(GOLDEN_DIR.glob("*.request.json"))]
+    assert len(requests) == 6
+    for sig in ("pmmm", "mppp"):
+        for seed in range(10):
+            path = tmp_path / f"framed-{sig}-{seed}.json"
+            matrix = framed(make_metric(sig), seed, rapidity=28.0)
+            path.write_text(json.dumps({"matrix": matrix.tolist(), "metric": sig}))
+            requests += [("lift", path), ("log", path)]
+    for command, path in requests:
+        out = tmp_path / "out.json"
+        assert cli.main([command, "--in", str(path), "--out", str(out)]) == 0, path
+    assert referees == [[], []]
+    cli.run_selftest("pmmm", 0, trials=1)  # where the counters do see them
+    assert all(referees)

@@ -30,8 +30,12 @@ the same inputs:
   ``_of`` results of the samplers' transformations, seeds 0-19;
 * ``selftest``: each check of the ``run_selftest`` report, keyed by metric,
   seed and check name, for both metrics, seeds 0-29;
-* ``cli``: the exit code and the response text of ``spinlift <command>`` for
-  each request file in ``tests/golden``.
+* ``cli``: the exit code of ``spinlift <command>`` and, as separate entries,
+  the ``branch``, ``result``, ``invariants`` and ``diagnostics`` of its response
+  (or its ``error``) and the rest of it, the echoed request, for each request
+  file in ``tests/golden``; for the
+  ``exp-spin`` golden with its boost part at rapidity 20-1,500; and for ``lift``
+  and ``log`` of framed Lam of rapidity 28 and angle 1, seeds 0-9, both metrics.
 
 The spin images of the ``oracle`` group come from each side's ``spin_rep``.
 
@@ -49,6 +53,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import pickle
 import subprocess
@@ -64,6 +69,9 @@ ORACLE_SIZES = (-540, -500, 0, 500)  # exponents of two; at -540 ||Sigma||_F^2 u
 ORACLE_RAPIDITIES = range(24, 31)
 GRID_SEEDS = range(1, 11)
 REFLECTED_RAPIDITIES = range(11, 16)
+CLI_RAPIDITIES = (20.0, 30.0, 700.0, 800.0, 1400.0, 1500.0)  # of the exp-spin golden
+CLI_SEEDS = range(10)  # of the framed lift and log requests at rapidity 28
+CLI_PARTS = ("branch", "result", "invariants", "diagnostics", "error")
 SAMPLER_SEEDS = range(20)
 REP_SHAPES = {"gamma": (4, True), "regular": (16, False)}  # dimension, complex
 SELFTEST_SEEDS = range(30)
@@ -120,7 +128,17 @@ def make_job(root: Path) -> dict:
                 job["validate"][("grid", seed, key, sig)] = (sig, m)
     job["selftest"] = [(sig, seed) for sig in inputs.SIGNATURES for seed in SELFTEST_SEEDS]
     for path in sorted((root / "tests" / "golden").glob("*.request.json")):
-        job["cli"][path.name.removesuffix(".request.json")] = path.read_text()
+        job["cli"][(path.name.removesuffix(".request.json"), "golden")] = path.read_text()
+    golden = json.loads(job["cli"][("exp-spin", "golden")])
+    for rapidity in CLI_RAPIDITIES:  # a boost of the rapidity next to a rotation by 1
+        golden["matrix"][0][1] = golden["matrix"][1][0] = rapidity
+        job["cli"][("exp-spin", f"rapidity={rapidity!r}")] = json.dumps(golden)
+    for sig in inputs.SIGNATURES:
+        for seed in CLI_SEEDS:
+            matrix = framed(inputs, inputs.metric(sig), seed, 28).tolist()
+            text = json.dumps({"matrix": matrix, "metric": sig})
+            for command in ("lift", "log"):
+                job["cli"][(command, f"framed-{sig}-{seed}")] = text
     return job
 
 
@@ -213,14 +231,20 @@ def collect(job: dict) -> dict:
     for sig, seed in job["selftest"]:
         for check in cli.run_selftest(sig, seed)["checks"]:
             out[("selftest", sig, seed, check["name"])] = check
-    for command, text in job["cli"].items():
+    for (command, name), text in job["cli"].items():
         stdin, sys.stdin = sys.stdin, io.StringIO(text)
         try:
             with contextlib.redirect_stdout(io.StringIO()) as buf:
                 code = cli.main([command])
         finally:
             sys.stdin = stdin
-        out[("cli", command)] = (code, buf.getvalue())
+        doc = json.loads(buf.getvalue())
+        out[("cli", command, name, "exit")] = code
+        out[("cli", command, name, "envelope")] = {
+            key: value for key, value in doc.items() if key not in CLI_PARTS}
+        for part in CLI_PARTS:
+            if part in doc:
+                out[("cli", command, name, part)] = doc[part]
     return out
 
 
