@@ -54,13 +54,6 @@ def lift_denominator(t: float, t2: float) -> float:
 _UNIT_ROUNDOFF = 2.0 ** -53  # u, of IEEE double precision
 SKEW_TOL = 1e-10  # ||L^T g + g L|| in the Bivector validator; rel L^1
 TRACE_TOL = 1e-12  # |tr L| in the Bivector validator; rel L^1
-# maxabs(L)^3 / gap of _decompose, at or below which its parts skip the Bivector
-# validator; hom L^1.  (L^3 - mu L) / gap is skew and traceless for any float mu and
-# gap, so a part's defects are rounding: under 200 u maxabs(L)^3 / gap + u maxabs(part)
-# per entry, and its computed trace under 4 times that plus 12 u maxabs(part).  Within
-# the bound that trace is under 0.4 TRACE_TOL + 16 u maxabs(part), and the skew defect
-# under half of it, so the validator would pass the parts.
-_PART_BOUND = TRACE_TOL / (2000.0 * _UNIT_ROUNDOFF)
 # |det L| = Pf(L g)^2 in is_simple and orthogonal_decompose, and its equal
 # 4 (Im s^2)^2 in exp_spin; hom L^4.  Also the default tol of exp_spin and of the
 # CLI, whose one --tol reaches both is_simple and is_simple_transform.
@@ -105,6 +98,9 @@ TRACE_GATE = 128.0 * _UNIT_ROUNDOFF / _LIFT_TARGET  # tr Lam < 4: lift_simple ab
 # e^rapidity; absolute, it sends framed boosts past rapidity ~12, whose computed
 # det A carries u maxabs(A)^2 of rounding, to the spinor map.
 BLOCK_DET_TOL = 2.0 * _LIFT_TARGET
+# 4 |s^2| = mu_plus - mu_minus in orthogonal_decompose; hom L^2.  Its parts' error is c u
+# maxabs(L)^3 / gap, c <= 1.24 on framed N + eps (K01 + J23): c = 2 keeps _LIFT_TARGET.
+_PART_GATE = 2.0 * _UNIT_ROUNDOFF / _LIFT_TARGET
 DENOMINATOR_GATE = TRACE_GATE  # lift_denominator in lift_nonsimple; a label in lift
 IDENTITY_TOL = 1e-12  # ||Lam - I|| for the CLI branch "simple/identity"; abs
 SERIES_TERM_TOL = 1e-16  # largest term entry in exp_series; relative to the sum's

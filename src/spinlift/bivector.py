@@ -10,6 +10,7 @@ pair spanning orthogonal planes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._linalg import (
     FACTOR_PIVOT_TOL, PLANE_TOL, SIMPLE_DET_TOL, SKEW_TOL, TRACE_TOL, _NULL_TOL,
-    _PART_BOUND, _floored, maxabs,
+    _PART_GATE, _floored, maxabs,
 )
 from .errors import (
     DegeneratePlaneError, InvalidBivectorError, NotSimpleError, SimpleInputError,
@@ -73,10 +74,8 @@ class Bivector:
     @classmethod
     def _of(cls, m: np.ndarray, metric: Metric) -> "Bivector":
         # A C-contiguous float64 (4, 4) array that the library built and no caller
-        # keeps, made read-only in place: the validator's maxabs and range refusals,
-        # without its skew and trace checks.  Those hold exactly where entries (i, j)
-        # and (j, i) round alike (the samplers, log) and, within _PART_BOUND, for the
-        # parts of _decompose.
+        # keeps, made read-only in place: the validator's maxabs and range refusals.
+        # Its callers build it exactly skew: the samplers, log and _decompose.
         m.flags.writeable = False
         L = object.__new__(cls)
         vars(L).update(matrix=m, metric=metric, _maxabs=_measured(m))
@@ -173,9 +172,9 @@ def _simple_kind(d: float, t2: float, top: float, tol: float):  # det L, tr2 L, 
 def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
     """Split a non-simple L into commuting simple parts (L_plus, L_minus).
 
-    L_plus is boost-like (tr2 = -mu_plus <= 0) and L_minus rotation-like
-    (tr2 = -mu_minus >= 0); the parts annihilate each other and span
-    orthogonal planes.  Raises :class:`SimpleInputError` for simple input.
+    L_plus is boost-like (tr2 = -mu_plus <= 0) and L_minus rotation-like (tr2 =
+    -mu_minus >= 0); they annihilate each other and span orthogonal planes.  Raises
+    :class:`SimpleInputError` for simple L, or a gap within ``_PART_GATE`` maxabs(L)^2.
     """
     return _decompose(L, tol)[:2]
 
@@ -183,16 +182,22 @@ def orthogonal_decompose(L: Bivector, tol: float = SIMPLE_DET_TOL):
 def _decompose(L: Bivector, tol: float):  # (L_plus, L_minus, mu), det L taken once
     if _is_simple_det(det_bivector(L), L._maxabs, tol):
         raise SimpleInputError("simple bivector has no orthogonal decomposition")
-    mu = mu_roots(L)
-    gap = mu.mu_plus - mu.mu_minus  # at least 2 |Pf| > 0 past the gate
-    m = L.matrix
-    cube = m @ m @ m
-    plus = (cube - mu.mu_minus * m) / gap
-    minus = -(cube - mu.mu_plus * m) / gap
-    # past _PART_BOUND, as for a near-null L at a small tol, the validator judges them
-    top = L._maxabs
-    part = Bivector._of if top * top * top <= _PART_BOUND * gap else Bivector
-    return part(plus, L.metric), part(minus, L.metric), mu
+    # X = s N, the Weyl block of sigma(L), splits as (Re s) N + i (Im s) N.  k X is the
+    # block of Re k p + Im k J p, p L's upper entries, J p = (-p23, p13, -p12, p03, -p02,
+    # p01), in both metrics; entry (j, i) is -g_i g_j entry (i, j), skew by construction.
+    s2 = complex(-0.25 * L._tr2, 0.5 * L._pf)  # -det X, to about u maxabs(L)^2
+    if 4.0 * abs(s2) <= _PART_GATE * L._maxabs * L._maxabs:  # mu_plus - mu_minus
+        raise SimpleInputError(f"eigenvalue gap {4.0 * abs(s2)} too small to split L")
+    s = cmath.sqrt(s2)
+    (_, p01, p02, p03), (_, _, p12, p13), (_, _, _, p23), _ = L.matrix.tolist()
+    parts = []
+    for a, b in ((k.real, k.imag) for k in (s.real / s, 1j * s.imag / s)):
+        v01, v02, v03 = a * p01 - b * p23, a * p02 + b * p13, a * p03 - b * p12
+        v12, v13, v23 = a * p12 + b * p03, a * p13 - b * p02, a * p23 + b * p01
+        m = np.array([[0.0, v01, v02, v03], [v01, 0.0, v12, v13],
+                      [v02, -v12, 0.0, v23], [v03, -v13, -v23, 0.0]])
+        parts.append(Bivector._of(m, L.metric))
+    return (*parts, mu_roots(L))
 
 
 def plane_projection(L: Bivector) -> np.ndarray:

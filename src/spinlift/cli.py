@@ -46,7 +46,6 @@ from .group_lift import (
     _log,
     _vector_image,
     factor_transform,
-    is_simple_transform,
     lift,
     log_simple,
 )
@@ -335,7 +334,7 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
     invariants = {
         **_transform_traces(lam),
         "denominator": lift_denominator(*lam._traces),
-        "simple": is_simple_transform(lam, tol),
+        "simple": not branch.startswith("nonsimple"),  # _lift_block's trace criterion
     }
     return branch, result, invariants, _block_defects(a, lam)
 

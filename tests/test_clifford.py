@@ -16,6 +16,7 @@ from spinlift import (
 )
 from spinlift._linalg import SKEW_TOL, maxabs
 from spinlift.clifford import _PAIR_INDEX
+from spinlift.sampling import random_nonsimple_bivector, random_wedge
 
 E = np.eye(4)
 
@@ -191,3 +192,23 @@ def test_validator_bounds_pair_skewness(sig, exponent, pairs, noise, d):
     assert maxabs(F + F.T) == maxabs(m.T @ gm + gm @ m)
     assert maxabs(F + F.T) <= SKEW_TOL * max(1.0, L._maxabs)
     assert maxabs(F) == L._maxabs
+
+
+@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
+def test_decompose_identities_on_the_weyl_block(tag):
+    # orthogonal_decompose scales X, the Weyl block of sigma(L), by a complex k through
+    # J p = (-p23, p13, -p12, p03, -p02, p01) on F = L g's pairs p, whose block is
+    # i X: exact on the table of either metric.  It applies J to L's upper entries,
+    # p times one sign.  It reads s^2 = -det X as -tr2 L / 4 + i Pf / 2, equal to the
+    # block's to rounding.
+    g = make_metric(tag)
+    table = representation("gamma", g)._weyl_tables[0]  # pairs -> X, row-major
+    J = np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[:, ::-1]
+    assert np.array_equal(J.T @ table, 1j * table)
+    for seed in range(40):
+        for L in (random_bivector(g, seed), random_nonsimple_bivector(g, seed),
+                  random_wedge(g, seed, "null")):
+            x00, x01, x10, x11 = ((L.matrix @ g.matrix)[_PAIR_INDEX] @ table).tolist()
+            s2 = complex(-0.25 * L._tr2, 0.5 * L._pf)
+            # the worst reads 0.82 u maxabs(L)^2
+            assert abs(s2 - (x01 * x10 - x00 * x11)) <= 2 * 2.0**-53 * L._maxabs**2

@@ -54,7 +54,7 @@ def test_no_inline_thresholds():
 #: gates added to the table since, under the module that compares them.
 MODULE_CONSTANTS = {
     "bivector": ["SKEW_TOL", "TRACE_TOL", "SIMPLE_DET_TOL", "PLANE_TOL",
-                 "FACTOR_PIVOT_TOL", "_NULL_TOL"],
+                 "FACTOR_PIVOT_TOL", "_NULL_TOL", "_PART_GATE"],
     "spin": ["SPIN_GAP_TOL"],
     "expmap": ["SBAR_TAYLOR_CUTOFF", "SERIES_GAP_TOL"],
     "group_lift": ["ORTHO_TOL", "SIMPLE_CRITERION_TOL", "TRACE_GATE",

@@ -449,8 +449,9 @@ def test_of_results_pass_the_validators(sig, monkeypatch):
     # Bivector._of and LorentzTransformation._of keep the library's own results
     # without the structural checks.  Rebuilt through the public constructors, every
     # one of these passes, which measures the same maxabs and traces bit for bit.
-    # 71 of the 200 decompositions are within _PART_BOUND and build their parts by
-    # _of; the validator judges the others.
+    # Every decomposition builds both parts by _of, and each Bivector is skew by
+    # construction: entry (j, i) equals -g_i g_j entry (i, j) exactly, and the
+    # diagonal is zero (a zero of log's may carry either sign across the diagonal).
     g = make_metric(sig)
     made = record_of(monkeypatch)
     for seed in range(50):
@@ -468,10 +469,13 @@ def test_of_results_pass_the_validators(sig, monkeypatch):
         if not is_simple_transform(lam):
             factor_transform(lam)
     kinds = Counter(type(x) for x in made)
-    assert kinds == {Bivector: 200 * 4 + 168 + 71 * 2,
+    assert kinds == {Bivector: 200 * 4 + 168 + 200 * 2,
                      LorentzTransformation: 50 + 200 * 2 + 2 * 93}
+    gg = -np.outer(g._diag, g._diag)
     for x in made:
         assert_revalidates(x)
+        if isinstance(x, Bivector):
+            assert np.array_equal(x.matrix.T, gg * x.matrix), x.matrix
 
 
 @pytest.mark.filterwarnings("error")

@@ -28,6 +28,14 @@ the same inputs:
   diag(1, -1, 1, 1), framed Lam (rapidity 2, angle 1) times 1 + 1e-8, with a NaN
   entry, with an inf entry, negated, and cut to 3x3; and the same bits of the
   ``_of`` results of the samplers' transformations, seeds 0-19;
+* ``decompose``: the bytes of both parts of ``orthogonal_decompose``, or its
+  refusal, for every non-simple ``exp-mix`` bivector of seeds 1-20 at the
+  default ``tol``; for the samplers' framed rapidity b K01 + angle J23 with b in
+  {1, 1e4, 1e6} and angle 1.5, 3 or 10 times sqrt(1e-9) b, seeds 0-49, at the
+  default ``tol``; and for their null wedges, seeds 0-49 at scales 0.5, 1 and 2,
+  at ``tol`` = 1e-300, all in both metrics.  Also prints how many entries moved
+  between an answer and a refusal, by error class, and how many refusals changed
+  only their message;
 * ``selftest``: each check of the ``run_selftest`` report, keyed by metric,
   seed and check name, for both metrics, seeds 0-29;
 * ``cli``: the exit code of ``spinlift <command>`` and, as separate entries,
@@ -40,8 +48,9 @@ the same inputs:
 The spin images of the ``oracle`` group come from each side's ``spin_rep``.
 
 A typed ``SpinLiftError`` is recorded as its class name and message.  The
-inputs come from ``bench/inputs.py`` of CHECKOUT (imported, never changed)
-and are made once, here, so both sides see the same bits.  Prints per group
+inputs come from ``bench/inputs.py`` of CHECKOUT and, for ``decompose``, from
+its ``spinlift.sampling`` (imported, never changed), and are made once, here, so
+both sides see the same bits.  Prints per group
 the number of entries that differ and, counted apart, of those ``negated``:
 the same label with every output float the exact negation of the other
 side's, a sign-only move.  Then the first few keys of each, and the totals;
@@ -58,6 +67,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -74,6 +84,11 @@ CLI_SEEDS = range(10)  # of the framed lift and log requests at rapidity 28
 CLI_PARTS = ("branch", "result", "invariants", "diagnostics", "error")
 SAMPLER_SEEDS = range(20)
 REP_SHAPES = {"gamma": (4, True), "regular": (16, False)}  # dimension, complex
+DECOMPOSE_SEEDS = range(50)  # of the framed near-gate draws and the null wedges
+DECOMPOSE_RAPIDITIES = (1.0, 1e4, 1e6)
+DECOMPOSE_ANGLES = (1.5, 3.0, 10.0)  # times sqrt(1e-9) rapidity, past the default gate
+NULL_SCALES = (0.5, 1.0, 2.0)
+GROUPS = ("lift", "exp", "oracle", "validate", "decompose", "selftest", "cli")
 SELFTEST_SEEDS = range(30)
 SHOWN = 5
 
@@ -98,10 +113,10 @@ def conditioned(seed: int, d: int, complex_: bool, cond: float, e: int):
 
 
 def make_job(root: Path) -> dict:
-    sys.path.insert(0, str(root / "bench"))
+    sys.path[:0] = [str(root / "bench"), str(root / "src")]
     import inputs
 
-    job = {"lift": {}, "exp": {}, "oracle": {}, "validate": {}, "selftest": [], "cli": {}}
+    job = {group: {} for group in GROUPS}
     for group, make in (("lift", inputs.lift_mix), ("exp", inputs.exp_mix)):
         for seed in SEEDS:
             for i, item in enumerate(make(seed)):
@@ -109,8 +124,12 @@ def make_job(root: Path) -> dict:
                 job[group][key] = item["matrix"]
                 if group == "lift":
                     job["validate"][("lift-mix", *key)] = (item["metric"], item["matrix"])
+                elif item["rep"] == "gamma" and not item["category"].startswith("simple-"):
+                    job["decompose"][("exp-mix", *key[:4])] = (item["metric"], item["matrix"],
+                                                               None)
                 if seed in ORACLE_SEEDS:  # (L, Lam) for lift-mix, (L, L) for exp-mix
                     job["oracle"][(group, *key)] = (item["L"], item["matrix"])
+    job["decompose"].update(decompose_families())
     for sig in inputs.SIGNATURES:
         g = inputs.metric(sig)
         for kind, (d, complex_) in REP_SHAPES.items():
@@ -142,6 +161,31 @@ def make_job(root: Path) -> dict:
     return job
 
 
+def decompose_families() -> dict:
+    """The samplers' framed draws next to the simplicity gate, at the default tol,
+    and their null wedges at tol = 1e-300, by key: (metric, matrix, tol)."""
+    import math
+
+    import numpy as np
+
+    from spinlift import make_metric, sampling
+
+    family = {}
+    for sig in ("pmmm", "mppp"):
+        g = make_metric(sig)
+        for seed in DECOMPOSE_SEEDS:
+            q = sampling._frame(np.random.default_rng(seed), 4.5)
+            for b in DECOMPOSE_RAPIDITIES:
+                for k in DECOMPOSE_ANGLES:
+                    L = sampling._bivector(g, q, rapidity=b, angle=k * math.sqrt(1e-9) * b)
+                    family[("framed", seed, f"rapidity={b!r}", f"k={k!r}", sig)] = (
+                        sig, L.matrix, None)
+            for scale in NULL_SCALES:
+                W = sampling.random_wedge(g, seed, "null", scale)
+                family[("null", seed, f"scale={scale!r}", sig)] = (sig, W.matrix, 1e-300)
+    return family
+
+
 def framed(inputs, g, seed: int, rapidity):
     """expm of a boost of the rapidity next to a rotation by 1, in a seeded frame."""
     import numpy as np
@@ -170,6 +214,7 @@ def collect(job: dict) -> dict:
     import numpy as np
 
     from spinlift import Bivector, LorentzTransformation, exp_spin, lift, make_metric
+    from spinlift import orthogonal_decompose
     from spinlift import cli, exp_series, intertwining_defect, representation, spin_rep
     from spinlift import sampling
     from spinlift.errors import SpinLiftError
@@ -228,6 +273,12 @@ def collect(job: dict) -> dict:
     for key, (generator, m) in job["oracle"].items():
         rep = reps[key[4], key[5]]
         out[("oracle", *key)] = guarded(partial(referees, key[0], generator, m, rep))
+    def parts(sig, m, tol):
+        args = (Bivector(m, make_metric(sig)),) + (() if tol is None else (tol,))
+        return np.concatenate([x.matrix.ravel() for x in orthogonal_decompose(*args)]), "parts"
+
+    for key, (sig, m, tol) in job["decompose"].items():
+        out[("decompose", *key)] = guarded(partial(parts, sig, m, tol))
     for sig, seed in job["selftest"]:
         for check in cli.run_selftest(sig, seed)["checks"]:
             out[("selftest", sig, seed, check["name"])] = check
@@ -257,6 +308,20 @@ def is_negation(x, y) -> bool:
         return False
     # float64 and complex128 outputs alike, read as float64 parts
     return bool(np.array_equal(-np.frombuffer(x[0]), np.frombuffer(y[0])))
+
+
+def outcome_moves(a: dict, b: dict, keys) -> tuple[Counter, int]:
+    """(count of each move between an answer and a refusal's error class, number of
+    refusals whose class held and message changed) between two sides' entries."""
+    moves, messages = Counter(), 0
+    for key in keys:
+        x, y = a.get(key), b.get(key)
+        kinds = [z[1] if z and z[0] == "error" else "answer" for z in (x, y)]
+        if kinds[0] != kinds[1]:
+            moves[" -> ".join(kinds)] += 1
+        elif kinds[0] != "answer" and x != y:
+            messages += 1
+    return moves, messages
 
 
 def run_side(checkout: Path, job_bytes: bytes) -> dict:
@@ -290,7 +355,7 @@ def main(argv=None) -> int:
     job_bytes = pickle.dumps(make_job(args.checkout.resolve()))
     a, b = run_side(args.other, job_bytes), run_side(args.checkout, job_bytes)
     totals = [0, 0]
-    for group in ("lift", "exp", "oracle", "validate", "selftest", "cli"):
+    for group in GROUPS:
         keys = sorted(k for k in a.keys() | b.keys() if k[0] == group)
         moved = [k for k in keys if pickle.dumps(a.get(k)) != pickle.dumps(b.get(k))]
         negated = [k for k in moved if is_negation(a.get(k), b.get(k))]
@@ -298,6 +363,11 @@ def main(argv=None) -> int:
         totals[0] += len(differ)
         totals[1] += len(negated)
         print(f"{group}: {len(differ)} of {len(keys)} entries differ, {len(negated)} negated")
+        if group == "decompose":
+            for family in sorted({k[1] for k in keys}):
+                moves, messages = outcome_moves(a, b, [k for k in moved if k[1] == family])
+                print(f"  {family}: outcome moves {dict(moves)}, {messages} refusals"
+                      " changed only their message")
         for key in differ[:SHOWN]:
             print(f"  {key}")
         for key in negated[:SHOWN]:
