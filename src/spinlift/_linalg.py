@@ -13,6 +13,11 @@ def maxabs(m) -> float:
     return float(np.maximum.reduce(np.abs(m), axis=None)) if m.size else 0.0
 
 
+def slice_maxabs(m) -> np.ndarray:
+    """maxabs of each matrix of an (..., n, n) stack, bit for bit maxabs of each."""
+    return np.abs(m).max(axis=(-2, -1))
+
+
 def scale(m, k) -> float:
     """max(1, maxabs(m))^k: the norm floor of relative gates and selftest defects."""
     return _floored(maxabs(m), k)

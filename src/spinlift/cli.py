@@ -21,7 +21,7 @@ import numpy as np
 
 from ._linalg import (
     IDENTITY_TOL, SIMPLE_DET_TOL, _floored, lift_denominator, maxabs, scale,
-    simplicity_defect,
+    simplicity_defect, slice_maxabs,
 )
 from .bivector import (
     Bivector,
@@ -423,34 +423,45 @@ def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
             yield max(d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
+def _series_defects(images, outputs):
+    """Each case's worst maxabs(output - exp_series(image)) / scale(series, 1), over
+    one representation's cases: one stacked referee call and one reduction."""
+    if not images:  # no stack to judge at trials = 0
+        return []
+    series = exp_series(np.stack(images))
+    worst = slice_maxabs(np.stack(outputs) - series[:, None]).max(axis=1)
+    return (worst / np.maximum(1.0, slice_maxabs(series))).tolist()
+
+
 def _check_exp_agreement(g, reps, seed, trials, scales=(1.0,)):
+    draws = []
     for i, c in _trials(trials, scales):
         L = random_nonsimple_bivector(g, seed + i, c)
         parts = _decompose(L, SIMPLE_DET_TOL)  # as exp_spin_factored, once for both
-        for rep in reps:
-            series = exp_series(spin_rep(rep, L))
-            norm = scale(series, 1)
-            yield max(
-                maxabs(_exp_factored(rep, *parts) - series) / norm,
-                maxabs(exp_spin_polynomial(L, rep) - series) / norm,
-                maxabs(exp_spin(L, rep) - series) / norm,  # the dispatcher itself
-            )
-    for j, kind in enumerate(("rotation", "boost", "null")):
-        W = random_wedge(g, seed + 500 + j, kind=kind)
-        for rep in reps:
-            s = spin_rep(rep, W)
-            series = exp_series(s)
-            yield max(maxabs(exp_spin_simple(s, tr2(W)) - series),
-                      maxabs(exp_spin(W, rep) - series)) / scale(series, 1)
+        draws.append((L, parts))
+    wedges = [random_wedge(g, seed + 500 + j, kind=kind)
+              for j, kind in enumerate(("rotation", "boost", "null"))]
+    for rep in reps:
+        outputs = [(_exp_factored(rep, *parts), exp_spin_polynomial(L, rep),
+                    exp_spin(L, rep))  # the dispatcher itself
+                   for L, parts in draws]
+        yield from _series_defects([spin_rep(rep, L) for L, _ in draws], outputs)
+        images = [spin_rep(rep, W) for W in wedges]
+        outputs = [(exp_spin_simple(s, tr2(W)), exp_spin(W, rep))
+                   for s, W in zip(images, wedges)]
+        yield from _series_defects(images, outputs)
 
 
 def _check_log_roundtrip(g, reps, seed, trials, scales=(1.0,)):
     kinds = ("rotation", "boost", "null")
-    for i, c in _trials(trials, scales):
-        W = random_wedge(g, seed + i, kind=kinds[i % 3], scale=c)
-        lam = LorentzTransformation(exp_series(W.matrix), g)
-        roundtrip = exp_series(log_simple(lam).matrix)
-        yield maxabs(roundtrip - lam.matrix) / _floored(lam._maxabs, 1)
+    wedges = [random_wedge(g, seed + i, kind=kinds[i % 3], scale=c).matrix
+              for i, c in _trials(trials, scales)]
+    if not wedges:  # no stack to judge at trials = 0
+        return
+    lams = [LorentzTransformation(m, g) for m in exp_series(np.stack(wedges))]
+    logs = [log_simple(lam).matrix for lam in lams]
+    defects = slice_maxabs(exp_series(np.stack(logs)) - [lam.matrix for lam in lams])
+    yield from (defects / np.maximum(1.0, [lam._maxabs for lam in lams])).tolist()
 
 
 def _check_factor(g, reps, seed, trials, scales=(1.0,)):
@@ -473,23 +484,27 @@ def _check_factor(g, reps, seed, trials, scales=(1.0,)):
 def _check_lift(g, reps, seed, trials, scales=(1.0,)):
     lams = [random_nonsimple_transformation(g, seed + i, c)
             for i, c in _trials(trials, scales)]
-    for j, kind in enumerate(("rotation", "boost")):
-        W = random_wedge(g, seed + 600 + j, kind=kind)
-        lams.append(LorentzTransformation(exp_series(W.matrix), g))
+    wedges = [random_wedge(g, seed + 600 + j, kind=kind).matrix
+              for j, kind in enumerate(("rotation", "boost"))]
+    lams += [LorentzTransformation(m, g) for m in exp_series(np.stack(wedges))]
     lams.append(traceless_simple_transformation(g, seed + 700))
     lams.append(degenerate_denominator_transformation(g, seed + 800))
-    for lam in lams:
-        for rep in reps:
-            yield intertwining_defect(lift(lam, rep), lam, rep)
+    for rep in reps:
+        sigmas = np.stack([lift(lam, rep) for lam in lams])
+        yield from intertwining_defect(sigmas, lams, rep).tolist()
 
 
 def _check_homomorphism(g, reps, seed, trials, scales=(1.0,)):
+    pairs = []
     for i, c in _trials(trials, scales):
         lam1 = random_nonsimple_transformation(g, seed + 2 * i, c)
         lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1, c)
-        lam = lam1 @ lam2  # validated once for both representations
-        for rep in reps:
-            yield intertwining_defect(lift(lam1, rep) @ lift(lam2, rep), lam, rep)
+        pairs.append((lam1, lam2, lam1 @ lam2))  # validated once for both representations
+    if not pairs:  # no stack to judge at trials = 0
+        return
+    for rep in reps:
+        sigmas = np.stack([lift(lam1, rep) @ lift(lam2, rep) for lam1, lam2, _ in pairs])
+        yield from intertwining_defect(sigmas, [lam for *_, lam in pairs], rep).tolist()
 
 
 def _check_double_cover(g, reps, seed, trials, scales=(1.0,)):
@@ -561,15 +576,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spinlift",
         description="Closed-form Lorentz bivector decomposition and spin lifts.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--metric", choices=sorted(SIGNATURES), default=None)
-        cmd.add_argument("--rep", choices=("gamma", "regular"), default=None)
-        cmd.add_argument("--tol", type=float, default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--in", dest="infile", default=None)
-        cmd.add_argument("--out", dest="outfile", default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--metric", choices=sorted(SIGNATURES))
+    parser.add_argument("--rep", choices=("gamma", "regular"))
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--in", dest="infile")
+    parser.add_argument("--out", dest="outfile")
     return parser
 
 

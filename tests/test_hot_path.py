@@ -8,7 +8,8 @@ or a decomposition computes its invariants once, that the gates read the
 norm and traces their input's validator measured, that a bivector's tr2 and
 Pfaffian are taken lazily and at most once, and that the selftest battery draws
 each input once, decomposes each bivector once, validates each transformation
-product once and takes no SVD; the request commands run no referee.
+product once, takes no SVD and calls each referee once per row and
+representation; the request commands run no referee.
 """
 
 import cmath
@@ -272,8 +273,8 @@ def test_selftest_decomposes_each_bivector_once(metric_tag, monkeypatch):
 def test_selftest_runs_no_svd_and_validates_22_transformations(metric_tag, seed,
                                                               monkeypatch):
     # intertwining_defect clears the cond limit from the Frobenius norms of Sigma and
-    # its inverse, so none of its 48 calls takes an SVD; the homomorphism row forms
-    # each product Lam1 Lam2 once for both representations
+    # its inverse, so none of the 48 Sigma it judges takes an SVD; the homomorphism
+    # row forms each product Lam1 Lam2 once for both representations
     svd = []
     monkeypatch.setattr(np.linalg, "cond", lambda *args, cond=np.linalg.cond:
                         svd.append(args) or cond(*args))
@@ -283,6 +284,20 @@ def test_selftest_runs_no_svd_and_validates_22_transformations(metric_tag, seed,
                         lambda self: validated.append(self) or validate(self))
     assert cli.run_selftest(metric_tag, seed)["all_passed"]
     assert (len(svd), len(validated)) == (0, 22)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+@pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
+def test_selftest_calls_each_referee_once_per_row_and_representation(metric_tag, seed,
+                                                                     monkeypatch):
+    # exp-agreement judges its draws and its wedges with one exp_series stack per
+    # representation (4 calls), log-roundtrip makes its Lam and judges its logs with
+    # one stack each (2), and lift-intertwining makes its two wedges' Lam with one (1);
+    # lift-intertwining and homomorphism-pairs take one intertwining_defect stack per
+    # representation (4)
+    referees = [count_calls(monkeypatch, fn) for fn in (exp_series, intertwining_defect)]
+    assert cli.run_selftest(metric_tag, seed)["all_passed"]
+    assert [len(calls) for calls in referees] == [7, 4]
 
 
 def test_decompose_computes_det_once(g, rep, monkeypatch):

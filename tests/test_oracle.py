@@ -197,40 +197,85 @@ def series_inputs(g, rep):
             yield spin_rep(rep, W)
 
 
+def squarings(m):
+    return series_partial_sums(m)[1]
+
+
+def assert_stack_matches_reference(matrices):
+    """One exp_series call on the stack of matrices gives each one's reference bits."""
+    out = exp_series(np.stack(matrices))
+    assert out.shape == (len(matrices), *matrices[0].shape)
+    for m, x in zip(matrices, out):
+        assert x.tobytes() == exp_series_reference(m).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
 def test_exp_series_bits_match_reference(g, g_alt, rep):
     for metric in (g, g_alt):
         image_rep = representation(rep.kind, metric)
-        for m in series_inputs(metric, image_rep):
+        inputs = list(series_inputs(metric, image_rep))
+        for m in inputs:
             assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
+        # the bivectors and the spin images, each as one stack
+        assert_stack_matches_reference(inputs[0::2])
+        assert_stack_matches_reference(inputs[1::2])
 
 
+@pytest.mark.filterwarnings("error")
 def test_exp_series_bits_match_reference_on_mixed_scales():
     # generic matrices with entries over three and a half decades: now and then the
     # last term lands just below SERIES_TERM_TOL * _SUM_BOUND, where a wrong skip of
     # the stop test would add a term
     rng = np.random.default_rng(0)
+    by_size = {n: [] for n in range(1, 5)}
     for _ in range(1500):
         n = int(rng.integers(1, 5))
         m = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-3.0, 0.5, (n, n))
         assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
+        by_size[n].append(m)
+    for matrices in by_size.values():  # ~375 slices a stack, of mixed stop indices
+        assert len({series_partial_sums(m)[0] for m in matrices}) > 3
+        assert_stack_matches_reference(matrices)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m", [[[0.3]], [[-7.5]], [[0.0]], [[2.0 + 1.0j]]])
 def test_exp_series_one_by_one(m):
     out = exp_series(np.array(m))
     assert out.shape == (1, 1)
     assert out.tobytes() == exp_series_reference(np.array(m)).tobytes()
     assert out[0, 0] == pytest.approx(np.exp(m[0][0]), rel=1e-15)
+    m = np.array(m)
+    assert_stack_matches_reference([m, 4.0 * m, m / 4.0, m + 0.6])
 
 
+@pytest.mark.filterwarnings("error")
 def test_exp_series_null_wedge_stops_early(g, rep):
     # L^3 = 0 and sigma(L)^2 = 0 for a null wedge, to rounding: the series stops at
     # k = 3 and k = 2, on terms far below the early-skip bound
+    stacks = ([], [])
     for seed in range(10):
         W = random_wedge(g, seed, kind="null")
-        for m, k in ((W.matrix, 3), (spin_rep(rep, W), 2)):
+        for m, k, stack in ((W.matrix, 3, stacks[0]), (spin_rep(rep, W), 2, stacks[1])):
             assert series_partial_sums(m)[0] == k
             assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
+            stack.append(m)
+    # in one stack with inputs of 0 squarings and of 4 or more: slices stop and
+    # square apart
+    L = random_bivector(g, 0)
+    for stack, x in zip(stacks, (L.matrix, spin_rep(rep, L))):
+        small, large = x * 1e-3, x * 8.0
+        assert squarings(small) == 0 and squarings(large) >= 4
+        assert_stack_matches_reference([small, *stack[:5], large, *stack[5:]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_exp_series_stack_rejects_a_non_finite_slice(bad):
+    stack = np.stack([np.eye(4) * 0.25, np.eye(4) * 8.0, np.zeros((4, 4))])
+    stack[1, 1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        exp_series(stack)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -241,23 +286,47 @@ def test_exp_series_rejects_non_finite(bad):
         exp_series(m)
 
 
+@pytest.mark.filterwarnings("error")
 def test_intertwining_bits_match_reference(g, g_alt, rep):
     for metric in (g, g_alt):
         image_rep = representation(rep.kind, metric)
+        cases = []
         for seed in range(15):
             lam = random_nonsimple_transformation(metric, seed)
             lam2 = random_nonsimple_transformation(metric, seed + 100)
             L = random_bivector(metric, seed)
-            cases = [
+            cases += [
                 (lift(lam, image_rep), lam),
                 (lift(lam, image_rep) @ lift(lam2, image_rep), lam @ lam2),
                 (exp_series(spin_rep(image_rep, L)),
                  LorentzTransformation(exp_series(L.matrix), metric)),
             ]
-            for sigma, target in cases:
-                new = intertwining_defect(sigma, target, image_rep)
-                old = intertwining_reference(sigma, target, image_rep)
-                assert np.float64(new).tobytes() == np.float64(old).tobytes()
+        old = [intertwining_reference(sigma, lam, image_rep) for sigma, lam in cases]
+        for (sigma, lam), expected in zip(cases, old):
+            new = intertwining_defect(sigma, lam, image_rep)
+            assert np.float64(new).tobytes() == np.float64(expected).tobytes()
+        # one call on the stack of all 45 cases
+        sigmas, lams = np.stack([sigma for sigma, _ in cases]), [lam for _, lam in cases]
+        stacked = intertwining_defect(sigmas, lams, image_rep)
+        assert stacked.shape == (len(cases),)
+        assert stacked.tobytes() == np.array(old).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fault", ["singular", "ill-conditioned", "non-finite"])
+def test_intertwining_stack_refuses_a_bad_slice(g, rep, fault):
+    # one bad slice among good ones: the stack raises the refusal of its single call
+    lams = [random_nonsimple_transformation(g, seed) for seed in range(5)]
+    sigmas = np.stack([lift(lam, rep) for lam in lams])
+    bad = np.array(rep.identity)
+    bad[0, 0] = {"singular": 0.0, "ill-conditioned": 1e-13, "non-finite": math.nan}[fault]
+    sigmas[3] = bad
+    with pytest.raises(SingularSigmaError) as single:
+        intertwining_defect(bad, lams[3], rep)
+    assert fault in str(single.value)
+    with pytest.raises(SingularSigmaError) as stacked:
+        intertwining_defect(sigmas, lams, rep)
+    assert str(stacked.value) == str(single.value)
 
 
 def intertwining_outcome(defect, sigma, lam, rep):
