@@ -117,8 +117,8 @@ def intertwining_defect(sigma, lam, rep: Representation):
     # ch. 14): at most 1.1e-4 at _COND_LIMIT.  Where that bound is at most half the
     # limit, the factor 2 covers this error and the SVD's own rounding, so the SVD
     # would pass Sigma too.  Elsewhere, NaN and inf included, the SVD decides.
-    squares = zip(_frobenius_squares(stack), _frobenius_squares(inv))
-    for x, (s2, i2) in zip(stack, squares):
+    squares = [np.einsum("nij,nij->n", x.conj(), x).real.tolist() for x in (stack, inv)]
+    for x, s2, i2 in zip(stack, *squares):  # ||Sigma||_F^2 and ||Sigma^{-1}||_F^2
         if not math.sqrt(s2 * i2) <= 0.5 * _COND_LIMIT:
             cond = float(np.linalg.cond(x))
             if not np.isfinite(cond) or cond > _COND_LIMIT:
@@ -130,8 +130,3 @@ def intertwining_defect(sigma, lam, rep: Representation):
     rhs = (lam_t @ rep._vector_rows).reshape(lhs.shape)
     defects = slice_maxabs((lhs - rhs).reshape(len(stack), -1, lhs.shape[-1]))
     return float(defects[0]) if sigma.ndim == 2 else defects
-
-
-def _frobenius_squares(stack) -> list:
-    """||X||_F^2 of each matrix X of a stack, as a list of floats."""
-    return np.einsum("nij,nij->n", stack.conj(), stack).real.tolist()
