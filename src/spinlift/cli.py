@@ -423,12 +423,18 @@ def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
             yield max(d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
-def _series_defects(images, outputs):
+def _series_defects(rep, images, outputs):
     """Each case's worst maxabs(output - exp_series(image)) / scale(series, 1), over
-    one representation's cases: one stacked referee call and one reduction."""
-    if not images:  # no stack to judge at trials = 0
-        return []
-    series = exp_series(np.stack(images))
+    one representation's cases: one stacked referee call and one reduction.
+
+    The regular representation's images still take one referee call each:
+    bench/spans.py names an exp_series span by the first axis of its argument, so
+    a stacked 16 x 16 call would lose its ``regular`` name and stop the traced
+    benchmark run (ROADMAP item 13)."""
+    if rep.kind == "regular":
+        series = np.stack([exp_series(s) for s in images])
+    else:
+        series = exp_series(np.stack(images))
     worst = slice_maxabs(np.stack(outputs) - series[:, None]).max(axis=1)
     return (worst / np.maximum(1.0, slice_maxabs(series))).tolist()
 
@@ -445,19 +451,17 @@ def _check_exp_agreement(g, reps, seed, trials, scales=(1.0,)):
         outputs = [(_exp_factored(rep, *parts), exp_spin_polynomial(L, rep),
                     exp_spin(L, rep))  # the dispatcher itself
                    for L, parts in draws]
-        yield from _series_defects([spin_rep(rep, L) for L, _ in draws], outputs)
+        yield from _series_defects(rep, [spin_rep(rep, L) for L, _ in draws], outputs)
         images = [spin_rep(rep, W) for W in wedges]
         outputs = [(exp_spin_simple(s, tr2(W)), exp_spin(W, rep))
                    for s, W in zip(images, wedges)]
-        yield from _series_defects(images, outputs)
+        yield from _series_defects(rep, images, outputs)
 
 
 def _check_log_roundtrip(g, reps, seed, trials, scales=(1.0,)):
     kinds = ("rotation", "boost", "null")
     wedges = [random_wedge(g, seed + i, kind=kinds[i % 3], scale=c).matrix
               for i, c in _trials(trials, scales)]
-    if not wedges:  # no stack to judge at trials = 0
-        return
     lams = [LorentzTransformation(m, g) for m in exp_series(np.stack(wedges))]
     logs = [log_simple(lam).matrix for lam in lams]
     defects = slice_maxabs(exp_series(np.stack(logs)) - [lam.matrix for lam in lams])
@@ -500,8 +504,6 @@ def _check_homomorphism(g, reps, seed, trials, scales=(1.0,)):
         lam1 = random_nonsimple_transformation(g, seed + 2 * i, c)
         lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1, c)
         pairs.append((lam1, lam2, lam1 @ lam2))  # validated once for both representations
-    if not pairs:  # no stack to judge at trials = 0
-        return
     for rep in reps:
         sigmas = np.stack([lift(lam1, rep) @ lift(lam2, rep) for lam1, lam2, _ in pairs])
         yield from intertwining_defect(sigmas, [lam for *_, lam in pairs], rep).tolist()
@@ -534,6 +536,8 @@ _SELFTEST_CHECKS = (
 
 def run_selftest(metric_tag: str, seed: int, trials: int = _SELFTEST_TRIALS) -> dict:
     """Run the full property battery over both representations."""
+    if trials < 1:  # the stacked rows judge at least one draw
+        raise ValueError(f"selftest needs at least one trial, got {trials}")
     g = make_metric(metric_tag)
     reps = (representation("gamma", g), representation("regular", g))
     checks = []

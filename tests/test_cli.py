@@ -418,6 +418,11 @@ def test_selftest_report_structure():
         assert check["cases"] == 3
 
 
+def test_selftest_needs_a_trial():
+    with pytest.raises(ValueError, match="at least one trial"):
+        run_selftest("pmmm", seed=123, trials=0)
+
+
 @pytest.mark.parametrize(
     "defects",
     [(math.nan,), (1e-12, math.nan), (math.nan, 1e-12)],

@@ -288,16 +288,15 @@ def test_selftest_runs_no_svd_and_validates_22_transformations(metric_tag, seed,
 
 @pytest.mark.parametrize("seed", [0, 11])
 @pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
-def test_selftest_calls_each_referee_once_per_row_and_representation(metric_tag, seed,
-                                                                     monkeypatch):
-    # exp-agreement judges its draws and its wedges with one exp_series stack per
-    # representation (4 calls), log-roundtrip makes its Lam and judges its logs with
-    # one stack each (2), and lift-intertwining makes its two wedges' Lam with one (1);
-    # lift-intertwining and homomorphism-pairs take one intertwining_defect stack per
-    # representation (4)
+def test_selftest_referee_calls_per_battery(metric_tag, seed, monkeypatch):
+    # exp-agreement judges its gamma draws and wedges with one exp_series stack each
+    # (2 calls) and its 10 regular draws and 3 wedges one by one (13), log-roundtrip
+    # makes its Lam and judges its logs with one stack each (2), and lift-intertwining
+    # makes its two wedges' Lam with one (1); lift-intertwining and homomorphism-pairs
+    # take one intertwining_defect stack per representation (4)
     referees = [count_calls(monkeypatch, fn) for fn in (exp_series, intertwining_defect)]
     assert cli.run_selftest(metric_tag, seed)["all_passed"]
-    assert [len(calls) for calls in referees] == [7, 4]
+    assert [len(calls) for calls in referees] == [18, 4]
 
 
 def test_decompose_computes_det_once(g, rep, monkeypatch):
