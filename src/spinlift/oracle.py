@@ -59,18 +59,21 @@ def exp_series(m) -> np.ndarray:
         term = term @ a / k
         total = total + term
         top = slice_maxabs(term)
-        done = top <= stop
-        if done.any():
-            done &= top <= SERIES_TERM_TOL * slice_maxabs(total)
+        if np.minimum.reduce(top) <= stop:
+            done = (top <= stop) & (top <= SERIES_TERM_TOL * slice_maxabs(total))
             out[live[done]] = total[done]
             keep = ~done
             term, total, a, live = term[keep], total[keep], a[keep], live[keep]
     else:
         raise RuntimeError("matrix exponential series failed to converge")
+    # Square each slice back up.  Ranked by squarings, the slices that still rise
+    # at step j are a prefix of the stack.
+    order = sorted(range(len(squarings)), key=squarings.__getitem__, reverse=True)
+    ranked = out[order]
     for j in range(max(squarings, default=0)):
-        rising = [i for i, s in enumerate(squarings) if s > j]
-        block = out[rising]
-        out[rising] = block @ block
+        rising = ranked[: sum(s > j for s in squarings)]
+        rising[...] = rising @ rising
+    out[order] = ranked
     return out.reshape(m.shape)
 
 
