@@ -220,10 +220,8 @@ def _decomposition_defects(
     """Defects of L = L+ + L-, L+ L- = L- L+ = 0, det L+- = 0, tr2 L+- = -mu+-."""
     return {
         "reconstruction_defect": maxabs(l_plus.matrix + l_minus.matrix - L.matrix),
-        "annihilation_defect": max(
-            maxabs(l_plus.matrix @ l_minus.matrix),
-            maxabs(l_minus.matrix @ l_plus.matrix),
-        ),
+        "annihilation_defect": maxabs(
+            (l_plus.matrix @ l_minus.matrix, l_minus.matrix @ l_plus.matrix)),
         "det_plus": abs(det_bivector(l_plus)),
         "det_minus": abs(det_bivector(l_minus)),
         "tr2_defect_plus": abs(tr2(l_plus) + mu.mu_plus),
@@ -283,14 +281,14 @@ def _cmd_decompose(matrix, g: Metric, rep: Representation, tol: float):
 
 def _cmd_exp_spin(matrix, g: Metric, rep: Representation, tol: float):
     L = Bivector(matrix, g)
-    a, branch = _exp_block(L, rep, tol)
+    a, branch = _exp_block(L, tol)
     result = {"exp_spin": _matrix_payload(_even_image(rep, a))}
     return branch, result, _bivector_invariants(L, mu_roots(L)), _block_defects(a)
 
 
 def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
     lam = LorentzTransformation(matrix, g)
-    L, k = _log(lam, rep)
+    L, k = _log(lam)
     result = {"log": _matrix_payload(L.matrix)}
     invariants = {
         **_transform_traces(lam),
@@ -299,7 +297,7 @@ def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
         "tr2_log": tr2(L),
     }
     diagnostics = {  # of exp(L)'s block
-        **_block_defects(_exp_block(L, rep)[0], lam),
+        **_block_defects(_exp_block(L)[0], lam),
         "simplicity_defect": simplicity_defect(*lam._traces),
     }
     kind = _simple_kind(det_bivector(L), tr2(L), L._maxabs, tol)
@@ -327,7 +325,7 @@ def _cmd_factor(matrix, g: Metric, rep: Representation, tol: float):
 
 def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
     lam = LorentzTransformation(matrix, g)
-    a, branch, _ = _lift_block(lam, rep, tol)  # lift's two steps
+    a, branch, _ = _lift_block(lam, tol)  # lift's two steps
     if branch == "simple" and maxabs(lam.matrix - np.eye(4)) <= IDENTITY_TOL:
         branch = "simple/identity"
     result = {"sigma": _matrix_payload(_even_image(rep, a))}
@@ -360,8 +358,8 @@ _COMMAND_BODIES = {
 
 
 # ---------------------------------------------------------------------------
-# selftest battery: each check draws each input once and yields one relative
-# defect per case and representation, in an order their maximum ignores.  Trial i
+# selftest battery: each check draws each input once and yields every relative
+# defect of each case and representation, in an order their maximum ignores.  Trial i
 # draws at scales[i % len(scales)], the samplers' scale; selftest keeps 1.0.
 
 
@@ -375,7 +373,7 @@ def _check_decomposition(g, reps, seed, trials, scales=(1.0,)):
         l_plus, l_minus = orthogonal_decompose(L)
         defects = _decomposition_defects(L, l_plus, l_minus, mu_roots(L))
         degrees = (1, 2, 4, 4, 2, 2)  # of each defect in L, in the order of the keys
-        yield max(d / _floored(L._maxabs, k) for d, k in zip(defects.values(), degrees))
+        yield from (d / _floored(L._maxabs, k) for d, k in zip(defects.values(), degrees))
 
 
 def _check_spin_square(g, reps, seed, trials, scales=(1.0,)):
@@ -393,10 +391,8 @@ def _check_spin_decompose(g, reps, seed, trials, scales=(1.0,)):
         mu, norm2 = mu_roots(L), _floored(L._maxabs, 2)
         for rep in reps:
             s_plus, s_minus = spin_decompose(spin_rep(rep, L), mu)
-            yield max(
-                maxabs(s_plus - spin_rep(rep, l_plus)) / norm2,
-                maxabs(s_minus - spin_rep(rep, l_minus)) / norm2,
-            )
+            yield maxabs(s_plus - spin_rep(rep, l_plus)) / norm2
+            yield maxabs(s_minus - spin_rep(rep, l_minus)) / norm2
 
 
 def _check_cross_product(g, reps, seed, trials, scales=(1.0,)):
@@ -408,9 +404,8 @@ def _check_cross_product(g, reps, seed, trials, scales=(1.0,)):
             sp = spin_rep(rep, l_plus)
             sm = spin_rep(rep, l_minus)
             predicted = spin_cross_product(spin_rep(rep, L), t2, rep)
-            yield max(
-                maxabs(predicted - sp @ sm) / norm2, maxabs(sp @ sm - sm @ sp) / norm2
-            )
+            yield maxabs(predicted - sp @ sm) / norm2
+            yield maxabs(sp @ sm - sm @ sp) / norm2
 
 
 def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
@@ -420,7 +415,7 @@ def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
         norm2 = _floored(L._maxabs, 2)  # squared for det L: scale(L, 4) rounds apart
         for rep in reps:
             _, defects = _recovery_defects(L, rep, parts)
-            yield max(d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
+            yield from (d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
 def _series_defects(rep, images, outputs):
@@ -474,7 +469,7 @@ def _check_factor(g, reps, seed, trials, scales=(1.0,)):
         pair = factor_transform(lam)
         defects = _factor_defects(lam, pair)
         norm = _floored(lam._maxabs, 1)
-        yield max(
+        yield from (
             defects["reconstruction_defect"] / norm,
             defects["commutation_defect"] / norm,
             # each factor's trace criterion, relative to max(1, tr2, tr) of that factor

@@ -23,11 +23,9 @@ which on a wedge u ^ v reduces to rho(uv - vu)/4.  The commutation identity
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from ._linalg import _floored, maxabs
+from ._linalg import maxabs
 from .bivector import Bivector
 from .errors import InvalidBivectorError
 from .metric import Metric
@@ -101,19 +99,6 @@ class Representation:
         self._vector_rows = self.vectors.reshape(len(VECTOR_MASKS), -1)
         self._pair_rows = self.pair_generators.reshape(len(PAIR_INDICES), -1)
 
-    @cached_property  # built on first use
-    def _weyl_tables(self):
-        # The even gamma blades over this metric are block-diagonal in the Weyl basis,
-        # U rho U^T with U = _WEYL_U / sqrt(2); their upper-left blocks have squared
-        # norm 2, the odd ones' none.  Returns F's six pair coefficients -> X, the block
-        # of sigma(L), a (6, 4) complex table; (Re A, Im A) -> even blade coefficients,
-        # the transpose over 2; and (Re X, Im X) -> F's pairs, exact: Gram matrix I / 2.
-        blades = representation("gamma", self.metric).blades
-        a = (_WEYL_U @ blades @ _WEYL_U.T)[:, :2, :2].reshape(BLADE_COUNT, 4)
-        pairs = [(1 << i) | (1 << j) for i, j in PAIR_INDICES]
-        even = 0.25 * np.hstack([a.real, a.imag])
-        return 0.25 * a[pairs], even, 2.0 * even[pairs]
-
     def vector(self, u) -> np.ndarray:
         """Matrix image u^a rho(e_a) of a 4-vector."""
         u = np.asarray(u, dtype=float).reshape(1, -1)
@@ -144,6 +129,7 @@ def _gamma_blades(g: Metric) -> np.ndarray:
 
 _BLADE_BUILDERS = {"gamma": _gamma_blades, "regular": _regular_blades}
 _REP_CACHE: dict = {}
+_WEYL_CACHE: dict = {}  # by signature, as _REP_CACHE: make_metric returns a new Metric
 
 
 def representation(kind: str, g: Metric) -> Representation:
@@ -158,23 +144,37 @@ def representation(kind: str, g: Metric) -> Representation:
 
 def spin_rep(rep: Representation, L: Bivector) -> np.ndarray:
     """Spin-representation image sigma(L) of a bivector (simple or not)."""
-    return np.dot(_pair_coefficients(rep, L)[0], rep._pair_rows).reshape(rep.dim, -1)
+    return np.dot(_pair_coefficients(rep.metric, L), rep._pair_rows).reshape(rep.dim, -1)
 
 
-def _pair_coefficients(rep: Representation, L: Bivector):
-    # (F^ab for a < b as a (1, 6) row, scale(F, 1)) of F = L g^{-1} = L g.  With
-    # g = diag(+/-1), F + F^T is g (L^T g + g L) g up to the sign of each entry, so
-    # the Bivector validator bounds its skewness, and maxabs F = maxabs L, bit for bit.
+def _pair_coefficients(g: Metric, L: Bivector) -> np.ndarray:
+    # F^ab for a < b as a (1, 6) row, of F = L g^{-1} = L g.  With g = diag(+/-1),
+    # F + F^T is g (L^T g + g L) g up to the sign of each entry, so the Bivector
+    # validator bounds its skewness, and maxabs F = maxabs L, bit for bit.
     if not isinstance(L, Bivector):
         raise InvalidBivectorError("spin_rep takes a validated Bivector")
-    f = L.matrix @ rep.metric.matrix
-    return f[_PAIR_INDEX].reshape(1, -1), _floored(L._maxabs, 1)
+    return (L.matrix @ g.matrix)[_PAIR_INDEX].reshape(1, -1)
+
+
+def _weyl_tables(g: Metric):
+    # The even gamma blades over g are block-diagonal in the Weyl basis, U rho U^T
+    # with U = _WEYL_U / sqrt(2); their upper-left blocks have squared norm 2, the odd
+    # ones' none.  Returns F's six pair coefficients -> X, the block of sigma(L), a
+    # (6, 4) complex table; (Re A, Im A) -> even blade coefficients, the transpose
+    # over 2; and (Re X, Im X) -> F's pairs, exact: Gram matrix I / 2.  Built on first
+    # use, once per signature: both representations of a metric read these arrays.
+    if (tables := _WEYL_CACHE.get(g.signature)) is None:
+        a = (_WEYL_U @ _gamma_blades(g) @ _WEYL_U.T)[:, :2, :2].reshape(BLADE_COUNT, 4)
+        even = 0.25 * np.hstack([a.real, a.imag])
+        pairs = [(1 << i) | (1 << j) for i, j in PAIR_INDICES]
+        tables = _WEYL_CACHE[g.signature] = 0.25 * a[pairs], even, 2.0 * even[pairs]
+    return tables
 
 
 def _even_image(rep: Representation, a) -> np.ndarray:
     # The image in rep of the even element whose Weyl block is A = a, row-major
     a = np.ravel(a)
-    coeffs = np.dot(rep._weyl_tables[1], np.concatenate((a.real, a.imag)))
+    coeffs = np.dot(_weyl_tables(rep.metric)[1], np.concatenate((a.real, a.imag)))
     return np.dot(coeffs.reshape(1, -1), rep._blade_rows).reshape(rep.dim, -1)
 
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL
+from ._linalg import SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _floored
 from .bivector import Bivector, MuPair, _decompose, _simple_kind, is_simple, mu_roots
-from .clifford import Representation, _even_image, _pair_coefficients, spin_rep
+from .clifford import Representation, _even_image, _pair_coefficients, _weyl_tables, spin_rep
 from .errors import NonFiniteOutputError, SimpleInputError
 
 
@@ -160,20 +160,20 @@ def exp_spin(
     eigenvalue gap 4 |s^2| at or below its gate.  With ``return_branch=True``
     returns ``(matrix, branch)``.
     """
-    a, branch = _exp_block(L, rep, tol)
+    a, branch = _exp_block(L, tol)
     out = _even_image(rep, a)
     return (out, branch) if return_branch else out
 
 
-def _exp_block(L: Bivector, rep: Representation, tol: float = SIMPLE_DET_TOL):
+def _exp_block(L: Bivector, tol: float = SIMPLE_DET_TOL):
     # (exp X row-major, exp_spin's branch), X the Weyl block of sigma(L)
-    coeffs, norm = _pair_coefficients(rep, L)
-    x00, x01, x10, x11 = np.dot(coeffs, rep._weyl_tables[0])[0].tolist()  # X
+    coeffs = _pair_coefficients(L.metric, L)
+    x00, x01, x10, x11 = np.dot(coeffs, _weyl_tables(L.metric)[0])[0].tolist()  # X
     s2 = x01 * x10 - x00 * x11
     kind = _simple_kind(-4.0 * s2.imag**2, -4.0 * s2.real, L._maxabs, tol)
     if kind:
         branch = "simple/" + kind
-    elif 4.0 * abs(s2) > SERIES_GAP_TOL * norm**2:
+    elif 4.0 * abs(s2) > SERIES_GAP_TOL * _floored(L._maxabs, 2):
         branch = "nonsimple/polynomial"
     else:
         branch = "near-degenerate/series"

@@ -26,9 +26,7 @@ from ._linalg import (
     simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
-from .clifford import (
-    _PAIR_INDEX, _PAULI, Representation, _even_image, representation, spin_rep,
-)
+from .clifford import _PAIR_INDEX, _PAULI, Representation, _even_image, _weyl_tables, spin_rep
 from .errors import (
     DegenerateDenominatorError,
     InvalidTransformationError,
@@ -168,12 +166,12 @@ def log(lam: LorentzTransformation) -> Bivector:
     k = 2 (s / sinh s) / sqrt(tr Lam).  A rotation by pi has two logarithms; the
     sign rule picks one.
     """
-    return _log(lam, representation("gamma", lam.metric))[0]
+    return _log(lam)[0]
 
 
-def _log(lam: LorentzTransformation, rep: Representation):
+def _log(lam: LorentzTransformation):
     # (L, k), k = 2 h / sqrt(tr Lam) where A is lift_simple's block, else None
-    a, _, block = _lift_block(lam, rep, SIMPLE_CRITERION_TOL)
+    a, _, block = _lift_block(lam, SIMPLE_CRITERION_TOL)
     c = 0.5 * math.sqrt(lam._traces[0]) if block else 0.5 * complex(a[0] + a[3])
     s = cmath.acosh(c)
     h = 1.0 / _sinh_ratio_complex(s, s * s)
@@ -182,7 +180,7 @@ def _log(lam: LorentzTransformation, rep: Representation):
         return Bivector._of(0.5 * k * (lam.matrix - lam.inverse()), lam.metric), k
     x = h * (a - np.array((c, 0.0, 0.0, c)))
     f = np.zeros((4, 4))
-    f[_PAIR_INDEX] = np.dot(rep._weyl_tables[2], np.concatenate((x.real, x.imag)))
+    f[_PAIR_INDEX] = np.dot(_weyl_tables(lam.metric)[2], np.concatenate((x.real, x.imag)))
     return Bivector._of((f - f.T) @ lam.metric.matrix, lam.metric), None
 
 
@@ -241,7 +239,7 @@ def lift_simple(lam: LorentzTransformation, rep: Representation) -> np.ndarray:
     misses det A = 1 by more than BLOCK_DET_TOL.
     """
     # Its error grows with the simplicity defect: guarded at the default tol.
-    a, branch, block = _lift_block(lam, rep, SIMPLE_CRITERION_TOL)
+    a, branch, block = _lift_block(lam, SIMPLE_CRITERION_TOL)
     if not block:
         error = TracelessSimpleError if branch == "special/traceless" else NotSimpleError
         raise error(f"lift_simple needs its block, with det A = 1; {branch} Lam: use lift")
@@ -339,12 +337,12 @@ def lift(
     ``tol`` than the default, or when the block misses det A = 1 by more than
     ``BLOCK_DET_TOL``.  With ``return_branch=True`` returns ``(Sigma, branch)``.
     """
-    a, branch, _ = _lift_block(lam, rep, tol)
+    a, branch, _ = _lift_block(lam, tol)
     out = _even_image(rep, a)
     return (out, branch) if return_branch else out
 
 
-def _lift_block(lam: LorentzTransformation, rep: Representation, tol: float):
+def _lift_block(lam: LorentzTransformation, tol: float):
     # (A row-major, lift's branch, whether A is lift_simple's block)
     t, t2 = lam._traces
     norm2 = _floored(lam._maxabs, 2)
@@ -363,7 +361,7 @@ def _lift_block(lam: LorentzTransformation, rep: Representation, tol: float):
     if branch == "simple" and _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
         m = lam.matrix @ lam.metric.matrix
         r = math.sqrt(t)
-        a = np.dot((m - m.T)[_PAIR_INDEX], rep._weyl_tables[0]) / r
+        a = np.dot((m - m.T)[_PAIR_INDEX], _weyl_tables(lam.metric)[0]) / r
         a[0::3] += 0.5 * r
         x00, x01, x10, x11 = a.tolist()
         if abs(x00 * x11 - x01 * x10 - 1.0) <= BLOCK_DET_TOL:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -460,6 +461,57 @@ def test_selftest_row_that_raises_fails_alone(monkeypatch, capsys):
                       "passed": False, "error": "InvalidTransformation"}
     assert len(report["checks"]) == 10
     assert all(c["passed"] and "error" not in c for c in report["checks"])
+
+
+def nan_in_second_part(f):
+    # (first, second) -> (first, NaN * second)
+    def patched(*args):
+        first, second = f(*args)
+        return first, math.nan * second
+    return patched
+
+
+def nan_in_recovered_det(f):
+    def patched(*args):
+        recovered, defects = f(*args)
+        return recovered, {**defects, "det_recovery_defect": math.nan}
+    return patched
+
+
+def nan_in_commutation(maxabs):
+    # _check_cross_product takes two maxabs per case and representation, the
+    # commutation defect second: that one reads NaN, and no other row's
+    calls = itertools.count()
+
+    def patched(m):
+        if sys._getframe(1).f_code.co_name == "_check_cross_product" and next(calls) % 2:
+            return math.nan
+        return maxabs(m)
+    return patched
+
+
+# row -> the cli name patched and its wrapper: each puts a NaN in a defect of the
+# row's cases that is not the first
+NAN_INJECTIONS = {
+    "bivector-decomposition": (
+        "_decomposition_defects", lambda f: lambda *a: {**f(*a), "det_minus": math.nan}),
+    "spin-decompose": ("spin_decompose", nan_in_second_part),
+    "spin-cross-product": ("maxabs", nan_in_commutation),
+    "invariant-recovery": ("_recovery_defects", nan_in_recovered_det),
+    "factor-properties": (
+        "_factor_defects", lambda f: lambda *a: {**f(*a), "commutation_defect": math.nan}),
+}
+
+
+@pytest.mark.parametrize("row", sorted(NAN_INJECTIONS))
+def test_selftest_row_with_a_later_nan_defect_fails_alone(row, monkeypatch):
+    # a max() over each case's defects keeps the first and drops a NaN after it:
+    # run_selftest is the only reducer, and it sees every defect
+    name, wrap = NAN_INJECTIONS[row]
+    monkeypatch.setattr(cli, name, wrap(getattr(cli, name)))
+    report = run_selftest("pmmm", seed=0, trials=2)
+    failed = [check for check in report["checks"] if not check["passed"]]
+    assert [(c["name"], c["max_defect"]) for c in failed] == [(row, None)]
 
 
 def load_pyproject():

@@ -15,7 +15,7 @@ from spinlift import (
     wedge,
 )
 from spinlift._linalg import SKEW_TOL, maxabs
-from spinlift.clifford import _PAIR_INDEX
+from spinlift.clifford import _PAIR_INDEX, Representation, _weyl_tables
 from spinlift.sampling import random_nonsimple_bivector, random_wedge
 
 E = np.eye(4)
@@ -195,6 +195,17 @@ def test_validator_bounds_pair_skewness(sig, exponent, pairs, noise, d):
 
 
 @pytest.mark.parametrize("tag", ["pmmm", "mppp"])
+def test_weyl_tables_are_built_once_per_signature(tag):
+    # a fresh Metric for each request reads the same arrays, as both representations do
+    tables = _weyl_tables(make_metric(tag))
+    assert all(a is b for a, b in zip(_weyl_tables(make_metric(tag)), tables))
+    assert not hasattr(Representation, "_weyl_tables")
+    other = _weyl_tables(make_metric("mppp" if tag == "pmmm" else "pmmm"))
+    # the pair tables differ in sign only, as F = L g does between the metrics
+    assert np.array_equal(other[0], -tables[0])
+
+
+@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
 def test_decompose_identities_on_the_weyl_block(tag):
     # orthogonal_decompose scales X, the Weyl block of sigma(L), by a complex k through
     # J p = (-p23, p13, -p12, p03, -p02, p01) on F = L g's pairs p, whose block is
@@ -202,7 +213,7 @@ def test_decompose_identities_on_the_weyl_block(tag):
     # p times one sign.  It reads s^2 = -det X as -tr2 L / 4 + i Pf / 2, equal to the
     # block's to rounding.
     g = make_metric(tag)
-    table = representation("gamma", g)._weyl_tables[0]  # pairs -> X, row-major
+    table = _weyl_tables(g)[0]  # pairs -> X, row-major
     J = np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[:, ::-1]
     assert np.array_equal(J.T @ table, 1j * table)
     for seed in range(40):

@@ -739,6 +739,18 @@ def test_lift_nonsimple_special(rep):
     assert intertwining_defect(sigma @ sigma, lam @ lam, rep) < 1e-7
 
 
+def test_lift_over_the_other_metric(g_alt, rep):
+    # Lam preserves -g too, so a Lam over g_alt lifts into rep, over g: each branch
+    # reads the Weyl block with Lam's own metric, lift_simple's as the spinor map
+    wedges = [random_wedge(g_alt, 5, kind=kind) for kind in ("rotation", "boost", "null")]
+    lams = [LorentzTransformation(exp_series(W.matrix), g_alt) for W in wedges]
+    lams += [sampler(g_alt, 5) for sampler in (
+        random_nonsimple_transformation, traceless_simple_transformation,
+        degenerate_denominator_transformation)]
+    for lam in lams:
+        assert intertwining_defect(lift(lam, rep), lam, rep) <= 1e-12
+
+
 def test_lift_agrees_with_paper_nonsimple(rep):
     # The paper's non-simple formula referees the spinor map that lift uses, sign
     # included, wherever its denominator clears the gate: there lift's label is

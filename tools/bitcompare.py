@@ -36,6 +36,9 @@ the same inputs:
   at ``tol`` = 1e-300, all in both metrics.  Also prints how many entries moved
   between an answer and a refusal, by error class, and how many refusals changed
   only their message;
+* ``core``: the bytes of ``log(Lam)``, and of ``factor_transform(Lam)`` (Lam+,
+  Lam-, c+, c- and delta), or each one's refusal, for every ``lift-mix`` matrix
+  Lam of seeds 1-20 over both metrics;
 * ``selftest``: each check of the ``run_selftest`` report, keyed by metric,
   seed and check name, for both metrics, seeds 0-29;
 * ``cli``: the exit code of ``spinlift <command>`` and, as separate entries,
@@ -88,7 +91,7 @@ DECOMPOSE_SEEDS = range(50)  # of the framed near-gate draws and the null wedges
 DECOMPOSE_RAPIDITIES = (1.0, 1e4, 1e6)
 DECOMPOSE_ANGLES = (1.5, 3.0, 10.0)  # times sqrt(1e-9) rapidity, past the default gate
 NULL_SCALES = (0.5, 1.0, 2.0)
-GROUPS = ("lift", "exp", "oracle", "validate", "decompose", "selftest", "cli")
+GROUPS = ("lift", "exp", "oracle", "validate", "decompose", "core", "selftest", "cli")
 SELFTEST_SEEDS = range(30)
 SHOWN = 5
 
@@ -124,6 +127,9 @@ def make_job(root: Path) -> dict:
                 job[group][key] = item["matrix"]
                 if group == "lift":
                     job["validate"][("lift-mix", *key)] = (item["metric"], item["matrix"])
+                    if item["rep"] == "gamma":  # each matrix once, over either metric
+                        for sig in inputs.SIGNATURES:
+                            job["core"][(*key[:4], sig)] = (sig, item["matrix"])
                 elif item["rep"] == "gamma" and not item["category"].startswith("simple-"):
                     job["decompose"][("exp-mix", *key[:4])] = (item["metric"], item["matrix"],
                                                                None)
@@ -214,7 +220,7 @@ def collect(job: dict) -> dict:
     import numpy as np
 
     from spinlift import Bivector, LorentzTransformation, exp_spin, lift, make_metric
-    from spinlift import orthogonal_decompose
+    from spinlift import factor_transform, log, orthogonal_decompose
     from spinlift import cli, exp_series, intertwining_defect, representation, spin_rep
     from spinlift import sampling
     from spinlift.errors import SpinLiftError
@@ -279,6 +285,17 @@ def collect(job: dict) -> dict:
 
     for key, (sig, m, tol) in job["decompose"].items():
         out[("decompose", *key)] = guarded(partial(parts, sig, m, tol))
+
+    def factors(lam):
+        pair = factor_transform(lam)
+        scalars = np.array([pair.c_plus, pair.c_minus, pair.delta])
+        return np.concatenate([pair.lambda_plus.matrix.ravel(),
+                               pair.lambda_minus.matrix.ravel(), scalars]), "factor"
+
+    for key, (sig, m) in job["core"].items():
+        lam = partial(LorentzTransformation, m, make_metric(sig))
+        out[("core", *key, "log")] = guarded(lambda: (log(lam()).matrix, "log"))
+        out[("core", *key, "factor")] = guarded(lambda: factors(lam()))
     for sig, seed in job["selftest"]:
         for check in cli.run_selftest(sig, seed)["checks"]:
             out[("selftest", sig, seed, check["name"])] = check
