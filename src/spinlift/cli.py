@@ -340,7 +340,7 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
 def _cmd_invariants(matrix, g: Metric, rep: Representation, tol: float):
     L = Bivector(matrix, g)
     simple = is_simple(L, tol)
-    parts = None if simple else orthogonal_decompose(L)
+    parts = None if simple else orthogonal_decompose(L, tol)
     recovered, diagnostics = _recovery_defects(L, rep, parts)
     result = {"recovered_tr2": recovered[0], "recovered_det": recovered[1]}
     invariants = _bivector_invariants(L, mu_roots(L))

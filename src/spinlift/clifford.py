@@ -3,8 +3,9 @@
 Basis blades are indexed by subsets S of {0,1,2,3} encoded as 4-bit masks, and
 each representation is its table of 16 blade images.  Generators satisfy
 e_a e_b + e_b e_a = 2 g(e_a, e_b); products of basis blades reduce to a sign
-(from counting transpositions) times a metric factor (from contracting
-repeated generators) times the symmetric-difference blade.
+times the symmetric-difference blade, e_S e_T = sign(S, T) e_{S xor T}.  The
+Dirac matrices are the one implementation of that product: the regular
+representation reads each sign(S, T) off the product of two gamma blades.
 
 Two faithful matrix representations are provided:
 
@@ -23,6 +24,8 @@ which on a wedge u ^ v reduces to rho(uv - vu)/4.  The commutation identity
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from ._linalg import maxabs
@@ -38,26 +41,6 @@ VECTOR_MASKS = (1, 2, 4, 8)
 #: Index pairs (a, b) with a < b, in the order used for bivector coefficients.
 PAIR_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_INDEX = tuple(np.array(axis) for axis in zip(*PAIR_INDICES))
-
-
-def _reorder_sign(a: int, b: int) -> float:
-    # Count transpositions needed to interleave the generators of blade b
-    # into those of blade a (each pair i in a, j in b with i > j swaps once).
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += (a & b).bit_count()
-        a >>= 1
-    return -1.0 if swaps & 1 else 1.0
-
-
-def _blade_product(a: int, b: int, diag: np.ndarray):
-    sign = _reorder_sign(a, b)
-    common = a & b
-    for i in range(4):
-        if common & (1 << i):
-            sign *= diag[i]
-    return a ^ b, sign
 
 
 # Dirac basis for the (+---) signature: gamma^0 = diag(1,1,-1,-1) and
@@ -105,41 +88,57 @@ class Representation:
         return np.dot(u, self._vector_rows).reshape(self.dim, -1)
 
 
-def _regular_blades(g: Metric) -> np.ndarray:
-    diag = np.diagonal(g.matrix)
-    blades = np.zeros((BLADE_COUNT, BLADE_COUNT, BLADE_COUNT))
-    for s in range(BLADE_COUNT):
-        for t in range(BLADE_COUNT):
-            mask, sign = _blade_product(s, t, diag)
-            blades[s][mask, t] = sign
-    return blades
-
-
 def _gamma_blades(g: Metric) -> np.ndarray:
     gammas = _GAMMA_PMMM if g.signature == "pmmm" else 1j * _GAMMA_PMMM
-    blades = np.zeros((BLADE_COUNT, 4, 4), dtype=complex)
-    for mask in range(BLADE_COUNT):
-        m = np.eye(4, dtype=complex)
-        for i in range(4):
-            if mask & (1 << i):
-                m = m @ gammas[i]
-        blades[mask] = m
+    words = ([gammas[i] for i in range(4) if mask >> i & 1] for mask in range(BLADE_COUNT))
+    return np.stack([reduce(np.matmul, word, np.eye(4, dtype=complex)) for word in words])
+
+
+def _regular_blades(gamma: np.ndarray) -> np.ndarray:
+    # rho(e_S) sends e_T to sign(S, T) e_{S xor T}, with gamma_S gamma_T equal to
+    # sign(S, T) gamma_{S xor T}.  Gamma blades are unitary with entries 0, +/-1 and
+    # +/-i, so sign = Re tr(gamma_S gamma_T gamma_{S xor T}^H) / 4 exactly.
+    s = np.arange(BLADE_COUNT)
+    masks = s[:, None] ^ s
+    signs = np.einsum("sij,tjk,stik->st", gamma, gamma, gamma[masks].conj()).real / 4
+    blades = np.zeros((BLADE_COUNT, BLADE_COUNT, BLADE_COUNT))
+    blades[s[:, None], masks, s] = signs
     return blades
 
 
-_BLADE_BUILDERS = {"gamma": _gamma_blades, "regular": _regular_blades}
-_REP_CACHE: dict = {}
-_WEYL_CACHE: dict = {}  # by signature, as _REP_CACHE: make_metric returns a new Metric
+_TABLES: dict = {}  # by signature: make_metric returns a new Metric for each request
+
+
+def _signature_tables(g: Metric):
+    # Both representations of Cl(g) and its three Weyl tables, from one product of the
+    # Dirac matrices, built on first use once per signature.  The even gamma blades over
+    # g are block-diagonal in the Weyl basis, U rho U^T with U = _WEYL_U / sqrt(2); their
+    # upper-left blocks have squared norm 2, the odd ones' none.  The Weyl tables are F's
+    # six pair coefficients -> X, the block of sigma(L), a (6, 4) complex table; (Re A,
+    # Im A) -> even blade coefficients, the transpose over 2; and (Re X, Im X) -> F's
+    # pairs, exact: Gram matrix I / 2.
+    if (tables := _TABLES.get(g.signature)) is None:
+        gamma = _gamma_blades(g)
+        a = (_WEYL_U @ gamma @ _WEYL_U.T)[:, :2, :2].reshape(BLADE_COUNT, 4)
+        even = 0.25 * np.hstack([a.real, a.imag])
+        pairs = [(1 << i) | (1 << j) for i, j in PAIR_INDICES]
+        reps = {"gamma": Representation("gamma", g, gamma),
+                "regular": Representation("regular", g, _regular_blades(gamma))}
+        tables = _TABLES[g.signature] = reps, (0.25 * a[pairs], even, 2.0 * even[pairs])
+    return tables
 
 
 def representation(kind: str, g: Metric) -> Representation:
     """The "gamma" (4x4 complex) or "regular" (16x16 real) representation of Cl(g)."""
-    if kind not in _BLADE_BUILDERS:
+    reps = _signature_tables(g)[0]
+    if kind not in reps:
         raise ValueError(f"unknown representation kind {kind!r}")
-    key = (kind, g.signature)
-    if key not in _REP_CACHE:
-        _REP_CACHE[key] = Representation(kind, g, _BLADE_BUILDERS[kind](g))
-    return _REP_CACHE[key]
+    return reps[kind]
+
+
+def _weyl_tables(g: Metric):
+    # The Weyl tables belong to the metric: both representations of g read them
+    return _signature_tables(g)[1]
 
 
 def spin_rep(rep: Representation, L: Bivector) -> np.ndarray:
@@ -154,21 +153,6 @@ def _pair_coefficients(g: Metric, L: Bivector) -> np.ndarray:
     if not isinstance(L, Bivector):
         raise InvalidBivectorError("spin_rep takes a validated Bivector")
     return (L.matrix @ g.matrix)[_PAIR_INDEX].reshape(1, -1)
-
-
-def _weyl_tables(g: Metric):
-    # The even gamma blades over g are block-diagonal in the Weyl basis, U rho U^T
-    # with U = _WEYL_U / sqrt(2); their upper-left blocks have squared norm 2, the odd
-    # ones' none.  Returns F's six pair coefficients -> X, the block of sigma(L), a
-    # (6, 4) complex table; (Re A, Im A) -> even blade coefficients, the transpose
-    # over 2; and (Re X, Im X) -> F's pairs, exact: Gram matrix I / 2.  Built on first
-    # use, once per signature: both representations of a metric read these arrays.
-    if (tables := _WEYL_CACHE.get(g.signature)) is None:
-        a = (_WEYL_U @ _gamma_blades(g) @ _WEYL_U.T)[:, :2, :2].reshape(BLADE_COUNT, 4)
-        even = 0.25 * np.hstack([a.real, a.imag])
-        pairs = [(1 << i) | (1 << j) for i, j in PAIR_INDICES]
-        tables = _WEYL_CACHE[g.signature] = 0.25 * a[pairs], even, 2.0 * even[pairs]
-    return tables
 
 
 def _even_image(rep: Representation, a) -> np.ndarray:

@@ -272,13 +272,16 @@ def test_log_near_pi_rotation_is_accurate(tmp_path):
     assert np.abs(log - L).max() <= 1e-10 * np.abs(L).max()
 
 
-def test_exp_spin_tol_flag(tmp_path):
-    # b01 + 1e-5 b23 is non-simple at --tol 1e-12, and the branch taken agrees
+@pytest.mark.parametrize("command, branch", [
+    ("exp-spin", "nonsimple/polynomial"), ("decompose", "nonsimple"), ("invariants", "nonsimple"),
+])
+def test_exp_spin_tol_flag(command, branch, tmp_path):
+    # b01 + 1e-5 b23 is non-simple at --tol 1e-12, and every command decomposes it there
     g = make_metric()
     L = wedge(g, E[0], E[1]) + 1e-5 * wedge(g, E[2], E[3])
-    code, out = run_cli(["exp-spin", "--tol", "1e-12"], tmp_path, {"matrix": L.matrix.tolist()})
+    code, out = run_cli([command, "--tol", "1e-12"], tmp_path, {"matrix": L.matrix.tolist()})
     assert code == 0
-    assert json.loads(out)["branch"] == "nonsimple/polynomial"
+    assert json.loads(out)["branch"] == branch
 
 
 @pytest.mark.parametrize("sig", ["pmmm", "mppp"])

@@ -15,7 +15,8 @@ from spinlift import (
     wedge,
 )
 from spinlift._linalg import SKEW_TOL, maxabs
-from spinlift.clifford import _PAIR_INDEX, Representation, _weyl_tables
+from spinlift import clifford
+from spinlift.clifford import _PAIR_INDEX, Representation, _gamma_blades, _weyl_tables
 from spinlift.sampling import random_nonsimple_bivector, random_wedge
 
 E = np.eye(4)
@@ -203,6 +204,26 @@ def test_weyl_tables_are_built_once_per_signature(tag):
     other = _weyl_tables(make_metric("mppp" if tag == "pmmm" else "pmmm"))
     # the pair tables differ in sign only, as F = L g does between the metrics
     assert np.array_equal(other[0], -tables[0])
+
+
+@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
+def test_one_gamma_build_per_signature(tag, monkeypatch):
+    # both representations and the Weyl tables of a signature come from one product
+    # of the Dirac matrices, however many Metrics of that signature ask for them
+    calls = []
+
+    def counted(g):
+        calls.append(g.signature)
+        return _gamma_blades(g)
+
+    monkeypatch.setattr(clifford, "_TABLES", {})
+    monkeypatch.setattr(clifford, "_gamma_blades", counted)
+    representation("gamma", make_metric(tag))
+    representation("regular", make_metric(tag))
+    _weyl_tables(make_metric(tag))
+    assert calls == [tag]
+    with pytest.raises(ValueError, match="unknown representation kind"):
+        representation("weyl", make_metric(tag))
 
 
 @pytest.mark.parametrize("tag", ["pmmm", "mppp"])
