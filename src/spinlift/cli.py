@@ -49,7 +49,7 @@ from .group_lift import (
     lift,
     log_simple,
 )
-from .metric import SIGNATURES, Metric, make_metric
+from .metric import SIGNATURES, make_metric
 from .oracle import exp_series, intertwining_defect
 from .sampling import (
     degenerate_denominator_transformation,
@@ -64,8 +64,6 @@ from .spin import (
     spin_cross_product,
     spin_decompose,
 )
-
-COMMANDS = ("decompose", "exp-spin", "log", "factor", "lift", "invariants", "selftest")
 
 _DEFAULTS = {"metric": "pmmm", "rep": "gamma", "tol": SIMPLE_DET_TOL, "seed": 0}
 _SELFTEST_TRIALS = 10
@@ -178,6 +176,8 @@ def _load_request(args) -> dict:
         else:
             request[key] = _DEFAULTS[key]
     request["seed"] = args.seed if args.seed is not None else _DEFAULTS["seed"]
+    if request["seed"] < 0:
+        raise MalformedInputError("seed must be a non-negative integer")
 
     if not isinstance(request["metric"], str) or request["metric"] not in SIGNATURES:
         raise MalformedInputError(f"unknown metric tag {request['metric']!r}")
@@ -267,10 +267,8 @@ def _factor_defects(lam: LorentzTransformation, pair: FactorPair) -> dict:
     }
 
 
-def _cmd_decompose(matrix, g: Metric, rep: Representation, tol: float):
-    L = Bivector(matrix, g)
-    l_plus, l_minus = orthogonal_decompose(L, tol)
-    mu = mu_roots(L)
+def _cmd_decompose(L: Bivector, rep: Representation, tol: float):
+    l_plus, l_minus, mu = _decompose(L, tol)
     result = {
         "l_plus": _matrix_payload(l_plus.matrix),
         "l_minus": _matrix_payload(l_minus.matrix),
@@ -279,15 +277,13 @@ def _cmd_decompose(matrix, g: Metric, rep: Representation, tol: float):
     return "nonsimple", result, _bivector_invariants(L, mu), diagnostics
 
 
-def _cmd_exp_spin(matrix, g: Metric, rep: Representation, tol: float):
-    L = Bivector(matrix, g)
+def _cmd_exp_spin(L: Bivector, rep: Representation, tol: float):
     a, branch = _exp_block(L, tol)
     result = {"exp_spin": _matrix_payload(_even_image(rep, a))}
     return branch, result, _bivector_invariants(L, mu_roots(L)), _block_defects(a)
 
 
-def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
-    lam = LorentzTransformation(matrix, g)
+def _cmd_log(lam: LorentzTransformation, rep: Representation, tol: float):
     L, k = _log(lam)
     result = {"log": _matrix_payload(L.matrix)}
     invariants = {
@@ -304,8 +300,7 @@ def _cmd_log(matrix, g: Metric, rep: Representation, tol: float):
     return f"simple/{kind}" if kind else "nonsimple", result, invariants, diagnostics
 
 
-def _cmd_factor(matrix, g: Metric, rep: Representation, tol: float):
-    lam = LorentzTransformation(matrix, g)
+def _cmd_factor(lam: LorentzTransformation, rep: Representation, tol: float):
     pair = factor_transform(lam, tol)
     mp, mm = pair.lambda_plus.matrix, pair.lambda_minus.matrix
     result = {
@@ -323,8 +318,7 @@ def _cmd_factor(matrix, g: Metric, rep: Representation, tol: float):
     return "nonsimple", result, invariants, _factor_defects(lam, pair)
 
 
-def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
-    lam = LorentzTransformation(matrix, g)
+def _cmd_lift(lam: LorentzTransformation, rep: Representation, tol: float):
     a, branch, _ = _lift_block(lam, tol)  # lift's two steps
     if branch == "simple" and maxabs(lam.matrix - np.eye(4)) <= IDENTITY_TOL:
         branch = "simple/identity"
@@ -337,8 +331,7 @@ def _cmd_lift(matrix, g: Metric, rep: Representation, tol: float):
     return branch, result, invariants, _block_defects(a, lam)
 
 
-def _cmd_invariants(matrix, g: Metric, rep: Representation, tol: float):
-    L = Bivector(matrix, g)
+def _cmd_invariants(L: Bivector, rep: Representation, tol: float):
     simple = is_simple(L, tol)
     parts = None if simple else orthogonal_decompose(L, tol)
     recovered, diagnostics = _recovery_defects(L, rep, parts)
@@ -347,13 +340,13 @@ def _cmd_invariants(matrix, g: Metric, rep: Representation, tol: float):
     return ("simple" if simple else "nonsimple"), result, invariants, diagnostics
 
 
-_COMMAND_BODIES = {
-    "decompose": _cmd_decompose,
-    "exp-spin": _cmd_exp_spin,
-    "log": _cmd_log,
-    "factor": _cmd_factor,
-    "lift": _cmd_lift,
-    "invariants": _cmd_invariants,
+_COMMAND_BODIES = {  # command: (the type its matrix is validated as, its body)
+    "decompose": (Bivector, _cmd_decompose),
+    "exp-spin": (Bivector, _cmd_exp_spin),
+    "log": (LorentzTransformation, _cmd_log),
+    "factor": (LorentzTransformation, _cmd_factor),
+    "lift": (LorentzTransformation, _cmd_lift),
+    "invariants": (Bivector, _cmd_invariants),
 }
 
 
@@ -367,11 +360,16 @@ def _trials(trials, scales):
     return zip(range(trials), itertools.cycle(scales))
 
 
-def _check_decomposition(g, reps, seed, trials, scales=(1.0,)):
+def _nonsimple_draws(g, seed, trials, scales):
+    """(L, L+, L-, mu) of each non-simple draw, split once for every use."""
     for i, c in _trials(trials, scales):
         L = random_nonsimple_bivector(g, seed + i, c)
-        l_plus, l_minus = orthogonal_decompose(L)
-        defects = _decomposition_defects(L, l_plus, l_minus, mu_roots(L))
+        yield (L, *_decompose(L, SIMPLE_DET_TOL))
+
+
+def _check_decomposition(g, reps, seed, trials, scales=(1.0,)):
+    for L, l_plus, l_minus, mu in _nonsimple_draws(g, seed, trials, scales):
+        defects = _decomposition_defects(L, l_plus, l_minus, mu)
         degrees = (1, 2, 4, 4, 2, 2)  # of each defect in L, in the order of the keys
         yield from (d / _floored(L._maxabs, k) for d, k in zip(defects.values(), degrees))
 
@@ -385,10 +383,8 @@ def _check_spin_square(g, reps, seed, trials, scales=(1.0,)):
 
 
 def _check_spin_decompose(g, reps, seed, trials, scales=(1.0,)):
-    for i, c in _trials(trials, scales):
-        L = random_nonsimple_bivector(g, seed + i, c)
-        l_plus, l_minus = orthogonal_decompose(L)
-        mu, norm2 = mu_roots(L), _floored(L._maxabs, 2)
+    for L, l_plus, l_minus, mu in _nonsimple_draws(g, seed, trials, scales):
+        norm2 = _floored(L._maxabs, 2)
         for rep in reps:
             s_plus, s_minus = spin_decompose(spin_rep(rep, L), mu)
             yield maxabs(s_plus - spin_rep(rep, l_plus)) / norm2
@@ -396,9 +392,7 @@ def _check_spin_decompose(g, reps, seed, trials, scales=(1.0,)):
 
 
 def _check_cross_product(g, reps, seed, trials, scales=(1.0,)):
-    for i, c in _trials(trials, scales):
-        L = random_nonsimple_bivector(g, seed + i, c)
-        l_plus, l_minus = orthogonal_decompose(L)
+    for L, l_plus, l_minus, _ in _nonsimple_draws(g, seed, trials, scales):
         t2, norm2 = tr2(L), _floored(L._maxabs, 2)
         for rep in reps:
             sp = spin_rep(rep, l_plus)
@@ -409,9 +403,7 @@ def _check_cross_product(g, reps, seed, trials, scales=(1.0,)):
 
 
 def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
-    for i, c in _trials(trials, scales):
-        L = random_nonsimple_bivector(g, seed + i, c)
-        parts = orthogonal_decompose(L)  # once for both representations
+    for L, *parts, _ in _nonsimple_draws(g, seed, trials, scales):
         norm2 = _floored(L._maxabs, 2)  # squared for det L: scale(L, 4) rounds apart
         for rep in reps:
             _, defects = _recovery_defects(L, rep, parts)
@@ -435,11 +427,7 @@ def _series_defects(rep, images, outputs):
 
 
 def _check_exp_agreement(g, reps, seed, trials, scales=(1.0,)):
-    draws = []
-    for i, c in _trials(trials, scales):
-        L = random_nonsimple_bivector(g, seed + i, c)
-        parts = _decompose(L, SIMPLE_DET_TOL)  # as exp_spin_factored, once for both
-        draws.append((L, parts))
+    draws = [(L, parts) for L, *parts in _nonsimple_draws(g, seed, trials, scales)]
     wedges = [random_wedge(g, seed + 500 + j, kind=kind)
               for j, kind in enumerate(("rotation", "boost", "null"))]
     for rep in reps:
@@ -563,8 +551,8 @@ def run_request(request: dict) -> dict:
         return dict(doc, seed=request["seed"], trials=_SELFTEST_TRIALS, result=report)
     g = make_metric(request["metric"])
     rep = representation(request["rep"], g)
-    body = _COMMAND_BODIES[request["command"]]
-    outcome = body(request["matrix"], g, rep, request["tol"])
+    input_type, body = _COMMAND_BODIES[request["command"]]
+    outcome = body(input_type(request["matrix"], g), rep, request["tol"])
     doc["input"] = {"matrix": _matrix_payload(request["matrix"])}
     doc.update(zip(("branch", "result", "invariants", "diagnostics"), outcome))
     return doc
@@ -575,9 +563,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="spinlift",
         description="Closed-form Lorentz bivector decomposition and spin lifts.",
     )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--metric", choices=sorted(SIGNATURES))
-    parser.add_argument("--rep", choices=("gamma", "regular"))
+    parser.add_argument("command", choices=(*_COMMAND_BODIES, "selftest"))
+    parser.add_argument("--metric")
+    parser.add_argument("--rep")
     parser.add_argument("--tol", type=float)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--in", dest="infile")

@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from spinlift import (Bivector, InvalidTransformationError, MalformedInputError, cli,
-                      exp_series, exp_spin_simple, lift, make_metric, representation,
-                      spin_rep, tr2, wedge)
+from spinlift import (Bivector, InvalidTransformationError, LorentzTransformation,
+                      MalformedInputError, cli, exp_series, exp_spin_simple, lift,
+                      make_metric, representation, spin_rep, tr2, wedge)
 from spinlift.cli import main, run_selftest
 from spinlift.sampling import _transformation
 
@@ -304,10 +304,10 @@ def test_log_next_to_half_turn(sig, tmp_path):
 
 def test_non_finite_output_exit_code(monkeypatch, tmp_path):
     # a command body whose diagnostic is NaN: the renderer refuses it, exit 1
-    def body(matrix, g, rep, tol):
+    def body(lam, rep, tol):
         return "nonsimple", {}, {}, {"defect": math.nan}
 
-    monkeypatch.setitem(cli._COMMAND_BODIES, "log", body)
+    monkeypatch.setitem(cli._COMMAND_BODIES, "log", (LorentzTransformation, body))
     code, out = run_cli(["log"], tmp_path, {"matrix": np.eye(4).tolist()})
     assert code == 1
     assert json.loads(out)["error"]["code"] == "NonFiniteOutput"
@@ -380,13 +380,19 @@ def test_malformed_unknown_key(tmp_path):
     assert code == 2
 
 
-def test_malformed_bad_tags(tmp_path):
+def test_malformed_bad_tags(tmp_path, capsys):
+    # a bad value gets the same document as a JSON key and as a flag
     g = make_metric()
     matrix = wedge(g, E[0], E[1]).matrix.tolist()
-    for key, value in (("metric", "ppmm"), ("metric", ["pmmm"]), ("metric", {"tag": "pmmm"}),
-                       ("rep", ["gamma"]), ("tol", -1.0), ("tol", "1e-6"), ("tol", True),
-                       ("tol", 10**400)):
-        assert_malformed(*run_cli(["invariants"], tmp_path, {"matrix": matrix, key: value}))
+    cases = [(["invariants"], {key: value}) for key, value in (
+        ("metric", "ppmm"), ("metric", ["pmmm"]), ("metric", {"tag": "pmmm"}),
+        ("rep", ["gamma"]), ("tol", -1.0), ("tol", "1e-6"), ("tol", True), ("tol", 10**400))]
+    cases += [(["invariants", "--metric", "ppmm"], {}), (["invariants", "--rep", "bogus"], {}),
+              (["selftest", "--seed", "-1"], None)]
+    for args, keys in cases:
+        payload = None if keys is None else {"matrix": matrix, **keys}
+        assert_malformed(*run_cli(args, tmp_path, payload))
+        assert capsys.readouterr().err == "", args
 
 
 def test_unknown_command_usage_error(tmp_path):

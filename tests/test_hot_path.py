@@ -9,7 +9,7 @@ norm and traces their input's validator measured, that a bivector's tr2 and
 Pfaffian are taken lazily and at most once, and that the selftest battery draws
 each input once, decomposes each bivector once, validates each transformation
 product once, takes no SVD and calls each referee once per row and
-representation; the request commands run no referee.
+representation; each request command validates its matrix once and runs no referee.
 """
 
 import cmath
@@ -445,6 +445,24 @@ def test_selftest_draws_each_input_once(metric_tag, monkeypatch):
     assert report["all_passed"]
     assert set(name for name, *_ in draws) == set(SAMPLERS)
     assert [key for key, n in draws.items() if n != 1] == []
+
+
+def test_each_request_is_validated_once(monkeypatch, tmp_path):
+    # run_request admits the matrix as its command's input type; no body builds its own
+    admitted_as = dict.fromkeys(("decompose", "exp-spin", "invariants"), Bivector)
+    admitted_as.update(dict.fromkeys(("log", "factor", "lift"), LorentzTransformation))
+    validated = []
+    for cls in (Bivector, LorentzTransformation):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, validate=cls.__post_init__:
+                            validated.append(type(self)) or validate(self))
+    requests = sorted(GOLDEN_DIR.glob("*.request.json"))
+    assert len(requests) == 6
+    for path in requests:
+        command = path.name.removesuffix(".request.json")
+        out = tmp_path / "out.json"
+        validated.clear()
+        assert cli.main([command, "--in", str(path), "--out", str(out)]) == 0, path
+        assert validated == [admitted_as[command]], command
 
 
 def test_requests_run_no_referee(monkeypatch, tmp_path):
