@@ -410,18 +410,10 @@ def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
             yield from (d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
-def _series_defects(rep, images, outputs):
+def _series_defects(images, outputs):
     """Each case's worst maxabs(output - exp_series(image)) / scale(series, 1), over
-    one representation's cases: one stacked referee call and one reduction.
-
-    The regular representation's images still take one referee call each:
-    bench/spans.py names an exp_series span by the first axis of its argument, so
-    a stacked 16 x 16 call would lose its ``regular`` name and stop the traced
-    benchmark run (ROADMAP item 13)."""
-    if rep.kind == "regular":
-        series = np.stack([exp_series(s) for s in images])
-    else:
-        series = exp_series(np.stack(images))
+    one representation's cases: one referee call per image and one reduction."""
+    series = np.stack([exp_series(s) for s in images])
     worst = slice_maxabs(np.stack(outputs) - series[:, None]).max(axis=1)
     return (worst / np.maximum(1.0, slice_maxabs(series))).tolist()
 
@@ -434,20 +426,21 @@ def _check_exp_agreement(g, reps, seed, trials, scales=(1.0,)):
         outputs = [(_exp_factored(rep, *parts), exp_spin_polynomial(L, rep),
                     exp_spin(L, rep))  # the dispatcher itself
                    for L, parts in draws]
-        yield from _series_defects(rep, [spin_rep(rep, L) for L, _ in draws], outputs)
+        yield from _series_defects([spin_rep(rep, L) for L, _ in draws], outputs)
         images = [spin_rep(rep, W) for W in wedges]
         outputs = [(exp_spin_simple(s, tr2(W)), exp_spin(W, rep))
                    for s, W in zip(images, wedges)]
-        yield from _series_defects(rep, images, outputs)
+        yield from _series_defects(images, outputs)
 
 
 def _check_log_roundtrip(g, reps, seed, trials, scales=(1.0,)):
     kinds = ("rotation", "boost", "null")
     wedges = [random_wedge(g, seed + i, kind=kinds[i % 3], scale=c).matrix
               for i, c in _trials(trials, scales)]
-    lams = [LorentzTransformation(m, g) for m in exp_series(np.stack(wedges))]
+    lams = [LorentzTransformation(exp_series(m), g) for m in wedges]
     logs = [log_simple(lam).matrix for lam in lams]
-    defects = slice_maxabs(exp_series(np.stack(logs)) - [lam.matrix for lam in lams])
+    defects = slice_maxabs(np.stack([exp_series(m) for m in logs])
+                           - [lam.matrix for lam in lams])
     yield from (defects / np.maximum(1.0, [lam._maxabs for lam in lams])).tolist()
 
 
@@ -473,7 +466,7 @@ def _check_lift(g, reps, seed, trials, scales=(1.0,)):
             for i, c in _trials(trials, scales)]
     wedges = [random_wedge(g, seed + 600 + j, kind=kind).matrix
               for j, kind in enumerate(("rotation", "boost"))]
-    lams += [LorentzTransformation(m, g) for m in exp_series(np.stack(wedges))]
+    lams += [LorentzTransformation(exp_series(m), g) for m in wedges]
     lams.append(traceless_simple_transformation(g, seed + 700))
     lams.append(degenerate_denominator_transformation(g, seed + 800))
     for rep in reps:

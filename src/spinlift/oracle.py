@@ -27,54 +27,42 @@ _STRICT_UPPER = np.triu(np.ones((4, 4)), 1)
 def exp_series(m) -> np.ndarray:
     """Matrix exponential by scaling and squaring a Taylor series.
 
-    The argument is halved until its 1-norm is at most 0.5, the series is
-    summed until a term falls below ``SERIES_TERM_TOL`` relative to the
-    running sum, and the result is squared back up.  An (N, n, n) stack gives
-    the N exponentials, each bit for bit that of its own matrix: a slice keeps
-    its own squarings and stop index, and a 2-D input is a stack of one.  The
-    scaling loses accuracy on large non-normal inputs: on a null rotation W of
-    maxabs 158 (W^3 = 0) it misses I + W + W^2/2 by 2.6e-9 relative.  A matrix
-    whose 1-norm is not finite raises ``ValueError``.
+    The argument, one (n, n) matrix, is halved until its 1-norm is at most 0.5,
+    the series is summed until a term falls below ``SERIES_TERM_TOL`` relative
+    to the running sum, and the result is squared back up.  The scaling loses
+    accuracy on large non-normal inputs: on a null rotation W of maxabs 158
+    (W^3 = 0) it misses I + W + W^2/2 by 2.6e-9 relative.  A matrix whose
+    1-norm is not finite, and an (N, n, n) stack, raise ``ValueError``.
     """
     m = np.asarray(m)
-    stack = m.reshape(-1, *m.shape[-2:])
-    # each slice's np.linalg.norm(x, 1), bit for bit
-    norms = np.add.reduce(np.abs(stack), axis=-2).max(axis=-1).tolist()
-    for norm1 in norms:
-        if not math.isfinite(norm1):
-            raise ValueError(f"exp_series needs a matrix of finite 1-norm, got {norm1}")
-    squarings = [0 if x <= 0.5 else int(np.ceil(np.log2(x / 0.5))) for x in norms]
-    a = stack / np.array([2.0 ** s for s in squarings])[:, None, None]
-    total = np.repeat(np.eye(a.shape[-1], dtype=a.dtype)[None], len(a), axis=0)
-    term, out, live = total, np.empty_like(total), np.arange(len(a))
+    norm1 = float(np.linalg.norm(m, 1))
+    if not math.isfinite(norm1):
+        raise ValueError(f"exp_series needs a matrix of finite 1-norm, got {norm1}")
+    squarings = 0 if norm1 <= 0.5 else int(np.ceil(np.log2(norm1 / 0.5)))
+    a = m / (2.0 ** squarings)
+    total = np.eye(m.shape[0], dtype=a.dtype)
+    term = total
     # The stop test maxabs(term) <= TOL * maxabs(total) needs maxabs(total) only near
     # the end.  After scaling ||a||_1 <= 1/2 (to the rounding of log2), so every
     # partial sum has maxabs <= ||.||_1 <= e^(1/2) < _SUM_BOUND, and fl(TOL * M) is
     # monotone in M: while maxabs(term) > fl(TOL * _SUM_BOUND) the test is false.
-    # A slice whose test passes is frozen; the others sum on.
+    # An entry of the term is a lower bound of its maxabs, so two of them may show
+    # that first; the stop index, and with it every bit, is the test's.
     stop = SERIES_TERM_TOL * _SUM_BOUND
+    witness = min(1, term.size - 1)  # entry (0, 1), or (0, 0) of a 1x1 input
     for k in range(1, 128):
-        if not live.size:
-            break
         term = term @ a / k
         total = total + term
-        top = slice_maxabs(term)
-        if np.minimum.reduce(top) <= stop:
-            done = (top <= stop) & (top <= SERIES_TERM_TOL * slice_maxabs(total))
-            out[live[done]] = total[done]
-            keep = ~done
-            term, total, a, live = term[keep], total[keep], a[keep], live[keep]
+        if abs(term.item(0)) > stop or abs(term.item(witness)) > stop:
+            continue
+        top = maxabs(term)
+        if top <= stop and top <= SERIES_TERM_TOL * maxabs(total):
+            break
     else:
         raise RuntimeError("matrix exponential series failed to converge")
-    # Square each slice back up.  Ranked by squarings, the slices that still rise
-    # at step j are a prefix of the stack.
-    order = sorted(range(len(squarings)), key=squarings.__getitem__, reverse=True)
-    ranked = out[order]
-    for j in range(max(squarings, default=0)):
-        rising = ranked[: sum(s > j for s in squarings)]
-        rising[...] = rising @ rising
-    out[order] = ranked
-    return out.reshape(m.shape)
+    for _ in range(squarings):
+        total = total @ total
+    return total
 
 
 def random_bivector(g: Metric, seed: int, scale: float = 1.0) -> Bivector:

@@ -8,8 +8,9 @@ or a decomposition computes its invariants once, that the gates read the
 norm and traces their input's validator measured, that a bivector's tr2 and
 Pfaffian are taken lazily and at most once, and that the selftest battery draws
 each input once, decomposes each bivector once, validates each transformation
-product once, takes no SVD and calls each referee once per row and
-representation; each request command validates its matrix once and runs no referee.
+product once, takes no SVD, calls ``exp_series`` once per case and
+``intertwining_defect`` once per row and representation; each request command
+validates its matrix once and runs no referee.
 """
 
 import cmath
@@ -289,14 +290,14 @@ def test_selftest_runs_no_svd_and_validates_22_transformations(metric_tag, seed,
 @pytest.mark.parametrize("seed", [0, 11])
 @pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
 def test_selftest_referee_calls_per_battery(metric_tag, seed, monkeypatch):
-    # exp-agreement judges its gamma draws and wedges with one exp_series stack each
-    # (2 calls) and its 10 regular draws and 3 wedges one by one (13), log-roundtrip
-    # makes its Lam and judges its logs with one stack each (2), and lift-intertwining
-    # makes its two wedges' Lam with one (1); lift-intertwining and homomorphism-pairs
-    # take one intertwining_defect stack per representation (4)
+    # exp_series takes one matrix a call: exp-agreement judges its 10 draws and 3
+    # wedges per representation (2 x 13), log-roundtrip makes its 10 Lam and judges
+    # their 10 logs (20), and lift-intertwining makes its two wedges' Lam (2);
+    # lift-intertwining and homomorphism-pairs take one intertwining_defect stack per
+    # representation (4)
     referees = [count_calls(monkeypatch, fn) for fn in (exp_series, intertwining_defect)]
     assert cli.run_selftest(metric_tag, seed)["all_passed"]
-    assert [len(calls) for calls in referees] == [18, 4]
+    assert [len(calls) for calls in referees] == [48, 4]
 
 
 def test_decompose_computes_det_once(g, rep, monkeypatch):

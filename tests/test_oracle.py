@@ -201,24 +201,17 @@ def squarings(m):
     return series_partial_sums(m)[1]
 
 
-def assert_stack_matches_reference(matrices):
-    """One exp_series call on the stack of matrices gives each one's reference bits."""
-    out = exp_series(np.stack(matrices))
-    assert out.shape == (len(matrices), *matrices[0].shape)
-    for m, x in zip(matrices, out):
-        assert x.tobytes() == exp_series_reference(m).tobytes()
+def assert_each_matches_reference(matrices):
+    """exp_series of each matrix, one call each, gives that matrix's reference bits."""
+    for m in matrices:
+        assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
 def test_exp_series_bits_match_reference(g, g_alt, rep):
     for metric in (g, g_alt):
-        image_rep = representation(rep.kind, metric)
-        inputs = list(series_inputs(metric, image_rep))
-        for m in inputs:
-            assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
-        # the bivectors and the spin images, each as one stack
-        assert_stack_matches_reference(inputs[0::2])
-        assert_stack_matches_reference(inputs[1::2])
+        assert_each_matches_reference(
+            series_inputs(metric, representation(rep.kind, metric)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -231,11 +224,10 @@ def test_exp_series_bits_match_reference_on_mixed_scales():
     for _ in range(1500):
         n = int(rng.integers(1, 5))
         m = rng.uniform(-1.0, 1.0, (n, n)) * 10.0 ** rng.uniform(-3.0, 0.5, (n, n))
-        assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
         by_size[n].append(m)
-    for matrices in by_size.values():  # ~375 slices a stack, of mixed stop indices
+    for matrices in by_size.values():  # ~375 matrices a size, of mixed stop indices
         assert len({series_partial_sums(m)[0] for m in matrices}) > 3
-        assert_stack_matches_reference(matrices)
+        assert_each_matches_reference(matrices)
 
 
 @pytest.mark.filterwarnings("error")
@@ -246,27 +238,24 @@ def test_exp_series_one_by_one(m):
     assert out.tobytes() == exp_series_reference(np.array(m)).tobytes()
     assert out[0, 0] == pytest.approx(np.exp(m[0][0]), rel=1e-15)
     m = np.array(m)
-    assert_stack_matches_reference([m, 4.0 * m, m / 4.0, m + 0.6])
+    assert_each_matches_reference([m, 4.0 * m, m / 4.0, m + 0.6])
 
 
 @pytest.mark.filterwarnings("error")
 def test_exp_series_null_wedge_stops_early(g, rep):
     # L^3 = 0 and sigma(L)^2 = 0 for a null wedge, to rounding: the series stops at
     # k = 3 and k = 2, on terms far below the early-skip bound
-    stacks = ([], [])
     for seed in range(10):
         W = random_wedge(g, seed, kind="null")
-        for m, k, stack in ((W.matrix, 3, stacks[0]), (spin_rep(rep, W), 2, stacks[1])):
+        for m, k in ((W.matrix, 3), (spin_rep(rep, W), 2)):
             assert series_partial_sums(m)[0] == k
             assert exp_series(m).tobytes() == exp_series_reference(m).tobytes()
-            stack.append(m)
-    # in one stack with inputs of 0 squarings and of 4 or more: slices stop and
-    # square apart
+    # next to inputs of 0 squarings and of 4 or more
     L = random_bivector(g, 0)
-    for stack, x in zip(stacks, (L.matrix, spin_rep(rep, L))):
+    for x in (L.matrix, spin_rep(rep, L)):
         small, large = x * 1e-3, x * 8.0
         assert squarings(small) == 0 and squarings(large) >= 4
-        assert_stack_matches_reference([small, *stack[:5], large, *stack[5:]])
+        assert_each_matches_reference([small, large])
 
 
 @pytest.mark.filterwarnings("error")
@@ -276,8 +265,8 @@ def test_exp_series_rejects_non_finite(bad):
     m[1, 2] = bad
     with pytest.raises(ValueError, match="finite"):
         exp_series(m)
-    with pytest.raises(ValueError, match="finite"):  # one slice of a stack
-        exp_series(np.stack([np.eye(4) * 0.25, m, np.eye(4) * 8.0]))
+    with pytest.raises(ValueError):  # one matrix a call: a finite stack is refused too
+        exp_series(np.stack([np.eye(4) * 0.25, np.eye(4) * 8.0]))
 
 
 @pytest.mark.filterwarnings("error")
