@@ -25,7 +25,7 @@ from ._linalg import (
 from .errors import (
     DegeneratePlaneError, InvalidBivectorError, NotSimpleError, SimpleInputError,
 )
-from .metric import Metric
+from .metric import SIGNATURES, Metric
 
 
 def _measured(m) -> float:
@@ -57,8 +57,8 @@ class Bivector:
             raise InvalidBivectorError(f"bivector must be 4x4, got shape {m.shape}")
         top = _measured(m)
         # (L^T g + g L)_ij = L_ji g_j + g_i L_ij: one rounding per entry, as in the
-        # matmuls, so both defects are theirs bit for bit
-        r, g = m.tolist(), self.metric._diag
+        # matmuls, so both defects are theirs bit for bit, under g and -g alike
+        r, g = m.tolist(), SIGNATURES["mppp"]
         norm = _floored(top, 1)
         # (i, j) and (j, i) round alike, but the 10-entry triangle waits on ROADMAP
         # item 1: its speed put exp-mix peak RSS at +9.9% (bench/rounds.py's lists)

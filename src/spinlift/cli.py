@@ -167,15 +167,13 @@ def _load_request(args) -> dict:
             raise MalformedInputError(f"unknown request keys: {sorted(unknown)}")
 
     request = {"command": args.command}
-    for key in ("metric", "rep", "tol"):
+    for key, default in _DEFAULTS.items():  # a flag, a string, reads as its default's type
         flag = getattr(args, key)
-        if flag is not None:
-            request[key] = flag
-        elif key in payload:
-            request[key] = payload[key]
-        else:
-            request[key] = _DEFAULTS[key]
-    request["seed"] = args.seed if args.seed is not None else _DEFAULTS["seed"]
+        try:
+            request[key] = payload.get(key, default) if flag is None else type(default)(flag)
+        except ValueError:  # the float() or int() that argparse's type= would call
+            kind = type(default).__name__
+            raise MalformedInputError(f"cannot read --{key} {flag!r} as {kind}") from None
     if request["seed"] < 0:
         raise MalformedInputError("seed must be a non-negative integer")
 
@@ -557,10 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Closed-form Lorentz bivector decomposition and spin lifts.",
     )
     parser.add_argument("command", choices=(*_COMMAND_BODIES, "selftest"))
-    parser.add_argument("--metric")
-    parser.add_argument("--rep")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--seed", type=int)
+    for key in _DEFAULTS:  # strings, which _load_request reads and checks
+        parser.add_argument(f"--{key}")
     parser.add_argument("--in", dest="infile")
     parser.add_argument("--out", dest="outfile")
     return parser

@@ -20,6 +20,11 @@ antisymmetric coefficient matrix F = L g^{-1}:
 
 which on a wedge u ^ v reduces to rho(uv - vu)/4.  The commutation identity
 [sigma(L), rho(u)] = rho(L u) makes sigma a Lie-algebra homomorphism.
+
+Between the signatures g and -g, F and the grade-2 blades change sign together, so
+the SL(2,C) core reads L's upper entries, F's pairs over mppp, and one set of Weyl
+tables; a pmmm representation negates its grade-2 rows.  The signature still acts
+on the odd images (``Representation.vector``) and on the regular blades.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ VECTOR_MASKS = (1, 2, 4, 8)
 #: Index pairs (a, b) with a < b, in the order used for bivector coefficients.
 PAIR_INDICES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_INDEX = tuple(np.array(axis) for axis in zip(*PAIR_INDICES))
+_PAIR_MASKS = [(1 << a) | (1 << b) for a, b in PAIR_INDICES]  # the grade-2 blades
 
 
 # Dirac basis for the (+---) signature: gamma^0 = diag(1,1,-1,-1) and
@@ -71,16 +77,18 @@ class Representation:
         self.identity_trace = float(self.dim)
         self.vectors = blades[list(VECTOR_MASKS)]
         # sigma(e_a ^ e_b) = rho(e_a e_b)/2 for a < b over a diagonal metric
-        self.pair_generators = 0.5 * np.stack(
-            [blades[(1 << a) | (1 << b)] for a, b in PAIR_INDICES]
-        )
+        self.pair_generators = 0.5 * blades[_PAIR_MASKS]
         for arr in (self.blades, self.identity, self.vectors, self.pair_generators):
             arr.flags.writeable = False
         # Each stack as rows of flattened matrices: np.dot(coeffs (1, n), rows) is
         # the one BLAS call of np.tensordot(coeffs, stack, axes=1), same bits.
-        self._blade_rows = blades.reshape(BLADE_COUNT, -1)
         self._vector_rows = self.vectors.reshape(len(VECTOR_MASKS), -1)
         self._pair_rows = self.pair_generators.reshape(len(PAIR_INDICES), -1)
+        self._even_rows = blades.reshape(BLADE_COUNT, -1)
+        if metric.signature == "pmmm":  # the sign the Weyl tables leave out, exactly
+            self._pair_rows = -self._pair_rows
+            self._even_rows = self._even_rows.copy()
+            self._even_rows[_PAIR_MASKS] = -self._even_rows[_PAIR_MASKS]
 
     def vector(self, u) -> np.ndarray:
         """Matrix image u^a rho(e_a) of a 4-vector."""
@@ -106,60 +114,53 @@ def _regular_blades(gamma: np.ndarray) -> np.ndarray:
     return blades
 
 
+# The Weyl tables, one set for both metrics.  The even gamma blades are block-diagonal in
+# the Weyl basis, U rho U^T with U = _WEYL_U / sqrt(2); their upper-left blocks have
+# squared norm 2, the odd ones' none.  The tables, read off mppp's blades, are L's six
+# upper entries (F's pairs over mppp) -> X, the block of sigma(L), a (6, 4) complex
+# table; (Re A, Im A) -> even blade coefficients, the transpose over 2; and (Re X, Im X)
+# -> L's upper entries, exact: Gram matrix I / 2.
+_WEYL_BLOCKS = (_WEYL_U @ _gamma_blades(Metric("mppp")) @ _WEYL_U.T)[:, :2, :2].reshape(
+    BLADE_COUNT, 4)
+_WEYL_PAIRS = 0.25 * _WEYL_BLOCKS[_PAIR_MASKS]
+_WEYL_EVEN = 0.25 * np.hstack([_WEYL_BLOCKS.real, _WEYL_BLOCKS.imag])
+_WEYL_SPLIT = 2.0 * _WEYL_EVEN[_PAIR_MASKS]
+
 _TABLES: dict = {}  # by signature: make_metric returns a new Metric for each request
-
-
-def _signature_tables(g: Metric):
-    # Both representations of Cl(g) and its three Weyl tables, from one product of the
-    # Dirac matrices, built on first use once per signature.  The even gamma blades over
-    # g are block-diagonal in the Weyl basis, U rho U^T with U = _WEYL_U / sqrt(2); their
-    # upper-left blocks have squared norm 2, the odd ones' none.  The Weyl tables are F's
-    # six pair coefficients -> X, the block of sigma(L), a (6, 4) complex table; (Re A,
-    # Im A) -> even blade coefficients, the transpose over 2; and (Re X, Im X) -> F's
-    # pairs, exact: Gram matrix I / 2.
-    if (tables := _TABLES.get(g.signature)) is None:
-        gamma = _gamma_blades(g)
-        a = (_WEYL_U @ gamma @ _WEYL_U.T)[:, :2, :2].reshape(BLADE_COUNT, 4)
-        even = 0.25 * np.hstack([a.real, a.imag])
-        pairs = [(1 << i) | (1 << j) for i, j in PAIR_INDICES]
-        reps = {"gamma": Representation("gamma", g, gamma),
-                "regular": Representation("regular", g, _regular_blades(gamma))}
-        tables = _TABLES[g.signature] = reps, (0.25 * a[pairs], even, 2.0 * even[pairs])
-    return tables
 
 
 def representation(kind: str, g: Metric) -> Representation:
     """The "gamma" (4x4 complex) or "regular" (16x16 real) representation of Cl(g)."""
-    reps = _signature_tables(g)[0]
+    # both representations of g from one product of the Dirac matrices, on first use
+    if (reps := _TABLES.get(g.signature)) is None:
+        gamma = _gamma_blades(g)
+        reps = _TABLES[g.signature] = {
+            "gamma": Representation("gamma", g, gamma),
+            "regular": Representation("regular", g, _regular_blades(gamma))}
     if kind not in reps:
         raise ValueError(f"unknown representation kind {kind!r}")
     return reps[kind]
 
 
-def _weyl_tables(g: Metric):
-    # The Weyl tables belong to the metric: both representations of g read them
-    return _signature_tables(g)[1]
-
-
 def spin_rep(rep: Representation, L: Bivector) -> np.ndarray:
     """Spin-representation image sigma(L) of a bivector (simple or not)."""
-    return np.dot(_pair_coefficients(rep.metric, L), rep._pair_rows).reshape(rep.dim, -1)
+    return np.dot(_pair_coefficients(L), rep._pair_rows).reshape(rep.dim, -1)
 
 
-def _pair_coefficients(g: Metric, L: Bivector) -> np.ndarray:
-    # F^ab for a < b as a (1, 6) row, of F = L g^{-1} = L g.  With g = diag(+/-1),
-    # F + F^T is g (L^T g + g L) g up to the sign of each entry, so the Bivector
-    # validator bounds its skewness, and maxabs F = maxabs L, bit for bit.
+def _pair_coefficients(L: Bivector) -> np.ndarray:
+    # L's upper entries as a (1, 6) row: F^ab for a < b of F = L g over mppp, and -F^ab
+    # over pmmm, whose sign the representation's rows carry.  The Bivector validator
+    # bounds F + F^T, as it is L^T g + g L up to the sign of each entry.
     if not isinstance(L, Bivector):
         raise InvalidBivectorError("spin_rep takes a validated Bivector")
-    return (L.matrix @ g.matrix)[_PAIR_INDEX].reshape(1, -1)
+    return L.matrix[_PAIR_INDEX].reshape(1, -1)
 
 
 def _even_image(rep: Representation, a) -> np.ndarray:
     # The image in rep of the even element whose Weyl block is A = a, row-major
     a = np.ravel(a)
-    coeffs = np.dot(_weyl_tables(rep.metric)[1], np.concatenate((a.real, a.imag)))
-    return np.dot(coeffs.reshape(1, -1), rep._blade_rows).reshape(rep.dim, -1)
+    coeffs = np.dot(_WEYL_EVEN, np.concatenate((a.real, a.imag)))
+    return np.dot(coeffs.reshape(1, -1), rep._even_rows).reshape(rep.dim, -1)
 
 
 def lie_bracket_check(rep: Representation, l1: Bivector, l2: Bivector) -> float:

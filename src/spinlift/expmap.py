@@ -25,7 +25,7 @@ import numpy as np
 
 from ._linalg import SBAR_TAYLOR_CUTOFF, SERIES_GAP_TOL, SIMPLE_DET_TOL, _floored
 from .bivector import Bivector, MuPair, _decompose, _simple_kind, is_simple, mu_roots
-from .clifford import Representation, _even_image, _pair_coefficients, _weyl_tables, spin_rep
+from .clifford import _WEYL_PAIRS, Representation, _even_image, _pair_coefficients, spin_rep
 from .errors import NonFiniteOutputError, SimpleInputError
 
 
@@ -167,8 +167,7 @@ def exp_spin(
 
 def _exp_block(L: Bivector, tol: float = SIMPLE_DET_TOL):
     # (exp X row-major, exp_spin's branch), X the Weyl block of sigma(L)
-    coeffs = _pair_coefficients(L.metric, L)
-    x00, x01, x10, x11 = np.dot(coeffs, _weyl_tables(L.metric)[0])[0].tolist()  # X
+    x00, x01, x10, x11 = np.dot(_pair_coefficients(L), _WEYL_PAIRS)[0].tolist()  # X
     s2 = x01 * x10 - x00 * x11
     kind = _simple_kind(-4.0 * s2.imag**2, -4.0 * s2.real, L._maxabs, tol)
     if kind:

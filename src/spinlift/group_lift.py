@@ -26,7 +26,9 @@ from ._linalg import (
     simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
-from .clifford import _PAIR_INDEX, _PAULI, Representation, _even_image, _weyl_tables, spin_rep
+from .clifford import (
+    _PAIR_INDEX, _PAULI, _WEYL_PAIRS, _WEYL_SPLIT, Representation, _even_image, spin_rep,
+)
 from .errors import (
     DegenerateDenominatorError,
     InvalidTransformationError,
@@ -37,7 +39,7 @@ from .errors import (
     TracelessSimpleError,
 )
 from .expmap import _sinh_ratio_complex
-from .metric import Metric
+from .metric import _G, Metric
 
 
 def _measured(m):
@@ -73,8 +75,7 @@ class LorentzTransformation:
                 f"transformation must be 4x4, got shape {m.shape}"
             )
         top, norm2 = _measured(m)
-        g = self.metric.matrix
-        defect = maxabs(m.T @ g @ m - g)
+        defect = maxabs(m.T @ _G @ m - _G)
         if defect > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
         rows = m.tolist()
@@ -112,7 +113,7 @@ class LorentzTransformation:
 
     def inverse(self) -> np.ndarray:
         """Inverse matrix g^{-1} Lam^T g = g Lam^T g (exact when Lam preserves g)."""
-        return self.metric.matrix @ self.matrix.T @ self.metric.matrix
+        return _G @ self.matrix.T @ _G
 
     def __matmul__(self, other: "LorentzTransformation") -> "LorentzTransformation":
         if self.metric.signature != other.metric.signature:
@@ -180,8 +181,8 @@ def _log(lam: LorentzTransformation):
         return Bivector._of(0.5 * k * (lam.matrix - lam.inverse()), lam.metric), k
     x = h * (a - np.array((c, 0.0, 0.0, c)))
     f = np.zeros((4, 4))
-    f[_PAIR_INDEX] = np.dot(_weyl_tables(lam.metric)[2], np.concatenate((x.real, x.imag)))
-    return Bivector._of((f - f.T) @ lam.metric.matrix, lam.metric), None
+    f[_PAIR_INDEX] = np.dot(_WEYL_SPLIT, np.concatenate((x.real, x.imag)))
+    return Bivector._of((f - f.T) @ _G, lam.metric), None
 
 
 def log_simple(
@@ -359,9 +360,9 @@ def _lift_block(lam: LorentzTransformation, tol: float):
     # far from the root's zero, where it is more accurate than the spinor map.  Past
     # BLOCK_DET_TOL on |det A - 1|, Lam is near-simple and A off by |det A - 1| / 2.
     if branch == "simple" and _is_simple_traces(t, t2, SIMPLE_CRITERION_TOL):
-        m = lam.matrix @ lam.metric.matrix
+        m = lam.matrix @ _G
         r = math.sqrt(t)
-        a = np.dot((m - m.T)[_PAIR_INDEX], _weyl_tables(lam.metric)[0]) / r
+        a = np.dot((m - m.T)[_PAIR_INDEX], _WEYL_PAIRS) / r
         a[0::3] += 0.5 * r
         x00, x01, x10, x11 = a.tolist()
         if abs(x00 * x11 - x01 * x10 - 1.0) <= BLOCK_DET_TOL:

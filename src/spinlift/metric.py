@@ -22,8 +22,7 @@ DEFAULT_SIGNATURE = "pmmm"
 class Metric:
     """One of the two orthonormal Lorentz metrics, diag(SIGNATURES[signature]).
 
-    The signature tag alone builds the read-only matrix, so g^{-1} = g, and
-    ``_diag``, the tuple of its diagonal, for scalar code.
+    The signature tag alone builds the read-only matrix, so g^{-1} = g.
     """
 
     signature: str
@@ -37,7 +36,11 @@ class Metric:
         m = np.diag(diag)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_diag", diag)
+
+
+# The metric-free core's one sign pattern, mppp's g: so(g) = so(-g) and O(g) = O(-g) as
+# sets, and a product that pairs g with g is the same under either sign.
+_G = Metric("mppp").matrix
 
 
 def make_metric(signature: str = DEFAULT_SIGNATURE) -> Metric:

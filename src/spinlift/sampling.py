@@ -16,7 +16,7 @@ import numpy as np
 from ._linalg import SERIES_GAP_TOL, SIMPLE_DET_TOL
 from .bivector import Bivector
 from .group_lift import LorentzTransformation
-from .metric import Metric
+from .metric import _G, Metric
 
 _MARGIN = 16.0  # how far each promise clears the gate that would break it
 _SMALLEST = 1.8 * 0.04 * 0.04  # 0.0029: _invariants draws in scale * [_SMALLEST, 1.8]
@@ -42,12 +42,11 @@ def _frame(rng: np.random.Generator, stretch: float) -> np.ndarray:
 
 def _bivector(g: Metric, q: np.ndarray, rapidity=0.0, angle=0.0, null=0.0) -> Bivector:
     # Q L0 Q^{-1}, L0 = rapidity K01 + angle J23 + null N with each part's character in
-    # both metrics, moved as F = L g = U - U^T: Q F Q^T = V - V^T for V = Q U Q^T
-    s = float(g.matrix[0, 0])
+    # both metrics, moved as F = L G = U - U^T: Q F Q^T = V - V^T for V = Q U Q^T
     u = np.zeros((4, 4))
-    u[0, 1], u[2, 3], u[0, 2], u[1, 2] = s * rapidity, -s * angle, s * null, s * null
+    u[0, 1], u[2, 3], u[0, 2], u[1, 2] = -rapidity, angle, -null, -null
     v = q @ u @ q.T
-    return Bivector._of((v - v.T) @ g.matrix, g)
+    return Bivector._of((v - v.T) @ _G, g)
 
 
 def _transformation(g: Metric, rng: np.random.Generator, rapidity=0.0, angle=0.0):
@@ -56,7 +55,7 @@ def _transformation(g: Metric, rng: np.random.Generator, rapidity=0.0, angle=0.0
     q = _frame(rng, 2.0)
     ch, sh, c, s = math.cosh(rapidity), math.sinh(rapidity), math.cos(angle), math.sin(angle)
     lam = np.array([[ch, sh, 0, 0], [sh, ch, 0, 0], [0, 0, c, -s], [0, 0, s, c]])
-    return LorentzTransformation._of(q @ lam @ g.matrix @ q.T @ g.matrix, g)
+    return LorentzTransformation._of(q @ lam @ _G @ q.T @ _G, g)
 
 
 def random_nonsimple_bivector(g: Metric, seed: int, scale: float = 1.0) -> Bivector:

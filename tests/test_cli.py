@@ -388,7 +388,9 @@ def test_malformed_bad_tags(tmp_path, capsys):
         ("metric", "ppmm"), ("metric", ["pmmm"]), ("metric", {"tag": "pmmm"}),
         ("rep", ["gamma"]), ("tol", -1.0), ("tol", "1e-6"), ("tol", True), ("tol", 10**400))]
     cases += [(["invariants", "--metric", "ppmm"], {}), (["invariants", "--rep", "bogus"], {}),
-              (["selftest", "--seed", "-1"], None)]
+              (["selftest", "--seed", "-1"], None), (["exp-spin", "--tol", "abc"], {}),
+              (["exp-spin", "--tol", "1e-9x"], {}), (["selftest", "--seed", "x"], None),
+              (["selftest", "--seed", "1.5"], None)]
     for args, keys in cases:
         payload = None if keys is None else {"matrix": matrix, **keys}
         assert_malformed(*run_cli(args, tmp_path, payload))

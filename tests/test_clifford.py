@@ -16,7 +16,12 @@ from spinlift import (
 )
 from spinlift._linalg import SKEW_TOL, maxabs
 from spinlift import clifford
-from spinlift.clifford import _PAIR_INDEX, Representation, _gamma_blades, _weyl_tables
+from spinlift.clifford import (
+    _PAIR_INDEX, _PAIR_MASKS, _WEYL_EVEN, _WEYL_PAIRS, _WEYL_SPLIT, _WEYL_U, _even_image,
+    _gamma_blades,
+)
+from spinlift.expmap import _exp_block
+from spinlift.metric import _G
 from spinlift.sampling import random_nonsimple_bivector, random_wedge
 
 E = np.eye(4)
@@ -171,9 +176,10 @@ def test_spin_rep_rejects_non_bivector(g, rep):
 @example(sig="mppp", exponent=0.0, pairs=np.ones(6),
          noise=np.full((4, 4), 0.5), d=0.5)  # every entry at the edge
 def test_validator_bounds_pair_skewness(sig, exponent, pairs, noise, d):
-    # spin_rep reads F = L g^{-1} = L g unchecked: over g = diag(+/-1), F + F^T is
-    # L^T g + g L up to the sign of each entry, so the Bivector validator's bound
-    # holds for it bit for bit, and maxabs F is the validator's maxabs L.
+    # spin_rep reads L's upper entries unchecked, F = L g^{-1} = L g up to sign: over
+    # g = diag(+/-1), F + F^T is L^T g + g L up to the sign of each entry, so the
+    # Bivector validator's bound holds for it bit for bit, and maxabs F is the
+    # validator's maxabs L.
     g = make_metric(sig)
     f = np.zeros((4, 4))
     f[_PAIR_INDEX] = 10.0**exponent * pairs
@@ -195,21 +201,71 @@ def test_validator_bounds_pair_skewness(sig, exponent, pairs, noise, d):
     assert maxabs(F) == L._maxabs
 
 
+def signature_tables(g):
+    """The Weyl tables as each signature once built them from its own gamma blades:
+    F = L g's pairs -> X, (Re A, Im A) -> even blade coefficients, (Re X, Im X) -> F's
+    pairs."""
+    a = (_WEYL_U @ _gamma_blades(g) @ _WEYL_U.T)[:, :2, :2].reshape(16, 4)
+    even = 0.25 * np.hstack([a.real, a.imag])
+    return 0.25 * a[_PAIR_MASKS], even, 2.0 * even[_PAIR_MASKS]
+
+
+def table_inputs(g):
+    """Dense and sparse bivectors: random, non-simple, the three wedges, axis planes."""
+    for seed in range(40):
+        yield random_bivector(g, seed)
+        yield random_nonsimple_bivector(g, seed)
+        for kind in ("rotation", "boost", "null"):
+            yield random_wedge(g, seed, kind)
+    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)):
+        yield wedge(g, E[a], E[b])
+        yield -1.5 * wedge(g, E[a], E[b])
+    yield Bivector(np.zeros((4, 4)), g)
+
+
 @pytest.mark.parametrize("tag", ["pmmm", "mppp"])
-def test_weyl_tables_are_built_once_per_signature(tag):
-    # a fresh Metric for each request reads the same arrays, as both representations do
-    tables = _weyl_tables(make_metric(tag))
-    assert all(a is b for a, b in zip(_weyl_tables(make_metric(tag)), tables))
-    assert not hasattr(Representation, "_weyl_tables")
-    other = _weyl_tables(make_metric("mppp" if tag == "pmmm" else "pmmm"))
-    # the pair tables differ in sign only, as F = L g does between the metrics
-    assert np.array_equal(other[0], -tables[0])
+def test_constant_weyl_tables_read_upper_entries(tag):
+    # One set of Weyl tables serves both metrics: read with L's upper entries they give,
+    # bit for bit, the X of the signature's own table read with F = L g, and the L of
+    # its split table, (f - f^T) g.  mppp's tables are the constants; pmmm's pair and
+    # split tables are their exact negatives, as are the grade-2 rows of its even table.
+    g = make_metric(tag)
+    pairs, even, split = signature_tables(g)
+    sign = 1.0 if tag == "mppp" else -1.0
+    assert np.array_equal(pairs, sign * _WEYL_PAIRS)
+    assert np.array_equal(split, sign * _WEYL_SPLIT)
+    grade = np.ones(16)
+    grade[_PAIR_MASKS] = sign
+    assert np.array_equal(even, grade[:, None] * _WEYL_EVEN)
+    for L in table_inputs(g):
+        old = np.dot((L.matrix @ g.matrix)[_PAIR_INDEX].reshape(1, -1), pairs)
+        x = np.dot(L.matrix[_PAIR_INDEX].reshape(1, -1), _WEYL_PAIRS)
+        assert x.tobytes() == old.tobytes(), L.matrix
+        v = np.concatenate((x.real, x.imag), axis=None)
+        f_old, f = np.zeros((4, 4)), np.zeros((4, 4))
+        f_old[_PAIR_INDEX], f[_PAIR_INDEX] = np.dot(split, v), np.dot(_WEYL_SPLIT, v)
+        assert ((f - f.T) @ _G).tobytes() == ((f_old - f_old.T) @ g.matrix).tobytes()
+
+
+@pytest.mark.parametrize("tag", ["pmmm", "mppp"])
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_even_rows_carry_the_grade_two_sign(tag, kind):
+    # _even_image reads the constant even table and the representation's sign-folded
+    # rows: bit for bit the signature's own even table on the unsigned blade rows
+    g = make_metric(tag)
+    rep = representation(kind, g)
+    even = signature_tables(g)[1]
+    for L in table_inputs(g):
+        a = _exp_block(L)[0]
+        coeffs = np.dot(even, np.concatenate((a.real, a.imag)))
+        old = np.dot(coeffs.reshape(1, -1), rep.blades.reshape(16, -1)).reshape(rep.dim, -1)
+        assert _even_image(rep, a).tobytes() == old.tobytes(), L.matrix
 
 
 @pytest.mark.parametrize("tag", ["pmmm", "mppp"])
 def test_one_gamma_build_per_signature(tag, monkeypatch):
-    # both representations and the Weyl tables of a signature come from one product
-    # of the Dirac matrices, however many Metrics of that signature ask for them
+    # both representations of a signature come from one product of the Dirac
+    # matrices, however many Metrics of that signature ask for them
     calls = []
 
     def counted(g):
@@ -220,7 +276,7 @@ def test_one_gamma_build_per_signature(tag, monkeypatch):
     monkeypatch.setattr(clifford, "_gamma_blades", counted)
     representation("gamma", make_metric(tag))
     representation("regular", make_metric(tag))
-    _weyl_tables(make_metric(tag))
+    representation("gamma", make_metric(tag))
     assert calls == [tag]
     with pytest.raises(ValueError, match="unknown representation kind"):
         representation("weyl", make_metric(tag))
@@ -229,18 +285,16 @@ def test_one_gamma_build_per_signature(tag, monkeypatch):
 @pytest.mark.parametrize("tag", ["pmmm", "mppp"])
 def test_decompose_identities_on_the_weyl_block(tag):
     # orthogonal_decompose scales X, the Weyl block of sigma(L), by a complex k through
-    # J p = (-p23, p13, -p12, p03, -p02, p01) on F = L g's pairs p, whose block is
-    # i X: exact on the table of either metric.  It applies J to L's upper entries,
-    # p times one sign.  It reads s^2 = -det X as -tr2 L / 4 + i Pf / 2, equal to the
-    # block's to rounding.
+    # J p = (-p23, p13, -p12, p03, -p02, p01) on L's upper entries p, whose block is
+    # i X: exact on the constant table.  It reads s^2 = -det X as -tr2 L / 4 + i Pf / 2,
+    # equal to the block's to rounding.
     g = make_metric(tag)
-    table = _weyl_tables(g)[0]  # pairs -> X, row-major
     J = np.diag([-1.0, 1.0, -1.0, 1.0, -1.0, 1.0])[:, ::-1]
-    assert np.array_equal(J.T @ table, 1j * table)
+    assert np.array_equal(J.T @ _WEYL_PAIRS, 1j * _WEYL_PAIRS)
     for seed in range(40):
         for L in (random_bivector(g, seed), random_nonsimple_bivector(g, seed),
                   random_wedge(g, seed, "null")):
-            x00, x01, x10, x11 = ((L.matrix @ g.matrix)[_PAIR_INDEX] @ table).tolist()
+            x00, x01, x10, x11 = (L.matrix[_PAIR_INDEX] @ _WEYL_PAIRS).tolist()
             s2 = complex(-0.25 * L._tr2, 0.5 * L._pf)
             # the worst reads 0.82 u maxabs(L)^2
             assert abs(s2 - (x01 * x10 - x00 * x11)) <= 2 * 2.0**-53 * L._maxabs**2

@@ -471,7 +471,7 @@ def test_of_results_pass_the_validators(sig, monkeypatch):
     kinds = Counter(type(x) for x in made)
     assert kinds == {Bivector: 200 * 4 + 168 + 200 * 2,
                      LorentzTransformation: 50 + 200 * 2 + 2 * 93}
-    gg = -np.outer(g._diag, g._diag)
+    gg = -np.outer(np.diagonal(g.matrix), np.diagonal(g.matrix))
     for x in made:
         assert_revalidates(x)
         if isinstance(x, Bivector):
