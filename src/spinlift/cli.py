@@ -167,11 +167,11 @@ def _load_request(args) -> dict:
             raise MalformedInputError(f"unknown request keys: {sorted(unknown)}")
 
     request = {"command": args.command}
-    for key, default in _DEFAULTS.items():  # a flag, a string, reads as its default's type
+    for key, default in _DEFAULTS.items():  # a flag's string reads as its default's type
         flag = getattr(args, key)
         try:
             request[key] = payload.get(key, default) if flag is None else type(default)(flag)
-        except ValueError:  # the float() or int() that argparse's type= would call
+        except ValueError:  # float() or int(), as argparse's type= would have called them
             kind = type(default).__name__
             raise MalformedInputError(f"cannot read --{key} {flag!r} as {kind}") from None
     if request["seed"] < 0:

@@ -224,11 +224,12 @@ def test_lowered_indices_and_odd_images_change_sign():
         assert np.array_equal(gammas[1], 1j * gammas[0])
 
 
-def _documents(command, matrix, rep, tol=None):
+def _documents(command, matrix, rep):
+    """The rendered document of a request under each metric, its metric tag blanked."""
     docs = []
     for tag in SIGNATURES:
         request = {"command": command, "metric": tag, "rep": rep,
-                   "tol": cli._DEFAULTS["tol"] if tol is None else tol, "matrix": matrix}
+                   "tol": cli._DEFAULTS["tol"], "matrix": matrix}
         try:
             doc = cli.run_request(request)
         except SpinLiftError as exc:
