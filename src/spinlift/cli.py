@@ -171,7 +171,7 @@ def _load_request(args) -> dict:
         flag = getattr(args, key)
         try:
             request[key] = payload.get(key, default) if flag is None else type(default)(flag)
-        except ValueError:  # float() or int(), as argparse's type= would have called them
+        except ValueError:  # such as --tol 1e-9x or --seed 1.5
             kind = type(default).__name__
             raise MalformedInputError(f"cannot read --{key} {flag!r} as {kind}") from None
     if request["seed"] < 0:

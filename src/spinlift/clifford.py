@@ -85,7 +85,7 @@ class Representation:
         self._vector_rows = self.vectors.reshape(len(VECTOR_MASKS), -1)
         self._pair_rows = self.pair_generators.reshape(len(PAIR_INDICES), -1)
         self._even_rows = blades.reshape(BLADE_COUNT, -1)
-        if metric.signature == "pmmm":  # the sign the Weyl tables leave out, exactly
+        if metric.signature == "pmmm":  # L's upper entries are -F's pairs here (see below)
             self._pair_rows = -self._pair_rows
             self._even_rows = self._even_rows.copy()
             self._even_rows[_PAIR_MASKS] = -self._even_rows[_PAIR_MASKS]
