@@ -350,8 +350,9 @@ _COMMAND_BODIES = {  # command: (the type its matrix is validated as, its body)
 
 # ---------------------------------------------------------------------------
 # selftest battery: each check draws each input once and yields every relative
-# defect of each case and representation, in an order their maximum ignores.  Trial i
-# draws at scales[i % len(scales)], the samplers' scale; selftest keeps 1.0.
+# defect of each case, in an order their maximum ignores.  Draw i is judged once, in
+# reps[i % len(reps)], as every identity holds alike in each faithful representation.
+# Trial i draws at scales[i % len(scales)], the samplers' scale; selftest keeps 1.0.
 
 
 def _trials(trials, scales):
@@ -365,6 +366,13 @@ def _nonsimple_draws(g, seed, trials, scales):
         yield (L, *_decompose(L, SIMPLE_DET_TOL))
 
 
+def _by_rep(reps, cases):
+    """Each representation with its cases, case i in reps[i % len(reps)], for the
+    rows that judge a stack; a representation with no case is left out."""
+    n = len(reps)
+    return [(rep, cases[k::n]) for k, rep in enumerate(reps) if cases[k::n]]
+
+
 def _check_decomposition(g, reps, seed, trials, scales=(1.0,)):
     for L, l_plus, l_minus, mu in _nonsimple_draws(g, seed, trials, scales):
         defects = _decomposition_defects(L, l_plus, l_minus, mu)
@@ -373,39 +381,38 @@ def _check_decomposition(g, reps, seed, trials, scales=(1.0,)):
 
 
 def _check_spin_square(g, reps, seed, trials, scales=(1.0,)):
-    for i, c in _trials(trials, scales):
+    for rep, (i, c) in zip(itertools.cycle(reps), _trials(trials, scales)):
         W = random_wedge(g, seed + i, kind="any", scale=c)
-        for rep in reps:
-            s = spin_rep(rep, W)
-            yield maxabs(s @ s + 0.25 * tr2(W) * rep.identity) / _floored(W._maxabs, 2)
+        s = spin_rep(rep, W)
+        yield maxabs(s @ s + 0.25 * tr2(W) * rep.identity) / _floored(W._maxabs, 2)
 
 
 def _check_spin_decompose(g, reps, seed, trials, scales=(1.0,)):
-    for L, l_plus, l_minus, mu in _nonsimple_draws(g, seed, trials, scales):
+    draws = _nonsimple_draws(g, seed, trials, scales)
+    for rep, (L, l_plus, l_minus, mu) in zip(itertools.cycle(reps), draws):
         norm2 = _floored(L._maxabs, 2)
-        for rep in reps:
-            s_plus, s_minus = spin_decompose(spin_rep(rep, L), mu)
-            yield maxabs(s_plus - spin_rep(rep, l_plus)) / norm2
-            yield maxabs(s_minus - spin_rep(rep, l_minus)) / norm2
+        s_plus, s_minus = spin_decompose(spin_rep(rep, L), mu)
+        yield maxabs(s_plus - spin_rep(rep, l_plus)) / norm2
+        yield maxabs(s_minus - spin_rep(rep, l_minus)) / norm2
 
 
 def _check_cross_product(g, reps, seed, trials, scales=(1.0,)):
-    for L, l_plus, l_minus, _ in _nonsimple_draws(g, seed, trials, scales):
-        t2, norm2 = tr2(L), _floored(L._maxabs, 2)
-        for rep in reps:
-            sp = spin_rep(rep, l_plus)
-            sm = spin_rep(rep, l_minus)
-            predicted = spin_cross_product(spin_rep(rep, L), t2, rep)
-            yield maxabs(predicted - sp @ sm) / norm2
-            yield maxabs(sp @ sm - sm @ sp) / norm2
+    draws = _nonsimple_draws(g, seed, trials, scales)
+    for rep, (L, l_plus, l_minus, _) in zip(itertools.cycle(reps), draws):
+        norm2 = _floored(L._maxabs, 2)
+        sp = spin_rep(rep, l_plus)
+        sm = spin_rep(rep, l_minus)
+        predicted = spin_cross_product(spin_rep(rep, L), tr2(L), rep)
+        yield maxabs(predicted - sp @ sm) / norm2
+        yield maxabs(sp @ sm - sm @ sp) / norm2
 
 
 def _check_recovery(g, reps, seed, trials, scales=(1.0,)):
-    for L, *parts, _ in _nonsimple_draws(g, seed, trials, scales):
+    draws = _nonsimple_draws(g, seed, trials, scales)
+    for rep, (L, *parts, _) in zip(itertools.cycle(reps), draws):
         norm2 = _floored(L._maxabs, 2)  # squared for det L: scale(L, 4) rounds apart
-        for rep in reps:
-            _, defects = _recovery_defects(L, rep, parts)
-            yield from (d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
+        _, defects = _recovery_defects(L, rep, parts)
+        yield from (d / norm2**k for d, k in zip(defects.values(), (1, 2, 1)))
 
 
 def _series_defects(images, outputs):
@@ -420,14 +427,15 @@ def _check_exp_agreement(g, reps, seed, trials, scales=(1.0,)):
     draws = [(L, parts) for L, *parts in _nonsimple_draws(g, seed, trials, scales)]
     wedges = [random_wedge(g, seed + 500 + j, kind=kind)
               for j, kind in enumerate(("rotation", "boost", "null"))]
-    for rep in reps:
+    for rep, mine in _by_rep(reps, draws):
         outputs = [(_exp_factored(rep, *parts), exp_spin_polynomial(L, rep),
                     exp_spin(L, rep))  # the dispatcher itself
-                   for L, parts in draws]
-        yield from _series_defects([spin_rep(rep, L) for L, _ in draws], outputs)
-        images = [spin_rep(rep, W) for W in wedges]
+                   for L, parts in mine]
+        yield from _series_defects([spin_rep(rep, L) for L, _ in mine], outputs)
+    for rep, mine in _by_rep(reps, wedges):
+        images = [spin_rep(rep, W) for W in mine]
         outputs = [(exp_spin_simple(s, tr2(W)), exp_spin(W, rep))
-                   for s, W in zip(images, wedges)]
+                   for s, W in zip(images, mine)]
         yield from _series_defects(images, outputs)
 
 
@@ -467,9 +475,9 @@ def _check_lift(g, reps, seed, trials, scales=(1.0,)):
     lams += [LorentzTransformation(exp_series(m), g) for m in wedges]
     lams.append(traceless_simple_transformation(g, seed + 700))
     lams.append(degenerate_denominator_transformation(g, seed + 800))
-    for rep in reps:
-        sigmas = np.stack([lift(lam, rep) for lam in lams])
-        yield from intertwining_defect(sigmas, lams, rep).tolist()
+    for rep, mine in _by_rep(reps, lams):
+        sigmas = np.stack([lift(lam, rep) for lam in mine])
+        yield from intertwining_defect(sigmas, mine, rep).tolist()
 
 
 def _check_homomorphism(g, reps, seed, trials, scales=(1.0,)):
@@ -477,20 +485,19 @@ def _check_homomorphism(g, reps, seed, trials, scales=(1.0,)):
     for i, c in _trials(trials, scales):
         lam1 = random_nonsimple_transformation(g, seed + 2 * i, c)
         lam2 = random_nonsimple_transformation(g, seed + 2 * i + 1, c)
-        pairs.append((lam1, lam2, lam1 @ lam2))  # validated once for both representations
-    for rep in reps:
-        sigmas = np.stack([lift(lam1, rep) @ lift(lam2, rep) for lam1, lam2, _ in pairs])
-        yield from intertwining_defect(sigmas, [lam for *_, lam in pairs], rep).tolist()
+        pairs.append((lam1, lam2, lam1 @ lam2))
+    for rep, mine in _by_rep(reps, pairs):
+        sigmas = np.stack([lift(lam1, rep) @ lift(lam2, rep) for lam1, lam2, _ in mine])
+        yield from intertwining_defect(sigmas, [lam for *_, lam in mine], rep).tolist()
 
 
 def _check_double_cover(g, reps, seed, trials, scales=(1.0,)):
-    for i, c in _trials(trials, scales):
+    for rep, (i, c) in zip(itertools.cycle(reps), _trials(trials, scales)):
         W = random_wedge(g, seed + i, kind="rotation", scale=c)
         angle = math.sqrt(tr2(W))
         W2 = W * ((angle + 2.0 * math.pi) / angle)
-        for rep in reps:
-            base = exp_spin(W, rep)
-            yield maxabs(exp_spin(W2, rep) + base) / scale(base, 1)
+        base = exp_spin(W, rep)
+        yield maxabs(exp_spin(W2, rep) + base) / scale(base, 1)
 
 
 _SELFTEST_CHECKS = (
@@ -509,7 +516,8 @@ _SELFTEST_CHECKS = (
 
 
 def run_selftest(metric_tag: str, seed: int, trials: int = _SELFTEST_TRIALS) -> dict:
-    """Run the full property battery over both representations."""
+    """Run the full property battery; each case is judged once, and the cases
+    alternate between the gamma and the regular representation."""
     if trials < 1:  # the stacked rows judge at least one draw
         raise ValueError(f"selftest needs at least one trial, got {trials}")
     g = make_metric(metric_tag)

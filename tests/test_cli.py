@@ -435,6 +435,39 @@ def test_selftest_needs_a_trial():
         run_selftest("pmmm", seed=123, trials=0)
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
+def test_small_batteries_pass(metric_tag, trials):
+    # cases alternate between the representations, so at one trial the regular
+    # representation judges no draw of the rows that stack only draws
+    report = run_selftest(metric_tag, seed=7, trials=trials)
+    assert report["all_passed"] is True
+    assert [c["cases"] for c in report["checks"]] == [trials] * 11
+
+
+# a sign flipped on one row of a representation's tables, and the number of battery
+# rows it failed when every case was judged in both representations
+MUTANT_ROWS = {"_pair_rows": ((0, 3, 5), 5), "_vector_rows": ((0, 2), 2),
+               "_even_rows": ((0, 3, 10, 15), 3)}
+
+
+@pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+@pytest.mark.parametrize("attr, row", [(attr, row) for attr, (rows, _) in MUTANT_ROWS.items()
+                                       for row in rows])
+def test_selftest_fails_each_representation_mutant(attr, row, kind, metric_tag,
+                                                    monkeypatch):
+    # each case is judged in one representation; a fault in either one still fails
+    # as many rows as when both judged every case
+    rep = representation(kind, make_metric(metric_tag))
+    rows = getattr(rep, attr).copy()
+    rows[row] = -rows[row]
+    monkeypatch.setattr(rep, attr, rows)
+    report = run_selftest(metric_tag, seed=7)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert len(failed) >= MUTANT_ROWS[attr][1], failed
+
+
 @pytest.mark.parametrize(
     "defects",
     [(math.nan,), (1e-12, math.nan), (math.nan, 1e-12)],
@@ -490,8 +523,8 @@ def nan_in_recovered_det(f):
 
 
 def nan_in_commutation(maxabs):
-    # _check_cross_product takes two maxabs per case and representation, the
-    # commutation defect second: that one reads NaN, and no other row's
+    # _check_cross_product takes two maxabs per case, the commutation defect
+    # second: that one reads NaN, and no other row's
     calls = itertools.count()
 
     def patched(m):

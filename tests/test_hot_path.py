@@ -260,8 +260,8 @@ def test_selftest_takes_each_det_once(monkeypatch):
 
 @pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
 def test_selftest_decomposes_each_bivector_once(metric_tag, monkeypatch):
-    # the recovery and exp-agreement rows take a draw's parts once and hand them
-    # to both representations
+    # the battery takes each draw's parts once and hands them to every row that
+    # judges the draw
     calls = count_calls(monkeypatch, _decompose)
     assert cli.run_selftest(metric_tag, 7)["all_passed"]
     counts = Counter(id(L) for L, tol in calls)  # all alive in the list: ids distinct
@@ -274,8 +274,8 @@ def test_selftest_decomposes_each_bivector_once(metric_tag, monkeypatch):
 def test_selftest_runs_no_svd_and_validates_22_transformations(metric_tag, seed,
                                                               monkeypatch):
     # intertwining_defect clears the cond limit from the Frobenius norms of Sigma and
-    # its inverse, so none of the 48 Sigma it judges takes an SVD; the homomorphism
-    # row forms each product Lam1 Lam2 once for both representations
+    # its inverse, so none of the 24 Sigma it judges takes an SVD; the homomorphism
+    # row forms each product Lam1 Lam2 once
     svd = []
     monkeypatch.setattr(np.linalg, "cond", lambda *args, cond=np.linalg.cond:
                         svd.append(args) or cond(*args))
@@ -290,14 +290,29 @@ def test_selftest_runs_no_svd_and_validates_22_transformations(metric_tag, seed,
 @pytest.mark.parametrize("seed", [0, 11])
 @pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
 def test_selftest_referee_calls_per_battery(metric_tag, seed, monkeypatch):
-    # exp_series takes one matrix a call: exp-agreement judges its 10 draws and 3
-    # wedges per representation (2 x 13), log-roundtrip makes its 10 Lam and judges
-    # their 10 logs (20), and lift-intertwining makes its two wedges' Lam (2);
-    # lift-intertwining and homomorphism-pairs take one intertwining_defect stack per
-    # representation (4)
+    # exp_series takes one matrix a call, and each case is judged in one
+    # representation: exp-agreement judges its 10 draws and 3 wedges once (13),
+    # log-roundtrip makes its 10 Lam and judges their 10 logs (20), and
+    # lift-intertwining makes its two wedges' Lam (2); lift-intertwining and
+    # homomorphism-pairs take one intertwining_defect stack per representation, each
+    # over the cases that alternate into it (4)
     referees = [count_calls(monkeypatch, fn) for fn in (exp_series, intertwining_defect)]
     assert cli.run_selftest(metric_tag, seed)["all_passed"]
-    assert [len(calls) for calls in referees] == [48, 4]
+    assert [len(calls) for calls in referees] == [35, 4]
+
+
+@pytest.mark.parametrize("metric_tag", ["pmmm", "mppp"])
+def test_selftest_calls_each_traced_referee_kind(metric_tag, monkeypatch):
+    # the traced benchmark tags exp_series by its matrix (complex 4 x 4 gamma images,
+    # real 16 x 16 regular images, real 4 x 4 Lorentz matrices) and intertwining_defect
+    # and spin_rep by rep.kind; as the cases alternate, a battery reaches each one
+    series, defects, images = (count_calls(monkeypatch, fn)
+                               for fn in (exp_series, intertwining_defect, spin_rep))
+    assert cli.run_selftest(metric_tag, 7)["all_passed"]
+    assert ({(m.shape, m.dtype.kind) for m, *_ in series}
+            == {((4, 4), "c"), ((16, 16), "f"), ((4, 4), "f")})
+    assert {rep.kind for *_, rep in defects} == {"gamma", "regular"}
+    assert {rep.kind for rep, *_ in images} == {"gamma", "regular"}
 
 
 def test_decompose_computes_det_once(g, rep, monkeypatch):
