@@ -38,7 +38,7 @@ def transform_traces(m, rows=None) -> tuple[float, float]:
     # all -0.0 diagonal sum to +0.0)
     r = m.tolist() if rows is None else rows
     t = 0.0 + r[0][0] + r[1][1] + r[2][2] + r[3][3]
-    a, b, c, d = (m @ m).diagonal().tolist()
+    a, b, c, d = np.dot(m, m).diagonal().tolist()  # the BLAS call of m @ m
     return t, 0.5 * (t * t - (0.0 + a + b + c + d))
 
 

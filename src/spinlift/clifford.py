@@ -125,6 +125,10 @@ _WEYL_BLOCKS = (_WEYL_U @ _gamma_blades(Metric("mppp")) @ _WEYL_U.T)[:, :2, :2].
 _WEYL_PAIRS = 0.25 * _WEYL_BLOCKS[_PAIR_MASKS]
 _WEYL_EVEN = 0.25 * np.hstack([_WEYL_BLOCKS.real, _WEYL_BLOCKS.imag])
 _WEYL_SPLIT = 2.0 * _WEYL_EVEN[_PAIR_MASKS]
+# _WEYL_EVEN's columns interleaved (Re A00, Im A00, Re A01, ...), the order of a complex
+# A's own float view.  Each row has at most two nonzero entries, of +/-1/2: away from
+# the subnormal range its products are exact, and its sums do not depend on the order
+_WEYL_INTERLEAVED = np.ascontiguousarray(_WEYL_EVEN[:, [0, 4, 1, 5, 2, 6, 3, 7]])
 
 _TABLES: dict = {}  # by signature: make_metric returns a new Metric for each request
 
@@ -157,9 +161,11 @@ def _pair_coefficients(L: Bivector) -> np.ndarray:
 
 
 def _even_image(rep: Representation, a) -> np.ndarray:
-    # The image in rep of the even element whose Weyl block is A = a, row-major
-    a = np.ravel(a)
-    coeffs = np.dot(_WEYL_EVEN, np.concatenate((a.real, a.imag)))
+    # The image in rep of the even element whose Weyl block is A = a, complex, row-major.
+    # Its blade coefficients, read off A's float view, are the bits of
+    # np.dot(_WEYL_EVEN, concatenate((Re A, Im A))); the row product with rep's table,
+    # whose summation order sets the image's bits, stays
+    coeffs = np.dot(_WEYL_INTERLEAVED, a.ravel().view(float))
     return np.dot(coeffs.reshape(1, -1), rep._even_rows).reshape(rep.dim, -1)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._linalg import (
     BLOCK_DET_TOL, DENOMINATOR_GATE, DET_SIGN_DEFECT, DET_SIGN_ROUNDING, ORTHO_TOL, SIMPLE_CRITERION_TOL,
-    TRACE_GATE, _COND_LIMIT, _UNIT_ROUNDOFF, _floored, lift_denominator, maxabs,
+    TRACE_GATE, _COND_LIMIT, _UNIT_ROUNDOFF, _floored, lift_denominator,
     simplicity_defect, transform_traces,
 )
 from .bivector import Bivector
@@ -42,11 +42,14 @@ from .expmap import _sinh_ratio_complex
 from .metric import _G, Metric
 
 
-def _measured(m):
-    """(maxabs(m), max(1, maxabs(m))^2) of a transformation, refused out of range."""
-    top = maxabs(m)  # NaN and +/-inf entries carry through to it
-    if not math.isfinite(top):
+def _measured(rows):
+    """(maxabs, max(1, maxabs)^2) of a transformation's rows, refused out of range."""
+    entries = rows[0] + rows[1] + rows[2] + rows[3]
+    # max skips a NaN that is not its first entry, so the sum looks for NaN and inf: it
+    # carries both, and overflows only past maxabs ~1e307, which the square refuses
+    if not math.isfinite(sum(entries)) and not all(map(math.isfinite, entries)):
         raise InvalidTransformationError("transformation entries must be finite")
+    top = max(map(abs, entries))
     try:
         return top, _floored(top, 2)
     except OverflowError:  # maxabs past ~1.3e154: its square leaves the float range
@@ -74,11 +77,15 @@ class LorentzTransformation:
             raise InvalidTransformationError(
                 f"transformation must be 4x4, got shape {m.shape}"
             )
-        top, norm2 = _measured(m)
-        defect = maxabs(m.T @ _G @ m - _G)
+        rows = m.tolist()
+        top, norm2 = _measured(rows)
+        # The BLAS products of Lam^T g Lam set the defect's bits by their summation order,
+        # so they stay; np.dot makes the calls of @ with less overhead.  Lam^T times g's
+        # diagonal of +/-1 would be exact too, but numpy's broadcast multiply is slower
+        # than the product by g.  The reduction is maxabs's, which keeps a NaN
+        defect = float(np.maximum.reduce(np.abs(np.dot(np.dot(m.T, _G), m) - _G), axis=None))
         if defect > ORTHO_TOL * norm2:
             raise InvalidTransformationError("matrix does not preserve the metric")
-        rows = m.tolist()
         (m00, *_), (_, a, b, c), (_, d, e, f), (_, p, q, r) = rows
         if m00 < 1.0 - ORTHO_TOL:
             raise InvalidTransformationError("matrix is not orthochronous")
@@ -97,7 +104,7 @@ class LorentzTransformation:
             raise InvalidTransformationError(
                 "negative trace: matrix is outside the proper orthochronous component"
             )
-        m.flags.writeable = False
+        m.setflags(write=False)
         vars(self).update(matrix=m, _maxabs=top, _traces=traces)
 
     @classmethod
@@ -105,10 +112,11 @@ class LorentzTransformation:
         # As Bivector._of: the validator's maxabs, traces and range refusals for a
         # C-contiguous float64 (4, 4) result of the library, without its checks of
         # the metric, time orientation, det and trace, which hold by construction
-        m.flags.writeable = False
+        m.setflags(write=False)
+        rows = m.tolist()
         lam = object.__new__(cls)
-        vars(lam).update(matrix=m, metric=metric, _maxabs=_measured(m)[0],
-                         _traces=transform_traces(m))
+        vars(lam).update(matrix=m, metric=metric, _maxabs=_measured(rows)[0],
+                         _traces=transform_traces(m, rows))
         return lam
 
     def inverse(self) -> np.ndarray:
@@ -292,10 +300,13 @@ def _spinor(m) -> np.ndarray:
     # the sign gives Re tr A >= 0 (Im tr A >= 0 where Re tr A = 0).  |det A| = 1 carries
     # rounding of u maxabs(A)^2 <= u cond(A), as does the phase: past u _COND_LIMIT,
     # the bound on cond in intertwining_defect, raise (a det A of 0, inf or NaN too).
-    h = (_SPINOR_H @ m.ravel()).reshape(4, 4)
-    diagonal = h.diagonal().real.tolist()  # finite, as m is: max is argmax's pick
-    top = max(diagonal)
-    a = h[:, diagonal.index(top)] / math.sqrt(top)
+    # The BLAS matvec, whose summation order sets H's bits, and numpy's complex
+    # divisions stay; the rest reads scalars.  H is row-major, its column j h[j::4]
+    h = np.dot(_SPINOR_H, m.ravel())
+    v = h.tolist()
+    diagonal = [v[0].real, v[5].real, v[10].real, v[15].real]  # finite, as m is
+    top = max(diagonal)  # the first largest, as argmax picks
+    a = h[diagonal.index(top)::4] / math.sqrt(top)
     a00, a01, a10, a11 = a.tolist()
     d = a00 * a11 - a01 * a10  # numpy's complex product and difference, in scalars
     r = abs(d)

@@ -1,5 +1,6 @@
-"""tools/benchverdict.py on a synthetic BENCH file whose verdicts are known, and on
-BENCH_30.json, whose intervals ROADMAP.md quotes."""
+"""tools/benchverdict.py on a synthetic BENCH file whose verdicts are known, on
+two synthetic files whose trajectory is known, and on BENCH_30.json, whose
+intervals ROADMAP.md quotes."""
 
 import importlib.util
 import json
@@ -96,3 +97,35 @@ def test_bench_30_intervals():
         row = table[key]
         assert [round(100 * row[k], 1) for k in ("median", "lo", "hi")] == list(quoted)
         assert row["verdict"] == "within"
+
+
+def scaled(ratio):
+    """One workload whose change runs are the parent's times ratio, every metric."""
+    keys = [metric["name"] for metric in BENCHMARK["end_to_end"]]
+    return {"workloads": {"a": {
+        "parent": {"runs": {key: PARENT for key in keys}},
+        "change": {"runs": {key: [p * ratio for p in PARENT] for key in keys}}}}}
+
+
+def test_trajectory_multiplies_the_paired_medians(tmp_path, capsys):
+    # two files at ops_per_s ratios 1.1 and 1.2: the running product reads 1.32
+    tables = [(name, benchverdict.rows(scaled(ratio), BENCHMARK))
+              for name, ratio in (("BENCH_1.json", 1.1), ("BENCH_2.json", 1.2))]
+    steps = benchverdict.trajectory(tables)["a"]
+    assert [step["path"] for step in steps] == ["BENCH_1.json", "BENCH_2.json"]
+    assert [round(step["median"], 12) for step in steps] == [0.1, 0.2]
+    assert [round(step["product"], 12) for step in steps] == [1.1, 1.32]
+    assert all(math.isclose(step["lo"], step["hi"]) for step in steps)
+    paths = []
+    for name, ratio in (("BENCH_1.json", 1.1), ("BENCH_2.json", 1.2)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(scaled(ratio)))
+    benchmark = tmp_path / "BENCHMARK.json"
+    benchmark.write_text(json.dumps(BENCHMARK))
+    # latency at 1.1 and 1.2 stays inside its 24% bound; peak_rss_mb at 1.2 is past 10%
+    assert benchverdict.main([*map(str, paths), "--benchmark", str(benchmark)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("Trajectory of ops_per_s") == 1
+    assert out.rstrip().splitlines()[-1].endswith("x1.320")
+    assert benchverdict.main([str(paths[1]), "--benchmark", str(benchmark)]) == 1
+    assert "Trajectory" not in capsys.readouterr().out  # one file, no trajectory

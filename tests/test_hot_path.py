@@ -1,9 +1,10 @@
 """The hot paths do each piece of work once and give the bits of the plain forms.
 
 The spin map and the vector images are compared bit for bit with the
-``np.tensordot`` form they replace, and the transformation traces and the
-spinor map with the numpy reductions and scalars they replace, next to every
-refusal of the validator; call counters pin that a dispatcher
+``np.tensordot`` form they replace, the even image with the ``np.concatenate``
+form, and the transformation traces and the spinor map with the numpy
+reductions and scalars they replace, next to every refusal of the validator and
+a non-finite or out-of-range entry at each position; call counters pin that a dispatcher
 or a decomposition computes its invariants once, that the gates read the
 norm and traces their input's validator measured, that a bivector's tr2 and
 Pfaffian are taken lazily and at most once, and that the selftest battery draws
@@ -46,7 +47,7 @@ from spinlift import (
 from spinlift._linalg import (_COND_LIMIT, _UNIT_ROUNDOFF, _floored, maxabs, scale,
                               transform_traces)
 from spinlift.bivector import _decompose, det_bivector
-from spinlift.clifford import PAIR_INDICES
+from spinlift.clifford import PAIR_INDICES, _WEYL_EVEN, _even_image
 from spinlift.errors import NonFiniteOutputError, SpinLiftError
 from spinlift.group_lift import _SPINOR_H, _spinor
 from spinlift.oracle import random_bivector
@@ -203,6 +204,75 @@ def test_validator_decisions_on_the_refusal_grid(metric):
             t = float(m.trace())
             assert [lam._maxabs.hex(), *(x.hex() for x in lam._traces)] == [
                 maxabs(m).hex(), t.hex(), (0.5 * (t * t - float((m @ m).trace()))).hex()]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200, 1e308, -1e308])
+def test_validator_refuses_each_entry_out_of_range(metric, value):
+    # max over the entries skips a NaN unless it comes first, and the sum that looks
+    # for NaN and inf overflows on finite entries past ~1e307: a NaN or an inf at
+    # every position is refused as non-finite, and a finite entry past the square's
+    # range as too large
+    message = ("transformation entries must be finite" if not math.isfinite(value)
+               else "transformation entries too large")
+    lam = framed(metric, 1, 2.0)
+    for i, j in np.ndindex(4, 4):
+        m = lam.copy()
+        m[i, j] = value
+        with pytest.raises(InvalidTransformationError) as info:
+            LorentzTransformation(m, metric)
+        assert str(info.value) == message, (i, j)
+
+
+def test_validator_refuses_an_overflowing_sum_as_too_large(metric):
+    # the sum of finite entries overflows (to inf, or to NaN through -inf); a NaN or
+    # an inf next to them is still non-finite
+    for m in (np.full((4, 4), 1e308), np.where(np.eye(4) == 1.0, 1e308, -1e308)):
+        with pytest.raises(InvalidTransformationError, match="too large"):
+            LorentzTransformation(m, metric)
+        for bad in (math.nan, math.inf):
+            m = m.copy()
+            m[3, 3] = bad
+            with pytest.raises(InvalidTransformationError, match="must be finite"):
+                LorentzTransformation(m, metric)
+
+
+def even_image_concatenate(rep, a):
+    """_even_image as it read A: the even table on (Re A, Im A), then the row dot."""
+    a = np.ravel(a)
+    coeffs = np.dot(_WEYL_EVEN, np.concatenate((a.real, a.imag)))
+    return np.dot(coeffs.reshape(1, -1), rep._even_rows).reshape(rep.dim, -1)
+
+
+def even_blocks():
+    """Weyl blocks by name: random ones over several scales, blocks with -0.0 entries,
+    a 2x2 block and a strided view."""
+    blocks = {}
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        blocks[f"random, seed {seed}"] = z * 10.0 ** (4 * seed - 18)
+    blocks["-0.0 entries"] = np.array([complex(-0.0, 1.0), complex(1.0, -0.0),
+                                       complex(-0.0, -0.0), complex(2.5, 0.0)])
+    blocks["all -0.0"] = np.full(4, complex(-0.0, -0.0))
+    blocks["2x2"] = blocks["random, seed 1"].reshape(2, 2)
+    wide = np.random.default_rng(10).normal(size=(2, 8)).view(complex)  # (2, 4) complex
+    blocks["strided 2x2 view"] = wide[:, ::2]
+    blocks["strided view"] = wide.ravel()[1::2]
+    return blocks
+
+
+@pytest.mark.parametrize("kind", ["gamma", "regular"])
+def test_even_image_bit_equal_concatenate(metric, kind):
+    # _even_image dots A's own float view with the interleaved table; each row of the
+    # even table has at most two nonzero entries, powers of two, so its products are
+    # exact and its sums do not depend on the column order
+    rep = representation(kind, metric)
+    assert ((_WEYL_EVEN != 0.0).sum(axis=1) <= 2).all()
+    assert {np.frexp(x)[0] for x in np.abs(_WEYL_EVEN[_WEYL_EVEN != 0.0])} == {0.5}
+    for name, a in even_blocks().items():
+        out = _even_image(rep, a)
+        assert out.tobytes() == even_image_concatenate(rep, a).tobytes(), name
+        assert out.shape == (rep.dim, rep.dim), name
 
 
 def exp_cases(g):

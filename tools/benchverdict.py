@@ -26,6 +26,11 @@ median run against the parent's median run, and whether it is within the bound.
 The median rule alone can call a metric within while its interval is not, so a
 metric passes here only when its interval is within.  Exits 1 when a metric is
 past its bound, else 0.  Needs numpy.
+
+Given more than one file, it then prints a trajectory table per workload: each
+file's ``ops_per_s`` paired median and interval, in the order given, and the
+running product of those medians, change over parent, across the files that hold
+the workload.
 """
 
 from __future__ import annotations
@@ -122,17 +127,45 @@ def render(path: str, table: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def trajectory(tables) -> dict[str, list[dict]]:
+    """Per workload, one step per (path, rows) table that holds it: the paired median
+    and interval of ops_per_s and the running product of the medians as ratios."""
+    out: dict[str, list[dict]] = {}
+    for path, table in tables:
+        for row in table:
+            if row["metric"] == "ops_per_s":
+                steps = out.setdefault(row["workload"], [])
+                product = (steps[-1]["product"] if steps else 1.0) * (1.0 + row["median"])
+                steps.append({"path": path, "median": row["median"], "lo": row["lo"],
+                              "hi": row["hi"], "product": product})
+    return out
+
+
+def render_trajectory(steps_by_workload: dict) -> str:
+    lines = ["Trajectory of ops_per_s: paired median of change / parent per file, "
+             "95% interval, running product of the medians"]
+    for workload, steps in steps_by_workload.items():
+        lines.append(f"  {workload}")
+        for step in steps:
+            interval = f"[{100 * step['lo']:+.1f}, {100 * step['hi']:+.1f}]%"
+            lines.append(f"    {step['path']:<16} {100 * step['median']:>+7.1f}% "
+                         f"{interval:>18}  x{step['product']:.3f}")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("bench", nargs="+", help="BENCH_<n>.json files")
     parser.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
     args = parser.parse_args(argv)
     benchmark = json.loads(Path(args.benchmark).read_text())
-    past = False
-    for path in args.bench:
-        table = rows(json.loads(Path(path).read_text()), benchmark)
+    tables = [(path, rows(json.loads(Path(path).read_text()), benchmark))
+              for path in args.bench]
+    for path, table in tables:
         print(render(path, table))
-        past = past or any(row["verdict"] == "past" for row in table)
+    if len(tables) > 1:
+        print(render_trajectory(trajectory(tables)))
+    past = any(row["verdict"] == "past" for _, table in tables for row in table)
     return 1 if past else 0
 
 
